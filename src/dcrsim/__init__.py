@@ -17,10 +17,9 @@ from .simulator import (EventKind, PacketRecord, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
 from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology,
-                       UnicastAddress, allocate_anycast, allocate_unicast,
-                       distance, format_topology, generate_random_topology,
-                       load_topology, nearest_dcr, parse_topology,
-                       save_topology)
+                       UnicastAddress, distance, format_topology,
+                       generate_random_topology, load_topology, nearest_dcr,
+                       parse_topology, save_topology)
 
 __version__ = "0.1.0"
 
@@ -30,8 +29,7 @@ __all__ = [
     "Overlay", "OverlayError", "OverlayMetrics", "PacketRecord", "PacketTrace",
     "ParseError", "Point", "ScenarioError", "ScenarioEvent", "SessionState",
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
-    "VmRecord", "add_wraparound", "all_pairs_delay", "allocate_anycast",
-    "allocate_unicast", "apply_notification",
+    "VmRecord", "add_wraparound", "all_pairs_delay", "apply_notification",
     "build_overlay", "build_tree", "connect_leaves", "distance",
     "flood_duplicate_count", "flood_schedule", "format_notification_line",
     "format_overlay", "format_scenario", "format_topology", "format_trace_line",

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 from .errors import ConfigError
-from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress,
-                       distance, nearest_dcr)
+from .topology import AnycastAddress, DcrId, Point, Topology, UnicastAddress, distance
 
 
 class VmMode(enum.Enum):
@@ -157,10 +156,6 @@ class VmRecord:
         if self.mode is not VmMode.ANYCAST_REPLICATED and len(self.locations) != 1:
             raise ConfigError(f"{self.mode.value} VM must live in exactly one DC")
 
-    @property
-    def alive(self) -> bool:
-        return bool(self.locations)
-
 
 Endpoint = Union[Point, DcrId]
 Hop = tuple[Endpoint, Endpoint, float]
@@ -192,15 +187,15 @@ def lookup(table: ForwardingTable, vm: AnycastAddress, at: DcrId, t: Topology) -
     return min(members, key=lambda d: (distance(ap, t.position(d)), d))
 
 
-def route_user_packet(user: Point, vm: VmRecord,
+def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord,
                       dcr_tables: Mapping[DcrId, ForwardingTable],
                       t: Topology) -> PacketTrace:
     """Route one user packet and report the path it took.
 
     Unicast goes straight to the address's DC, no tunnel. Anycast enters the
-    network at the user's nearest DCR, which consults its table and tunnels
-    the packet to the chosen DCR. Delivery succeeds only if the VM truly
-    hosts there; otherwise the trace records a miss.
+    network at `ingress`, the DCR the user attached to, which consults its
+    table and tunnels the packet to the chosen DCR. Delivery succeeds only if
+    the VM truly hosts there; otherwise the trace records a miss.
     """
     if vm.mode is VmMode.UNICAST:
         assert isinstance(vm.address, UnicastAddress)
@@ -209,7 +204,6 @@ def route_user_packet(user: Point, vm: VmRecord,
         return PacketTrace(hops=(hop,), tunneled=False,
                            delivered_at=dc if dc in vm.locations else None)
     assert isinstance(vm.address, AnycastAddress)
-    ingress = nearest_dcr(user, t)
     target = lookup(dcr_tables[ingress], vm.address, ingress, t)
     ip = t.position(ingress)
     hops = ((user, ingress, distance(user, ip)),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
@@ -78,6 +79,8 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             time = float(parts[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad time {parts[0]!r}") from None
+        if not math.isfinite(time):
+            raise ParseError(f"line {lineno}: non-finite time {parts[0]!r}")
         word = parts[1]
         try:
             if word == "create" and len(parts) == 5 and parts[4] in _MODES:
@@ -93,8 +96,11 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                 ev = ScenarioEvent(time, EventKind.DESTROY_VM_AT, vm=parts[2],
                                    dc=int(parts[3]), line=lineno)
             elif word == "user" and len(parts) == 5:
+                x, y = float(parts[3]), float(parts[4])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
                 ev = ScenarioEvent(time, EventKind.PLACE_USER, user=parts[2],
-                                   x=float(parts[3]), y=float(parts[4]), line=lineno)
+                                   x=x, y=y, line=lineno)
             elif word == "send" and len(parts) in (4, 6):
                 session = None
                 if len(parts) == 6:
@@ -120,7 +126,7 @@ def format_scenario(events: list[ScenarioEvent]) -> str:
     """Inverse of parse_scenario, used to persist generated scenarios."""
     out = []
     for ev in events:
-        t = f"{ev.time:g}"
+        t = repr(ev.time)
         if ev.kind is EventKind.CREATE_VM:
             out.append(f"{t} create {ev.vm} {ev.dc} {ev.mode.value}")
         elif ev.kind is EventKind.MIGRATE_VM:
@@ -130,7 +136,7 @@ def format_scenario(events: list[ScenarioEvent]) -> str:
         elif ev.kind is EventKind.DESTROY_VM_AT:
             out.append(f"{t} destroy {ev.vm} {ev.dc}")
         elif ev.kind is EventKind.PLACE_USER:
-            out.append(f"{t} user {ev.user} {ev.x:g} {ev.y:g}")
+            out.append(f"{t} user {ev.user} {ev.x!r} {ev.y!r}")
         else:
             tail = f" session {ev.session}" if ev.session else ""
             out.append(f"{t} send {ev.user} {ev.vm}{tail}")
@@ -159,7 +165,6 @@ class SessionState:
     vm: str
     pinned_location: DcrId | None = None
     open: bool = True
-    broke: bool = False
 
 
 @dataclass
@@ -265,7 +270,8 @@ class Simulation:
         self.tables: dict[DcrId, ForwardingTable] = {
             d: ForwardingTable() for d in topology.ids()}
         self.vms: dict[str, VmRecord] = {}
-        self.users: dict[str, Point] = {}
+        # Each user's position and the DCR nearest it, chosen when placed.
+        self.users: dict[str, tuple[Point, DcrId]] = {}
         self.sessions: dict[str, SessionState] = {}
         self._plan = AddressPlan(topology.n)
         self._counter = itertools.count()
@@ -336,7 +342,7 @@ class Simulation:
         if ev.kind is EventKind.MIGRATE_VM:
             if vm.mode is not VmMode.ANYCAST_MIGRATABLE:
                 raise ModeConflict(f"{where}cannot migrate {vm.mode.value} vm {ev.vm}")
-            if not vm.alive:
+            if not vm.locations:
                 raise ScenarioError(f"{where}vm {ev.vm} has been destroyed")
             self.topology.position(ev.dc)
             vm.locations.clear()
@@ -374,7 +380,8 @@ class Simulation:
 
     def _process_scenario(self, ev: ScenarioEvent) -> None:
         if ev.kind is EventKind.PLACE_USER:
-            self.users[ev.user] = Point(ev.x, ev.y)
+            user = Point(ev.x, ev.y)
+            self.users[ev.user] = (user, nearest_dcr(user, self.topology))
             return
         if ev.kind is EventKind.SEND_PACKET:
             self._send(ev)
@@ -384,25 +391,19 @@ class Simulation:
             self._flood(notification, notification_origin(notification))
 
     def _send(self, ev: ScenarioEvent) -> None:
-        where = self._where(ev)
-        user = self.users.get(ev.user)
-        if user is None:
-            raise ScenarioError(f"{where}unknown user {ev.user}")
-        vm = self.vms.get(ev.vm)
-        if vm is None:
-            raise ScenarioError(f"{where}unknown vm {ev.vm}")
-        if vm.mode is VmMode.UNICAST:
-            ingress = None
-            arrival = ev.time + distance(user, self.topology.position(vm.address.dc))
-        else:
-            ingress = nearest_dcr(user, self.topology)
-            arrival = ev.time + distance(user, self.topology.position(ingress))
+        # The packet carries where the user was and the ingress chosen there,
+        # so a user who moves while it is in flight does not reroute it.
+        user, ingress = self.users[ev.user]
+        vm = self.vms[ev.vm]
+        first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
+        arrival = ev.time + distance(user, self.topology.position(first_dcr))
         self._push(arrival, "deliver", (ev, user, ingress))
 
-    def _deliver(self, ev: ScenarioEvent, user: Point, ingress: DcrId | None) -> None:
+    def _deliver(self, ev: ScenarioEvent, user: Point, ingress: DcrId) -> None:
         vm = self.vms[ev.vm]
-        trace = route_user_packet(user, vm, self.tables, self.topology)
+        trace = route_user_packet(user, ingress, vm, self.tables, self.topology)
         if vm.mode is VmMode.UNICAST:
+            ingress = None  # the packet bypassed it, so the report leaves it empty
             target = vm.address.dc
             stretch = penalty = None
             if trace.delivered_at is not None:
@@ -445,7 +446,6 @@ class Simulation:
             return st, False
         delivered_at = trace.delivered_at
         if delivered_at is None:
-            st.broke = True
             st.open = False
             self._breaks += 1
             return st, True
@@ -454,7 +454,6 @@ class Simulation:
             return st, False
         if delivered_at != st.pinned_location:
             if self.vms[vm_name].mode is VmMode.ANYCAST_REPLICATED:
-                st.broke = True
                 st.open = False
                 self._breaks += 1
                 return st, True

@@ -129,16 +129,6 @@ class AddressPlan:
         return UnicastAddress(dc=dc, host=host)
 
 
-def allocate_anycast(plan: AddressPlan, dc: DcrId) -> AnycastAddress:
-    """Next anycast address in dc's subblock (function form of the method)."""
-    return plan.allocate_anycast(dc)
-
-
-def allocate_unicast(plan: AddressPlan, dc: DcrId) -> UnicastAddress:
-    """Next unicast address at dc (function form of the method)."""
-    return plan.allocate_unicast(dc)
-
-
 def generate_random_topology(seed: int, n: int, extent: float = 100.0) -> Topology:
     """n DCRs placed uniformly at random on [0, extent]^2, reproducibly.
 

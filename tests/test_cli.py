@@ -1,6 +1,6 @@
 import pytest
 
-from dcrsim import ConfigError, parse_overlay, parse_topology
+from dcrsim import ConfigError, ParseError, parse_overlay, parse_scenario, parse_topology
 from dcrsim.cli import RunConfig, main
 
 from conftest import example_path
@@ -162,6 +162,21 @@ def test_run_bad_scenario_exits_nonzero(tmp_path, capsys):
     code, _, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("user_line", ["{} user u1 1 1", "0 user u1 {} 1", "0 user u1 1 {}"],
+                         ids=["time", "x", "y"])
+def test_non_finite_scenario_numbers_fail_at_parse_time(user_line, value, tmp_path, capsys):
+    text = f"0 create vm1 1 anycast-migrate\n{user_line.format(value)}\n1 send u1 vm1\n"
+    with pytest.raises(ParseError, match="line 2: non-finite"):
+        parse_scenario(text)
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text)
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
+    assert code == 2
+    assert "line 2: non-finite" in err
+    assert out == ""
 
 
 def test_unknown_subcommand():

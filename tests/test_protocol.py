@@ -165,7 +165,7 @@ def test_lookup_falls_back_to_subblock():
 def test_route_unicast_packet_direct():
     t = square()
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
-    trace = route_user_packet(Point(1, 1), vm, {}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, {}, t)
     assert not trace.tunneled
     assert len(trace.hops) == 1
     assert trace.delivered_at == 2
@@ -176,7 +176,7 @@ def test_route_unicast_packet_misses_destroyed_vm():
     t = square()
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
     vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), vm, {}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, {}, t)
     assert trace.delivered_at is None
 
 
@@ -185,7 +185,7 @@ def test_route_anycast_packet_tunnels_via_ingress():
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={2})
     tables = {d: apply_all([make_notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), vm, tables, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, tables, t)
     assert trace.tunneled
     assert [h[1] for h in trace.hops] == [4, 2]
     assert trace.delivered_at == 2
@@ -198,7 +198,7 @@ def test_route_anycast_packet_miss_when_table_is_stale():
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={3})
     tables = {d: apply_all([make_notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), vm, tables, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, tables, t)
     assert trace.delivered_at is None
     assert trace.hops[-1][1] == 2
 
@@ -234,7 +234,7 @@ def test_format_notification_line():
 def test_format_trace_line():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
-    trace = route_user_packet(Point(1, 1), vm, {4: ForwardingTable()}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, {4: ForwardingTable()}, t)
     line = format_trace_line(1.0, trace)
     assert line == ("PKT 1.000000 (1.000000,1.000000)->dcr4:1.414214 "
                     "dcr4->dcr1:10.000000 delay=11.414214 tunneled=1 result=dcr1")
@@ -244,5 +244,5 @@ def test_format_trace_line_miss():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
     vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), vm, {4: ForwardingTable()}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, {4: ForwardingTable()}, t)
     assert format_trace_line(2.0, trace).endswith("result=MISS")
