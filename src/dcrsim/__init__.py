@@ -10,9 +10,9 @@ from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       save_overlay)
 from .protocol import (ForwardingTable, Notification, NotificationKind,
                        PacketTrace, VmMode, VmRecord, apply_notification,
-                       format_notification_line, format_trace_line, lookup,
-                       make_notification, notification_origin, route_reply,
-                       route_user_packet)
+                       format_notification_line, format_trace_line,
+                       join_tables, lookup, make_notification,
+                       notification_origin, route_reply, route_user_packet)
 from .simulator import (EventKind, PacketRecord, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
@@ -33,7 +33,8 @@ __all__ = [
     "build_overlay", "build_tree", "connect_leaves", "distance",
     "flood_duplicate_count", "flood_schedule", "format_notification_line",
     "format_overlay", "format_scenario", "format_topology", "format_trace_line",
-    "generate_random_topology", "leaf_set", "load_overlay", "load_scenario",
+    "generate_random_topology", "join_tables", "leaf_set", "load_overlay",
+    "load_scenario",
     "load_topology", "lookup", "make_notification", "nearest_dcr",
     "notification_origin", "overlay_metrics", "parse_overlay", "parse_scenario",
     "parse_topology", "route_reply", "route_user_packet", "run_scenario",

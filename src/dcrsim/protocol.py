@@ -139,6 +139,24 @@ def apply_notification(table: ForwardingTable, n: Notification) -> ForwardingTab
     return replace(table, _removes=removes)
 
 
+def join_tables(a: ForwardingTable, b: ForwardingTable) -> ForwardingTable:
+    """State-based merge of two tables: every register keeps its higher
+    stamp, so the result equals applying both tables' notifications."""
+    def slots(x: dict, y: dict) -> dict:
+        out = {vm: dict(slot) for vm, slot in x.items()}
+        for vm, slot in y.items():
+            mine = out.setdefault(vm, {})
+            for d, seq in slot.items():
+                mine[d] = max(mine.get(d, -1), seq)
+        return out
+    migrations = dict(a._migrations)
+    for vm, reg in b._migrations.items():
+        if vm not in migrations or reg[0] > migrations[vm][0]:
+            migrations[vm] = reg
+    return ForwardingTable(slots(a._adds, b._adds), slots(a._removes, b._removes),
+                           migrations)
+
+
 @dataclass
 class VmRecord:
     """Ground truth for one VM: its address, mode, and true hosting DCs."""

@@ -1,31 +1,42 @@
 """Deterministic discrete-event simulation of the whole system.
 
 Lifecycle events change the ground truth immediately and start a notification
-flood; each DCR applies the update when the flood reaches it over the overlay
-(the origin at delay zero). User packets enter at send time and are evaluated
-when they reach their ingress router, against that router's table at that
-moment, so packets genuinely race floods. There is no randomness here: ties
-in time are broken by event insertion order, so the same inputs always
-reproduce the same report byte for byte.
+flood, which reaches each DCR after its overlay delay from the origin (the
+origin at delay zero). User packets enter at send time and are evaluated when
+they reach their ingress router, against that router's table at that moment,
+so packets genuinely race floods. Tables are not written per DCR: each VM
+keeps a log of its flooded notifications, and a DCR's table is evaluated when
+a packet reads it, as the merge of the notifications that reached that DCR
+first. There is no randomness here: ties in time are broken by event
+insertion order, so the same inputs always reproduce the same report byte for
+byte.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, flood_schedule, overlay_metrics
 from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTrace,
                        VmMode, VmRecord, apply_notification, format_notification_line,
-                       format_trace_line, make_notification, notification_origin,
-                       route_reply, route_user_packet)
-from .topology import AddressPlan, DcrId, Point, Topology, distance, nearest_dcr
+                       format_trace_line, join_tables, make_notification,
+                       notification_origin, route_reply, route_user_packet)
+from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, distance,
+                       nearest_dcr)
 
 TUNNEL_HEADER_BYTES = 20
+
+# One flooded notification: (emit time, push counter, origin, notification).
+LogEntry = tuple[float, int, DcrId, Notification]
 
 
 class EventKind(enum.Enum):
@@ -81,6 +92,8 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             raise ParseError(f"line {lineno}: bad time {parts[0]!r}") from None
         if not math.isfinite(time):
             raise ParseError(f"line {lineno}: non-finite time {parts[0]!r}")
+        if time < 0:
+            raise ParseError(f"line {lineno}: negative time {parts[0]!r}")
         word = parts[1]
         try:
             if word == "create" and len(parts) == 5 and parts[4] in _MODES:
@@ -267,8 +280,6 @@ class Simulation:
         self.topology = topology
         self.overlay = overlay
         self.now = 0.0
-        self.tables: dict[DcrId, ForwardingTable] = {
-            d: ForwardingTable() for d in topology.ids()}
         self.vms: dict[str, VmRecord] = {}
         # Each user's position and the DCR nearest it, chosen when placed.
         self.users: dict[str, tuple[Point, DcrId]] = {}
@@ -276,8 +287,14 @@ class Simulation:
         self._plan = AddressPlan(topology.n)
         self._counter = itertools.count()
         self._next_seq = itertools.count()
-        self._heap: list[tuple[float, int, str, object]] = []
-        self._schedules: dict[DcrId, dict[DcrId, float]] = {}
+        self._order = -1  # push counter of the event being processed
+        # Per origin: each DCR's flood delay, and the largest one.
+        self._schedules: dict[DcrId, tuple[dict[DcrId, float], float]] = {}
+        # Per VM address: the merge of the notifications that have reached
+        # every DCR, and the log of those that may still be in flight.
+        self._settled: defaultdict[AnycastAddress, ForwardingTable] = \
+            defaultdict(ForwardingTable)
+        self._logs: defaultdict[AnycastAddress, list[LogEntry]] = defaultdict(list)
         self._tunnel_bytes_per_packet = tunnel_header_bytes
         self._packets: list[PacketRecord] = []
         self._packet_index = itertools.count()
@@ -288,8 +305,11 @@ class Simulation:
         self.trace_lines: list[str] = []
         ordered = sorted(events, key=lambda e: e.time)
         self._validate_references(ordered)
-        for ev in ordered:
-            self._push(ev.time, "scenario", ev)
+        # (time, push counter, handler, handler arguments); sorted, the
+        # scenario events already form a heap.
+        process = self._process_scenario
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = [
+            (ev.time, next(self._counter), process, (ev,)) for ev in ordered]
 
     def _validate_references(self, ordered: list[ScenarioEvent]) -> None:
         """Reject events that reference names not defined by then, before any
@@ -311,13 +331,8 @@ class Simulation:
                 if ev.vm not in vms:
                     raise ScenarioError(f"{where}unknown vm {ev.vm}")
 
-    def _push(self, time: float, kind: str, payload: object) -> None:
-        heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
-
-    def _flood_delays(self, origin: DcrId) -> dict[DcrId, float]:
-        if origin not in self._schedules:
-            self._schedules[origin] = flood_schedule(self.overlay, origin)
-        return self._schedules[origin]
+    def _push(self, time: float, handler: Callable[..., None], *args: object) -> None:
+        heapq.heappush(self._heap, (time, next(self._counter), handler, args))
 
     def _where(self, ev: ScenarioEvent) -> str:
         return f"line {ev.line}: " if ev.line is not None else ""
@@ -374,9 +389,37 @@ class Simulation:
         self._notifications += 1
         self._duplicates += flood_duplicate_count(self.overlay)
         self.trace_lines.append(format_notification_line(n))
-        delays = self._flood_delays(origin)
-        for d in self.topology.ids():
-            self._push(self.now + delays[d], "apply", (d, n))
+        if origin not in self._schedules:
+            delays = flood_schedule(self.overlay, origin)
+            self._schedules[origin] = delays, max(delays.values())
+        # The flood takes one push counter: it precedes, in heap order, every
+        # event pushed after it and follows every event pushed before it.
+        self._in_flight(n.vm).append((self.now, next(self._counter), origin, n))
+
+    def _in_flight(self, vm: AnycastAddress) -> list[LogEntry]:
+        """Fold vm's notifications that reached every DCR before `now` into
+        its settled table, and return the log of the rest."""
+        table, flying = self._settled[vm], []
+        for entry in self._logs[vm]:
+            emit, _, origin, n = entry
+            if emit + self._schedules[origin][1] < self.now:
+                table = apply_notification(table, n)
+            else:
+                flying.append(entry)
+        self._settled[vm] = table
+        self._logs[vm] = flying
+        return flying
+
+    def _read_table(self, dcr: DcrId, vm: AnycastAddress) -> ForwardingTable:
+        """vm's entry in dcr's table as the event being processed reads it:
+        the notifications that reached dcr before this event in (time, push
+        counter) order, which is the order the heap would pop them in."""
+        flying = self._in_flight(vm)
+        table = self._settled[vm]
+        for emit, counter, origin, n in flying:
+            if (emit + self._schedules[origin][0][dcr], counter) < (self.now, self._order):
+                table = apply_notification(table, n)
+        return table
 
     def _process_scenario(self, ev: ScenarioEvent) -> None:
         if ev.kind is EventKind.PLACE_USER:
@@ -397,11 +440,13 @@ class Simulation:
         vm = self.vms[ev.vm]
         first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
         arrival = ev.time + distance(user, self.topology.position(first_dcr))
-        self._push(arrival, "deliver", (ev, user, ingress))
+        self._push(arrival, self._deliver, ev, user, ingress)
 
     def _deliver(self, ev: ScenarioEvent, user: Point, ingress: DcrId) -> None:
         vm = self.vms[ev.vm]
-        trace = route_user_packet(user, ingress, vm, self.tables, self.topology)
+        tables = ({} if vm.mode is VmMode.UNICAST
+                  else {ingress: self._read_table(ingress, vm.address)})
+        trace = route_user_packet(user, ingress, vm, tables, self.topology)
         if vm.mode is VmMode.UNICAST:
             ingress = None  # the packet bypassed it, so the report leaves it empty
             target = vm.address.dc
@@ -464,15 +509,8 @@ class Simulation:
         """Process one event; False when nothing is pending."""
         if not self._heap:
             return False
-        time, _, kind, payload = heapq.heappop(self._heap)
-        self.now = time
-        if kind == "scenario":
-            self._process_scenario(payload)
-        elif kind == "apply":
-            d, n = payload
-            self.tables[d] = apply_notification(self.tables[d], n)
-        else:
-            self._deliver(*payload)
+        self.now, self._order, handler, args = heapq.heappop(self._heap)
+        handler(*args)
         return True
 
     def run_until(self, time: float) -> None:
@@ -481,15 +519,31 @@ class Simulation:
             self.step()
         self.now = max(self.now, time)
 
+    @property
+    def tables(self) -> Mapping[DcrId, ForwardingTable]:
+        """Every DCR's forwarding table at `now`, as a read-only snapshot: the
+        merge of the notifications whose flood has reached it by `now`."""
+        settled = functools.reduce(join_tables, self._settled.values(), ForwardingTable())
+        out = {}
+        for d in self.topology.ids():
+            table = settled
+            for log in self._logs.values():
+                for emit, _, origin, n in log:
+                    if emit + self._schedules[origin][0][d] <= self.now:
+                        table = apply_notification(table, n)
+            out[d] = table
+        return MappingProxyType(out)
+
     def pending_floods(self) -> int:
-        return sum(1 for _, _, kind, _ in self._heap if kind == "apply")
+        """(notification, DCR) arrivals still ahead of `now`."""
+        return sum(1 for log in self._logs.values() for emit, _, origin, _ in log
+                   for delay in self._schedules[origin][0].values()
+                   if emit + delay > self.now)
 
     def quiescence_check(self) -> bool:
-        """True iff no notification is in flight and all tables are identical."""
-        if self.pending_floods():
-            return False
-        tables = [self.tables[d] for d in self.topology.ids()]
-        return all(t == tables[0] for t in tables)
+        """True iff no notification is in flight. Every DCR's table is then
+        the same merge of every flooded notification."""
+        return not self.pending_floods()
 
     def run(self) -> SimReport:
         while self.step():

@@ -179,6 +179,8 @@ def parse_topology(text: str) -> Topology:
             y = float(parts[3])
         except ValueError:
             raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
         if i in seen:
             raise ParseError(f"line {lineno}: duplicate DCR id {i}")
         seen.add(i)

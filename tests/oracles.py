@@ -1,12 +1,26 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here works on plain dicts and lists rather than the package's own
-types, so a bug in the library cannot hide inside a shared code path.
+The shortest-path oracles work on plain dicts and lists rather than the
+package's own types, so a bug in the library cannot hide inside a shared code
+path. `EagerSimulation` is the event loop that writes every DCR's table on
+every flood, against which the lazy table views are checked.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
+from dcrsim import (AddressPlan, EventKind, ForwardingTable, NotificationKind,
+                    PacketRecord, Point, SessionState, SimReport, VmMode,
+                    VmRecord, apply_notification, distance,
+                    flood_duplicate_count, flood_schedule,
+                    format_notification_line, format_trace_line,
+                    make_notification, nearest_dcr, notification_origin,
+                    overlay_metrics, route_reply, route_user_packet)
+
 INF = float("inf")
+TUNNEL_HEADER_BYTES = 20  # the simulator's default
 
 
 def floyd_warshall(nodes, edges):
@@ -46,3 +60,153 @@ def pair_delays(nodes, edges):
         for b in order[i + 1 :]:
             out.append(dist[a][b])
     return out
+
+
+class EagerSimulation:
+    """The simulator's eager flood path, kept as a differential oracle.
+
+    Every flood pushes one arrival event per DCR, and each arrival merges the
+    notification into that DCR's own table, so the tables are always
+    materialised and a packet reads its ingress table as it stands. Events
+    are ordered by (time, push counter), as in the library. Unlike the rest
+    of this module it uses the package's own types: it reuses the pure
+    pieces (merge, routing, formatting, the report) but owns its event order,
+    its tables and its ground truth, which are what it cross-checks. Valid
+    scenarios only: it checks no lifecycle legality.
+    """
+
+    def __init__(self, topology, overlay, events):
+        self.topology = topology
+        self.overlay = overlay
+        self.now = 0.0
+        self.tables = {d: ForwardingTable() for d in topology.ids()}
+        self.vms = {}
+        self.users = {}
+        self.sessions = {}
+        self.trace_lines = []
+        self._plan = AddressPlan(topology.n)
+        self._seq = itertools.count()
+        self._counter = itertools.count()
+        self._heap = []
+        self._packets = []
+        self._notifications = self._duplicates = self._breaks = self._tunnel = 0
+        for ev in sorted(events, key=lambda e: e.time):
+            self._push(ev.time, "scenario", ev)
+
+    def _push(self, time, kind, payload):
+        heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
+
+    def step(self):
+        if not self._heap:
+            return False
+        self.now, _, kind, payload = heapq.heappop(self._heap)
+        if kind == "scenario":
+            self._scenario(payload)
+        elif kind == "apply":
+            d, n = payload
+            self.tables[d] = apply_notification(self.tables[d], n)
+        else:
+            self._deliver(*payload)
+        return True
+
+    def run_until(self, time):
+        while self._heap and self._heap[0][0] <= time:
+            self.step()
+        self.now = max(self.now, time)
+
+    def pending_floods(self):
+        return sum(1 for _, _, kind, _ in self._heap if kind == "apply")
+
+    def run(self):
+        while self.step():
+            pass
+        return SimReport(packets=list(self._packets),
+                         notifications=self._notifications,
+                         duplicate_notifications=self._duplicates,
+                         session_breaks=self._breaks, sessions=dict(self.sessions),
+                         tunnel_header_bytes=self._tunnel,
+                         overlay=overlay_metrics(self.overlay),
+                         trace_lines=list(self.trace_lines))
+
+    def _scenario(self, ev):
+        if ev.kind is EventKind.PLACE_USER:
+            user = Point(ev.x, ev.y)
+            self.users[ev.user] = (user, nearest_dcr(user, self.topology))
+        elif ev.kind is EventKind.SEND_PACKET:
+            user, ingress = self.users[ev.user]
+            vm = self.vms[ev.vm]
+            first = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
+            arrival = ev.time + distance(user, self.topology.position(first))
+            self._push(arrival, "deliver", (ev, user, ingress))
+        elif ev.kind is EventKind.CREATE_VM:
+            allocate = (self._plan.allocate_unicast if ev.mode is VmMode.UNICAST
+                        else self._plan.allocate_anycast)
+            self.vms[ev.vm] = VmRecord(address=allocate(ev.dc), mode=ev.mode,
+                                       locations={ev.dc})
+        else:
+            self._lifecycle(ev)
+
+    def _lifecycle(self, ev):
+        vm = self.vms[ev.vm]
+        if ev.kind is EventKind.MIGRATE_VM:
+            vm.locations = {ev.dc}
+            kind, addrs = NotificationKind.MIGRATION, (ev.dc,)
+        elif ev.kind is EventKind.REPLICATE_VM:
+            vm.locations.add(ev.dst_dc)
+            kind, addrs = NotificationKind.REPLICATION, (ev.src_dc, ev.dst_dc)
+        else:
+            vm.locations.discard(ev.dc)
+            if vm.mode is VmMode.UNICAST:
+                return
+            kind, addrs = NotificationKind.DESTRUCTION, (ev.dc,)
+        n = make_notification(kind, vm.address, addrs, next(self._seq))
+        self._notifications += 1
+        self._duplicates += flood_duplicate_count(self.overlay)
+        self.trace_lines.append(format_notification_line(n))
+        delays = flood_schedule(self.overlay, notification_origin(n))
+        for d in self.topology.ids():
+            self._push(self.now + delays[d], "apply", (d, n))
+
+    def _deliver(self, ev, user, ingress):
+        vm = self.vms[ev.vm]
+        trace = route_user_packet(user, ingress, vm, self.tables, self.topology)
+        stretch = penalty = None
+        if vm.mode is VmMode.UNICAST:
+            ingress = None
+            target = vm.address.dc
+            if trace.delivered_at is not None:
+                stretch, penalty = 1.0, 0.0
+        else:
+            target = trace.hops[-1][1]
+            self._tunnel += TUNNEL_HEADER_BYTES
+            if trace.delivered_at is not None:
+                direct = distance(user, self.topology.position(target))
+                stretch = 1.0 if direct == 0.0 else trace.total_delay / direct
+                penalty = trace.total_delay - direct
+        reply = None
+        if trace.delivered_at is not None:
+            reply = route_reply(trace.delivered_at, user, self.topology)
+        self._packets.append(PacketRecord(
+            index=len(self._packets), time=ev.time, user=ev.user, vm=ev.vm,
+            session=ev.session, ingress=ingress, target=target, trace=trace,
+            stretch=stretch, penalty=penalty, reply=reply))
+        self.trace_lines.append(format_trace_line(ev.time, trace))
+        if ev.session is not None:
+            self._track_session(ev, trace.delivered_at)
+
+    def _track_session(self, ev, delivered_at):
+        st = self.sessions.setdefault(
+            ev.session, SessionState(session_id=ev.session, user=ev.user, vm=ev.vm))
+        if not st.open:
+            return
+        if delivered_at is None:
+            st.open = False
+            self._breaks += 1
+        elif st.pinned_location is None:
+            st.pinned_location = delivered_at
+        elif delivered_at != st.pinned_location:
+            if self.vms[ev.vm].mode is VmMode.ANYCAST_REPLICATED:
+                st.open = False
+                self._breaks += 1
+            else:
+                st.pinned_location = delivered_at

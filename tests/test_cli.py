@@ -179,6 +179,30 @@ def test_non_finite_scenario_numbers_fail_at_parse_time(user_line, value, tmp_pa
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dcr_line", ["dcr 2 {} 1", "dcr 2 1 {}"], ids=["x", "y"])
+def test_non_finite_topology_coordinates_fail_at_parse_time(dcr_line, value, tmp_path,
+                                                            capsys):
+    text = f"dcr 1 0 0\n{dcr_line.format(value)}\ndcr 3 5 5\n"
+    with pytest.raises(ParseError, match="line 2: non-finite coordinate"):
+        parse_topology(text)
+    top = tmp_path / "bad.top"
+    top.write_text(text)
+    code, out, err = run_cli(["build-overlay", str(top), "--alg", "1"], capsys)
+    assert code == 2
+    assert "line 2: non-finite coordinate" in err
+    assert out == ""
+
+
+def test_negative_scenario_time_fails_at_parse_time(tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("0 create vm1 1 anycast-migrate\n-1 user u1 0 0\n")
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
+    assert code == 2
+    assert "line 2: negative time" in err
+    assert out == ""
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from dcrsim import (AnycastAddress, ConfigError, ForwardingTable, Notification,
                     NotificationKind, Point, Topology, UnicastAddress, VmMode,
                     VmRecord, apply_notification, distance,
-                    format_notification_line, format_trace_line, lookup,
-                    make_notification, notification_origin, route_reply,
+                    format_notification_line, format_trace_line, join_tables,
+                    lookup, make_notification, notification_origin, route_reply,
                     route_user_packet)
 
 VM = AnycastAddress(1, 0)
@@ -141,6 +141,19 @@ def test_tables_converge_regardless_of_arrival_order(seed, n_events):
     b = apply_all(shuffled)
     assert a == b
     assert a.entries() == b.entries()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
+def test_join_equals_applying_both_streams(seed, n_events):
+    rng = random.Random(seed)
+    stream = _notification_stream(rng, n_events)
+    cut = rng.randrange(len(stream) + 1)
+    left, right = apply_all(stream[:cut]), apply_all(stream[cut:])
+    whole = apply_all(stream)
+    assert join_tables(left, right) == join_tables(right, left) == whole
+    assert join_tables(whole, left) == whole
+    assert join_tables(left, right).entries() == whole.entries()
 
 
 def test_lookup_prefers_nearest_member():

@@ -65,8 +65,10 @@ def test_parse_scenario_errors_carry_line_numbers():
 
 
 def test_parse_scenario_rejects_negative_time():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ParseError, match="line 1: negative time"):
         parse_scenario("-1 user u1 0 0\n")
+    with pytest.raises(ScenarioError, match=">= 0"):
+        ScenarioEvent(-1.0, EventKind.PLACE_USER, user="u1", x=0.0, y=0.0)
 
 
 def test_scenario_round_trips_through_text():
@@ -201,6 +203,38 @@ def test_flood_applies_origin_first_then_by_distance():
     assert sim.tables[4].entry(addr) == frozenset()
     sim.run_until(30.0)
     assert sim.tables[4].entry(addr) == frozenset({2})
+
+
+def square_run(text):
+    """Run a scenario on examples/square.top's layout with overlay alg 3, where
+    dcr4 at (0,0) is 20 away from dcr2 and 10 away from dcr1 and dcr3."""
+    return sim_for(parse_scenario("0 create vm1 1 anycast-migrate\n" + text)).run()
+
+
+def test_flood_emitted_before_a_send_at_the_same_time_is_seen():
+    report = square_run("0 user u1 0 0\n10 migrate vm1 4\n10 send u1 vm1\n")
+    assert report.packets[0].trace.delivered_at == 4
+
+
+def test_send_accepted_before_a_flood_at_the_same_time_misses_it():
+    report = square_run("0 user u1 0 0\n10 send u1 vm1\n10 migrate vm1 4\n")
+    p = report.packets[0]
+    assert p.trace.delivered_at is None and p.target == 1
+
+
+def test_packet_arriving_with_the_flood_but_sent_before_it_misses():
+    # Sent at 7 from 3 away, the packet reaches dcr4 at 10, when the flood
+    # starts there; it was accepted first, so it reads the old table.
+    report = square_run("0 user u1 0 3\n7 send u1 vm1\n10 migrate vm1 4\n")
+    p = report.packets[0]
+    assert p.trace.hops[0][2] == 3.0
+    assert p.trace.delivered_at is None and p.target == 1
+
+
+def test_flood_reaching_the_ingress_as_the_packet_does_is_seen():
+    # The flood from dcr2 at 10 reaches dcr4 at 30, before the send at 30.
+    report = square_run("0 user u1 0 0\n10 migrate vm1 2\n30 send u1 vm1\n")
+    assert report.packets[0].trace.delivered_at == 2
 
 
 def test_quiescence_only_after_floods_settle():
