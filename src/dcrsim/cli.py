@@ -13,7 +13,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
-from .overlay import build_overlay, format_overlay, load_overlay, overlay_metrics
+from .overlay import (add_wraparound, build_overlay, build_tree, connect_leaves,
+                      format_overlay, load_overlay, overlay_metrics)
 from .simulator import Simulation, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
 
@@ -93,8 +94,15 @@ def cmd_compare(cfg: RunConfig) -> int:
         seed = cfg.seed + i
         n = lo + i % (hi - lo + 1)
         t = generate_random_topology(seed, n, cfg.extent)
+        # Each stage extends the last, as in build_overlay. Only one overlay,
+        # with its cached delay matrix, is held at a time.
+        o = build_tree(t)
         for alg in (1, 2, 3):
-            m = overlay_metrics(build_overlay(t, alg))
+            if alg == 2:
+                o = connect_leaves(o, t)
+            elif alg == 3:
+                o = add_wraparound(o, t)
+            m = overlay_metrics(o)
             rows.append(f"t{i},{seed},{n},{alg},{m.worst_delay:.6f},"
                         f"{m.avg_delay:.6f},{m.flooding_overhead:.6f}")
             sums[alg][0] += m.worst_delay

@@ -13,9 +13,9 @@ of the overlay bound how stale remote forwarding tables can be.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +35,8 @@ class Overlay:
 
     parents and insertion_order describe the spanning-tree skeleton and are
     only populated by build_tree (and preserved by the later stages); parsed
-    overlays leave them empty. Treat instances as immutable.
+    overlays leave them empty. Treat instances as immutable: the delay
+    matrix is computed once per instance, on first use, and cached.
     """
 
     nodes: tuple[DcrId, ...]
@@ -59,15 +60,10 @@ class Overlay:
     def has_edge(self, a: DcrId, b: DcrId) -> bool:
         return _key(a, b) in self.edges
 
-    def cost(self, a: DcrId, b: DcrId) -> float:
-        return self.edges[_key(a, b)]
-
-    def adjacency(self) -> dict[DcrId, list[tuple[DcrId, float]]]:
-        adj: dict[DcrId, list[tuple[DcrId, float]]] = {v: [] for v in self.nodes}
-        for (a, b), cost in sorted(self.edges.items()):
-            adj[a].append((b, cost))
-            adj[b].append((a, cost))
-        return adj
+    @cached_property
+    def _delays(self) -> np.ndarray:
+        """Read-only all-pairs delay matrix, see _delay_matrix."""
+        return _delay_matrix(self)
 
 
 def _center_root(t: Topology) -> DcrId:
@@ -188,35 +184,69 @@ def build_overlay(t: Topology, alg: int, root: DcrId | None = None) -> Overlay:
     return o
 
 
-def _dijkstra(adj: dict[DcrId, list[tuple[DcrId, float]]], src: DcrId) -> dict[DcrId, float]:
-    dist = {src: 0.0}
-    heap = [(0.0, src)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist.get(v, math.inf):
-            continue
-        for w, cost in adj[v]:
-            nd = d + cost
-            if nd < dist.get(w, math.inf):
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
+def _delay_matrix(o: Overlay) -> np.ndarray:
+    """All-pairs flood delays, read-only: entry [s, w] is the delay from s to w.
+
+    A visit to node w relaxes the delays from every source to w at once, from
+    the rows of w's neighbours. Sweeps visit the nodes in hop order from the
+    root, reversed then forward, skipping those whose neighbours have not
+    improved since their last visit, until nothing improves. Each delay is
+    then a sum of link costs added from the source outward; float addition is
+    monotone and costs are positive, so it equals a single-source Dijkstra's
+    bit for bit, whatever the visit order. Summing path segments in another
+    order (Floyd-Warshall, min-plus squaring) would not.
+    """
+    n = len(o.nodes)
+    index = {v: i for i, v in enumerate(o.nodes)}
+    nbrs: list[list[int]] = [[] for _ in o.nodes]
+    costs: list[list[float]] = [[] for _ in o.nodes]
+    for (a, b), cost in sorted(o.edges.items()):
+        for u, w in ((index[a], index[b]), (index[b], index[a])):
+            nbrs[u].append(w)
+            costs[u].append(cost)
+
+    def hop_order(start: int) -> list[int]:
+        order, seen = [start], {start}
+        for w in order:
+            for u in nbrs[w]:
+                if u not in seen:
+                    seen.add(u)
+                    order.append(u)
+        return order
+
+    order = hop_order(index[o.root])
+    if len(order) < n:
+        reached = set(hop_order(0))
+        missing = [v for i, v in enumerate(o.nodes) if i not in reached]
+        raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
+    rows = [np.array(ns, dtype=np.intp) for ns in nbrs]
+    cols = [np.array(cs)[:, None] for cs in costs]
+    # dt[w, s] is the delay from s to w: one contiguous row per destination.
+    dt = np.full((n, n), math.inf)
+    np.fill_diagonal(dt, 0.0)
+    dirty = [bool(ns) for ns in nbrs]  # a lone node has nothing to relax
+    improved = True
+    while improved:
+        improved = False
+        for w in order[::-1] + order:
+            if dirty[w]:
+                dirty[w] = False
+                cand = (dt[rows[w]] + cols[w]).min(axis=0)
+                if (cand < dt[w]).any():
+                    np.minimum(dt[w], cand, out=dt[w])
+                    improved = True
+                    for u in nbrs[w]:
+                        dirty[u] = True
+    mat = dt.T
+    mat.flags.writeable = False
+    return mat
 
 
 def all_pairs_delay(o: Overlay) -> np.ndarray:
-    """Shortest-path delay matrix, rows and columns in sorted node-id order."""
-    adj = o.adjacency()
-    n = len(o.nodes)
-    index = {v: i for i, v in enumerate(o.nodes)}
-    mat = np.zeros((n, n))
-    for v in o.nodes:
-        dist = _dijkstra(adj, v)
-        if len(dist) != n:
-            missing = sorted(set(o.nodes) - set(dist))
-            raise OverlayError(f"overlay is disconnected: no path from {v} to {missing}")
-        for w, d in dist.items():
-            mat[index[v], index[w]] = d
-    return mat
+    """Shortest-path delay matrix, rows and columns in sorted node-id order:
+    entry [i, j] is the delay from node i to node j. A fresh copy, so writing
+    to it leaves the overlay's cached matrix alone."""
+    return o._delays.copy()
 
 
 @dataclass(frozen=True)
@@ -230,9 +260,8 @@ def overlay_metrics(o: Overlay) -> OverlayMetrics:
     """Worst and average delay over unordered node pairs, plus the total cost
     of one flood (every overlay link carries the notification once per
     direction that forwards it, i.e. the sum of all link costs)."""
-    mat = all_pairs_delay(o)
     iu = np.triu_indices(len(o.nodes), k=1)
-    vals = mat[iu]
+    vals = o._delays[iu]
     overhead = float(sum(o.edges.values()))
     return OverlayMetrics(worst_delay=float(vals.max()),
                           avg_delay=float(vals.mean()),
@@ -243,12 +272,8 @@ def flood_schedule(o: Overlay, source: DcrId) -> dict[DcrId, float]:
     """Arrival time of a flood started at source, per DCR (source maps to 0)."""
     if source not in o.nodes:
         raise ConfigError(f"flood source {source} is not an overlay node")
-    adj = o.adjacency()
-    dist = _dijkstra(adj, source)
-    if len(dist) != len(o.nodes):
-        missing = sorted(set(o.nodes) - set(dist))
-        raise OverlayError(f"overlay is disconnected: flood from {source} misses {missing}")
-    return {v: dist[v] for v in o.nodes}
+    row = o._delays[o.nodes.index(source)]
+    return dict(zip(o.nodes, row.tolist()))
 
 
 def flood_duplicate_count(o: Overlay) -> int:
@@ -305,6 +330,8 @@ def parse_overlay(text: str) -> Overlay:
             raise ParseError(f"line {lineno}: expected root or edge line, got {raw!r}")
     if root is None:
         raise ParseError("missing root line")
+    if not edges:
+        raise ParseError("no edge lines: an overlay links at least 2 DCRs")
     nodes = {root}
     for a, b in edges:
         nodes.add(a)

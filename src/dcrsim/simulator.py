@@ -277,6 +277,13 @@ class Simulation:
                  tunnel_header_bytes: int = TUNNEL_HEADER_BYTES) -> None:
         if set(overlay.nodes) != set(topology.ids()):
             raise ConfigError("overlay nodes do not match the topology's DCR ids")
+        # Floods travel the overlay at its edge costs and packets travel the
+        # map, so the two must agree (to the 6 decimals of an overlay file).
+        for (a, b), cost in overlay.edges.items():
+            length = distance(topology.position(a), topology.position(b))
+            if abs(cost - length) > 1e-6:
+                raise ConfigError(f"overlay edge {a} {b} costs {cost!r}, but DCRs "
+                                  f"{a} and {b} are {length!r} apart")
         self.topology = topology
         self.overlay = overlay
         self.now = 0.0

@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-The shortest-path oracles work on plain dicts and lists rather than the
-package's own types, so a bug in the library cannot hide inside a shared code
-path. `EagerSimulation` is the event loop that writes every DCR's table on
-every flood, against which the lazy table views are checked.
+The shortest-path oracles (Floyd-Warshall, and the scalar Dijkstra that the
+library's vectorised delay matrix must match bit for bit) work on plain dicts
+and lists rather than the package's own types, so a bug in the library cannot
+hide inside a shared code path. `EagerSimulation` is the event loop that
+writes every DCR's table on every flood, against which the lazy table views
+are checked.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import itertools
 from dcrsim import (AddressPlan, EventKind, ForwardingTable, NotificationKind,
                     PacketRecord, Point, SessionState, SimReport, VmMode,
                     VmRecord, apply_notification, distance,
-                    flood_duplicate_count, flood_schedule,
-                    format_notification_line, format_trace_line,
-                    make_notification, nearest_dcr, notification_origin,
-                    overlay_metrics, route_reply, route_user_packet)
+                    flood_duplicate_count, format_notification_line,
+                    format_trace_line, make_notification, nearest_dcr,
+                    notification_origin, overlay_metrics, route_reply,
+                    route_user_packet)
 
 INF = float("inf")
 TUNNEL_HEADER_BYTES = 20  # the simulator's default
@@ -51,6 +53,38 @@ def floyd_warshall(nodes, edges):
     return dist
 
 
+def dijkstra(edges, src):
+    """Single-source shortest paths with a binary heap.
+
+    edges: mapping (a, b) -> cost, undirected. Each delay is the float sum of
+    the costs along the path, added from src outward. Returns dist[v] for
+    every v reachable from src.
+    """
+    adj = {}
+    for (a, b), cost in edges.items():
+        adj.setdefault(a, []).append((b, cost))
+        adj.setdefault(b, []).append((a, cost))
+    dist = {src: 0.0}
+    heap = [(0.0, src)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for w, cost in adj.get(v, ()):
+            nd = d + cost
+            if nd < dist.get(w, INF):
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def dijkstra_matrix(nodes, edges):
+    """dist[i][j] from src nodes[i] to nodes[j] by one dijkstra per source, as
+    nested lists; unreachable pairs are inf."""
+    rows = [dijkstra(edges, s) for s in nodes]
+    return [[row.get(w, INF) for w in nodes] for row in rows]
+
+
 def pair_delays(nodes, edges):
     """Shortest-path delay for every unordered pair, as a flat list."""
     dist = floyd_warshall(nodes, edges)
@@ -70,9 +104,10 @@ class EagerSimulation:
     materialised and a packet reads its ingress table as it stands. Events
     are ordered by (time, push counter), as in the library. Unlike the rest
     of this module it uses the package's own types: it reuses the pure
-    pieces (merge, routing, formatting, the report) but owns its event order,
-    its tables and its ground truth, which are what it cross-checks. Valid
-    scenarios only: it checks no lifecycle legality.
+    pieces (merge, routing, formatting, the report) but owns its flood delays
+    (by `dijkstra`), its event order, its tables and its ground truth, which
+    are what it cross-checks. Valid scenarios only: it checks no lifecycle
+    legality.
     """
 
     def __init__(self, topology, overlay, events):
@@ -163,7 +198,7 @@ class EagerSimulation:
         self._notifications += 1
         self._duplicates += flood_duplicate_count(self.overlay)
         self.trace_lines.append(format_notification_line(n))
-        delays = flood_schedule(self.overlay, notification_origin(n))
+        delays = dijkstra(self.overlay.edges, notification_origin(n))
         for d in self.topology.ids():
             self._push(self.now + delays[d], "apply", (d, n))
 

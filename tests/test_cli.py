@@ -1,6 +1,8 @@
 import pytest
 
-from dcrsim import ConfigError, ParseError, parse_overlay, parse_scenario, parse_topology
+import dcrsim.cli
+from dcrsim import (ConfigError, ParseError, build_overlay, generate_random_topology,
+                    overlay_metrics, parse_overlay, parse_scenario, parse_topology)
 from dcrsim.cli import RunConfig, main
 
 from conftest import example_path
@@ -90,6 +92,15 @@ def test_eval_overlay_disconnected(tmp_path, capsys):
     assert "disconnected" in err
 
 
+def test_eval_overlay_without_edges_fails_at_parse_time(tmp_path, capsys):
+    ovl = tmp_path / "o.ovl"
+    ovl.write_text("root 1\n")
+    code, out, err = run_cli(["eval-overlay", str(ovl)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no edge lines")
+    assert "Traceback" not in err
+
+
 def test_compare_csv_shape(capsys):
     code, out, _ = run_cli(["compare", "--seed", "1", "--count", "4",
                             "--n", "6..8"], capsys)
@@ -108,6 +119,34 @@ def test_compare_is_deterministic(capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+def test_compare_rows_match_each_overlay_built_from_scratch(capsys):
+    code, out, _ = run_cli(["compare", "--seed", "3", "--count", "4",
+                            "--n", "4..40"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:13]
+    for i in range(4):
+        t = generate_random_topology(3 + i, 4 + i)
+        for alg in (1, 2, 3):
+            m = overlay_metrics(build_overlay(t, alg))
+            assert rows[3 * i + alg - 1] == (
+                f"t{i},{3 + i},{4 + i},{alg},{m.worst_delay:.6f},"
+                f"{m.avg_delay:.6f},{m.flooding_overhead:.6f}")
+
+
+def test_compare_builds_each_tree_once(monkeypatch, capsys):
+    trees = []
+    build_tree = dcrsim.cli.build_tree
+
+    def counted(t):
+        trees.append(t)
+        return build_tree(t)
+
+    monkeypatch.setattr(dcrsim.cli, "build_tree", counted)
+    code, _, _ = run_cli(["compare", "--seed", "1", "--count", "3", "--n", "9"], capsys)
+    assert code == 0
+    assert len(trees) == 3
 
 
 def test_compare_rejects_bad_n_spec(capsys):
@@ -148,6 +187,32 @@ def test_run_accepts_prebuilt_overlay(tmp_path, capsys):
     assert code_alg == 0 and code_file == 0
     assert via_alg.startswith("packet,time,user,vm,session,")
     assert via_alg == via_file
+
+
+@pytest.mark.parametrize("extent", ("0.001", "1e9"))
+def test_run_accepts_every_built_overlay_file(extent, tmp_path, capsys):
+    top, ovl, scn = tmp_path / "t.top", tmp_path / "o.ovl", tmp_path / "s.scn"
+    run_cli(["gen-topology", "--seed", "2", "--n", "30", "--extent", extent,
+             "--out", str(top)], capsys)
+    run_cli(["build-overlay", str(top), "--out", str(ovl)], capsys)
+    scn.write_text("0 user u 0 0\n0 create v 1 anycast-migrate\n1 migrate v 2\n"
+                   "2 send u v\n")
+    code, out, err = run_cli(["run", str(top), str(scn), "--overlay", str(ovl)], capsys)
+    assert code == 0 and err == ""
+    assert "# summary: packets=1" in out
+
+
+def test_run_rejects_overlay_costs_that_disagree_with_the_map(tmp_path, capsys):
+    # The square's alg-3 overlay with every link cost set to 0.001: floods
+    # would outrun packets that travel the real distances.
+    ovl = tmp_path / "o.ovl"
+    ovl.write_text("root 1\nedge 1 2 0.001\nedge 1 3 0.001\nedge 1 4 0.001\n"
+                   "edge 2 3 0.001\nedge 3 4 0.001\n")
+    code, out, err = run_cli(["run", example_path("square.top"),
+                              example_path("migration.scn"), "--overlay", str(ovl)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "error: overlay edge 1 2 costs 0.001, but DCRs 1 and 2 are 10.0 apart\n"
 
 
 def test_run_overlay_and_alg_are_exclusive():

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrsim import (ConfigError, Overlay, OverlayError, ParseError, Point,
-                    Topology, add_wraparound, all_pairs_delay, build_overlay,
+import dcrsim.overlay
+from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
+                    Point, ScenarioEvent, Simulation, Topology, VmMode,
+                    add_wraparound, all_pairs_delay, build_overlay,
                     build_tree, connect_leaves, distance, flood_duplicate_count,
                     flood_schedule, format_overlay, generate_random_topology,
                     leaf_set, overlay_metrics, parse_overlay)
 
-from oracles import floyd_warshall, pair_delays
+import scenariogen
+from oracles import dijkstra_matrix, floyd_warshall, pair_delays
 
 
 def square() -> Topology:
@@ -238,6 +241,8 @@ def test_parse_overlay_errors():
         parse_overlay("root 1\nlink 1 2 5.0\n")
     with pytest.raises(ParseError, match="second root"):
         parse_overlay("root 1\nroot 2\n")
+    with pytest.raises(ParseError, match="no edge lines"):
+        parse_overlay("root 1\n# no links\n")
 
 
 def test_overlay_validates_structure():
@@ -261,3 +266,104 @@ def test_stagewise_metrics_never_regress(seed, n):
     assert m1.worst_delay >= m2.worst_delay >= m3.worst_delay
     assert m1.avg_delay >= m2.avg_delay >= m3.avg_delay
     assert m1.flooding_overhead <= m2.flooding_overhead <= m3.flooding_overhead
+
+
+def assert_same_as_dijkstra(o):
+    """The delay matrix and every flood schedule equal the scalar Dijkstra
+    oracle exactly, not to a tolerance."""
+    oracle = dijkstra_matrix(list(o.nodes), dict(o.edges))
+    assert np.array_equal(all_pairs_delay(o), np.array(oracle))
+    for source, row in zip(o.nodes, oracle):
+        assert flood_schedule(o, source) == dict(zip(o.nodes, row))
+
+
+def acceptance_overlays(criterion):
+    """The overlays acceptance criteria C1 to C4 measure."""
+    if criterion == "C1":
+        for i in range(100):
+            t = generate_random_topology(i, 8 + i % 25)
+            yield from (build_overlay(t, alg) for alg in (1, 2, 3))
+    elif criterion == "C2":
+        for i in range(60):
+            t = generate_random_topology(500 + i, 8 + i % 25)
+            yield from (build_overlay(t, alg) for alg in (1, 2, 3))
+    elif criterion == "C3":
+        yield build_tree(line3(), root=1)
+        yield build_tree(kite3(), root=1)
+        yield connect_leaves(build_tree(square()), square())
+        yield build_overlay(square(), 3)
+        yield build_overlay(plus_topology(), 3)
+    else:
+        for i in range(50):
+            yield build_overlay(generate_random_topology(2_000 + i, 5 + i % 16), 1 + i % 3)
+
+
+@pytest.mark.parametrize("criterion", ("C1", "C2", "C3", "C4"))
+def test_delays_equal_scalar_dijkstra_on_acceptance_overlays(criterion):
+    for o in acceptance_overlays(criterion):
+        assert_same_as_dijkstra(o)
+
+
+def test_delays_equal_scalar_dijkstra_on_scenario_corpus():
+    for seed in range(200):
+        assert_same_as_dijkstra(scenariogen.generate(seed).overlay)
+
+
+def test_delays_equal_scalar_dijkstra_after_a_file_round_trip():
+    # Parsed costs are rounded to 6 decimals, and parsed overlays have no
+    # spanning-tree skeleton.
+    for seed in range(5):
+        t = generate_random_topology(seed, 40)
+        for alg in (1, 2, 3):
+            o = parse_overlay(format_overlay(build_overlay(t, alg)))
+            assert not o.parents
+            assert_same_as_dijkstra(o)
+
+
+@pytest.mark.parametrize("alg", (1, 2, 3))
+def test_delays_equal_scalar_dijkstra_at_n_1000(alg):
+    assert_same_as_dijkstra(build_overlay(generate_random_topology(1, 1000), alg))
+
+
+def test_delay_matrix_is_computed_once_per_overlay(monkeypatch):
+    kernel = dcrsim.overlay._delay_matrix
+    calls = []
+
+    def counted(o):
+        calls.append(o)
+        return kernel(o)
+
+    monkeypatch.setattr(dcrsim.overlay, "_delay_matrix", counted)
+    t = square()
+    events = [ScenarioEvent(0.0, EventKind.PLACE_USER, user="u", x=1.0, y=1.0),
+              ScenarioEvent(0.0, EventKind.CREATE_VM, vm="v", dc=1,
+                            mode=VmMode.ANYCAST_MIGRATABLE)]
+    for k, dc in enumerate((2, 3, 4, 1)):  # a flood from every DCR
+        events += [ScenarioEvent(10.0 + 40 * k, EventKind.MIGRATE_VM, vm="v", dc=dc),
+                   ScenarioEvent(15.0 + 40 * k, EventKind.SEND_PACKET, user="u", vm="v")]
+    sim = Simulation(t, build_overlay(t, 3), events)
+    assert calls == []  # set-up computes no delays
+    first = sim.run()
+    second = sim.report()
+    assert first.notifications == 4
+    assert first.to_csv() == second.to_csv()
+    assert len(calls) == 1
+
+
+def test_writing_to_all_pairs_delay_leaves_the_overlay_alone():
+    o = build_overlay(square(), 3)
+    before = overlay_metrics(o)
+    mat = all_pairs_delay(o)
+    mat[:] = 0.0
+    assert overlay_metrics(o) == before
+    assert flood_schedule(o, 2)[4] == 20.0
+
+
+@pytest.mark.parametrize("root", (1, 3))
+def test_disconnected_overlay_raises_from_every_reader(root):
+    o = parse_overlay(f"root {root}\nedge 1 2 5.0\nedge 3 4 5.0\n")
+    readers = (all_pairs_delay, overlay_metrics, lambda o: flood_schedule(o, 1),
+               lambda o: flood_schedule(o, 3))
+    for read in readers:
+        with pytest.raises(OverlayError, match=r"no path from 1 to \[3, 4\]"):
+            read(o)
