@@ -11,8 +11,8 @@ from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
 from .protocol import (ForwardingTable, Notification, NotificationKind,
                        PacketTrace, VmMode, VmRecord, apply_notification,
                        format_notification_line, format_trace_line,
-                       join_tables, lookup, make_notification,
-                       notification_origin, route_reply, route_user_packet)
+                       join_tables, lookup, notification_origin, route_reply,
+                       route_user_packet)
 from .simulator import (EventKind, PacketRecord, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
@@ -35,7 +35,7 @@ __all__ = [
     "format_overlay", "format_scenario", "format_topology", "format_trace_line",
     "generate_random_topology", "join_tables", "leaf_set", "load_overlay",
     "load_scenario",
-    "load_topology", "lookup", "make_notification", "nearest_dcr",
+    "load_topology", "lookup", "nearest_dcr",
     "notification_origin", "overlay_metrics", "parse_overlay", "parse_scenario",
     "parse_topology", "route_reply", "route_user_packet", "run_scenario",
     "save_overlay", "save_topology",

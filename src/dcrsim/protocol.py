@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import ConfigError
 from .topology import AnycastAddress, DcrId, Point, Topology, UnicastAddress, distance
@@ -60,12 +60,6 @@ class Notification:
             raise ConfigError(
                 f"{self.kind.value} notification needs {want} DCR address(es), "
                 f"got {len(self.dcr_addrs)}")
-
-
-def make_notification(kind: NotificationKind, vm: AnycastAddress,
-                      dcr_addrs: tuple[DcrId, ...] | list[DcrId],
-                      seq: int) -> Notification:
-    return Notification(kind=kind, vm=vm, dcr_addrs=tuple(dcr_addrs), seq=seq)
 
 
 def notification_origin(n: Notification) -> DcrId:
@@ -206,14 +200,14 @@ def lookup(table: ForwardingTable, vm: AnycastAddress, at: DcrId, t: Topology) -
 
 
 def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord,
-                      dcr_tables: Mapping[DcrId, ForwardingTable],
-                      t: Topology) -> PacketTrace:
+                      table: ForwardingTable | None, t: Topology) -> PacketTrace:
     """Route one user packet and report the path it took.
 
-    Unicast goes straight to the address's DC, no tunnel. Anycast enters the
-    network at `ingress`, the DCR the user attached to, which consults its
-    table and tunnels the packet to the chosen DCR. Delivery succeeds only if
-    the VM truly hosts there; otherwise the trace records a miss.
+    Unicast goes straight to the address's DC, no tunnel, and reads no table
+    (pass None). Anycast enters the network at `ingress`, the DCR the user
+    attached to, which consults `table`, its forwarding table, and tunnels
+    the packet to the chosen DCR. Delivery succeeds only if the VM truly
+    hosts there; otherwise the trace records a miss.
     """
     if vm.mode is VmMode.UNICAST:
         assert isinstance(vm.address, UnicastAddress)
@@ -221,8 +215,8 @@ def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord,
         hop = (user, dc, distance(user, t.position(dc)))
         return PacketTrace(hops=(hop,), tunneled=False,
                            delivered_at=dc if dc in vm.locations else None)
-    assert isinstance(vm.address, AnycastAddress)
-    target = lookup(dcr_tables[ingress], vm.address, ingress, t)
+    assert isinstance(vm.address, AnycastAddress) and table is not None
+    target = lookup(table, vm.address, ingress, t)
     ip = t.position(ingress)
     hops = ((user, ingress, distance(user, ip)),
             (ingress, target, distance(ip, t.position(target))))

@@ -1,41 +1,40 @@
 """Deterministic discrete-event simulation of the whole system.
 
-Lifecycle events change the ground truth immediately and start a notification
-flood, which reaches each DCR after its overlay delay from the origin (the
-origin at delay zero). User packets enter at send time and are evaluated when
-they reach their ingress router, against that router's table at that moment,
-so packets genuinely race floods. Tables are not written per DCR: each VM
-keeps a log of its flooded notifications, and a DCR's table is evaluated when
-a packet reads it, as the merge of the notifications that reached that DCR
-first. There is no randomness here: ties in time are broken by event
-insertion order, so the same inputs always reproduce the same report byte for
-byte.
+A scenario is compiled once, then replayed. Compiling sorts it stably by time
+and checks every name, DC id and lifecycle rule in one pass, so a bad line
+fails with its number before anything runs. The replay walks one sorted list
+of entries: a lifecycle change starts a flood, which reaches each DCR after
+its overlay delay from the origin, and a packet is delivered at its first
+DCR against that router's table at that moment, so packets genuinely race
+floods. Tables are not written per DCR: a DCR's table is evaluated from the
+VM's notification log when a packet reads it. There is no randomness, so the
+same inputs always reproduce the same report byte for byte.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, flood_schedule, overlay_metrics
 from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTrace,
                        VmMode, VmRecord, apply_notification, format_notification_line,
-                       format_trace_line, join_tables, make_notification,
-                       notification_origin, route_reply, route_user_packet)
+                       format_trace_line, join_tables, notification_origin,
+                       route_reply, route_user_packet)
 from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, distance,
                        nearest_dcr)
 
 TUNNEL_HEADER_BYTES = 20
 
-# One flooded notification: (emit time, push counter, origin, notification).
+Flood = tuple[NotificationKind, tuple[DcrId, ...], int]  # kind, DCR ids, seq
+# One flooded notification: (emit time, scenario index, origin, notification).
 LogEntry = tuple[float, int, DcrId, Notification]
 
 
@@ -156,6 +155,11 @@ def format_scenario(events: list[ScenarioEvent]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _where(ev: ScenarioEvent) -> str:
+    """The prefix that names ev's line in an error about it."""
+    return f"line {ev.line}: " if ev.line is not None else ""
+
+
 def load_scenario(path: str) -> list[ScenarioEvent]:
     with open(path, "r", encoding="utf-8") as f:
         return parse_scenario(f.read())
@@ -268,9 +272,9 @@ class SimReport:
 
 
 class Simulation:
-    """Event loop tying topology, overlay, tables, VMs, users and sessions
-    together. Use run() for the whole scenario or run_until()/step() to
-    inspect intermediate state."""
+    """Compiles a scenario against a topology and overlay, then replays it.
+    Use run() for the whole scenario or run_until()/step() to inspect
+    intermediate state."""
 
     def __init__(self, topology: Topology, overlay: Overlay,
                  events: list[ScenarioEvent], *,
@@ -287,14 +291,19 @@ class Simulation:
         self.topology = topology
         self.overlay = overlay
         self.now = 0.0
+        # The VMs created so far in the replay, with their hosts at `now`.
         self.vms: dict[str, VmRecord] = {}
-        # Each user's position and the DCR nearest it, chosen when placed.
-        self.users: dict[str, tuple[Point, DcrId]] = {}
         self.sessions: dict[str, SessionState] = {}
-        self._plan = AddressPlan(topology.n)
-        self._counter = itertools.count()
-        self._next_seq = itertools.count()
-        self._order = -1  # push counter of the event being processed
+        self._events = sorted(events, key=lambda e: e.time)
+        # Every VM the scenario creates, by name. Compiling leaves each at its
+        # final hosts; the replay sets them change by change.
+        self._records: dict[str, VmRecord] = {}
+        # By scenario index: each lifecycle change's hosts afterwards and what
+        # it floods, and each send's user placement.
+        self._changes: dict[int, tuple[frozenset[DcrId], Flood | None]] = {}
+        self._placed: dict[int, int] = {}
+        self._compile()
+        self._next = 0  # position in _queue of the next entry to replay
         # Per origin: each DCR's flood delay, and the largest one.
         self._schedules: dict[DcrId, tuple[dict[DcrId, float], float]] = {}
         # Per VM address: the merge of the notifications that have reached
@@ -304,104 +313,115 @@ class Simulation:
         self._logs: defaultdict[AnycastAddress, list[LogEntry]] = defaultdict(list)
         self._tunnel_bytes_per_packet = tunnel_header_bytes
         self._packets: list[PacketRecord] = []
-        self._packet_index = itertools.count()
         self._notifications = 0
         self._duplicates = 0
         self._breaks = 0
         self._tunnel_bytes = 0
         self.trace_lines: list[str] = []
-        ordered = sorted(events, key=lambda e: e.time)
-        self._validate_references(ordered)
-        # (time, push counter, handler, handler arguments); sorted, the
-        # scenario events already form a heap.
-        process = self._process_scenario
-        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = [
-            (ev.time, next(self._counter), process, (ev,)) for ev in ordered]
 
-    def _validate_references(self, ordered: list[ScenarioEvent]) -> None:
-        """Reject events that reference names not defined by then, before any
-        event executes (no partial reports on broken scenarios)."""
-        vms: set[str] = set()
-        users: set[str] = set()
-        for ev in ordered:
-            where = self._where(ev)
+    def _compile(self) -> None:
+        """Check every event in time order, with its line number, and record
+        what the replay needs. Ground truth does not depend on floods, so a
+        bad scenario fails here, before any event runs."""
+        known = set(self.topology.ids())
+        plan = AddressPlan(self.topology.n)
+        seqs = itertools.count()
+        placed: dict[str, int] = {}  # each user's latest placement
+        for i, ev in enumerate(self._events):
+            if ev.kind is EventKind.SEND_PACKET:
+                if ev.user not in placed:
+                    raise ScenarioError(f"{_where(ev)}unknown user {ev.user}")
+                if ev.vm not in self._records:
+                    raise ScenarioError(f"{_where(ev)}unknown vm {ev.vm}")
+                self._placed[i] = placed[ev.user]
+                continue
+            if ev.kind is EventKind.PLACE_USER:
+                placed[ev.user] = i
+                continue
+            # The DC ids the line names, which its notification carries too.
+            dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is EventKind.REPLICATE_VM else (ev.dc,)
+            for dc in dc_ids:
+                if dc not in known:
+                    raise ScenarioError(f"{_where(ev)}unknown DCR id {dc}")
+            vm = self._records.get(ev.vm)
+            kind = None
             if ev.kind is EventKind.CREATE_VM:
-                vms.add(ev.vm)
-            elif ev.kind is EventKind.PLACE_USER:
-                users.add(ev.user)
-            elif ev.kind is EventKind.SEND_PACKET:
-                if ev.user not in users:
-                    raise ScenarioError(f"{where}unknown user {ev.user}")
-                if ev.vm not in vms:
-                    raise ScenarioError(f"{where}unknown vm {ev.vm}")
+                if vm is not None:
+                    raise ScenarioError(f"{_where(ev)}vm {ev.vm} already exists")
+                allocate = (plan.allocate_unicast if ev.mode is VmMode.UNICAST
+                            else plan.allocate_anycast)
+                vm = self._records[ev.vm] = VmRecord(address=allocate(ev.dc), mode=ev.mode,
+                                                     locations={ev.dc})
+            elif vm is None:
+                raise ScenarioError(f"{_where(ev)}unknown vm {ev.vm}")
+            elif ev.kind is EventKind.MIGRATE_VM:
+                if vm.mode is not VmMode.ANYCAST_MIGRATABLE:
+                    raise ModeConflict(f"{_where(ev)}cannot migrate {vm.mode.value} vm {ev.vm}")
+                if not vm.locations:
+                    raise ScenarioError(f"{_where(ev)}vm {ev.vm} has been destroyed")
+                vm.locations = {ev.dc}
+                kind = NotificationKind.MIGRATION
+            elif ev.kind is EventKind.REPLICATE_VM:
+                if vm.mode is not VmMode.ANYCAST_REPLICATED:
+                    raise ModeConflict(f"{_where(ev)}cannot replicate {vm.mode.value} vm {ev.vm}")
+                if ev.src_dc not in vm.locations:
+                    raise ScenarioError(f"{_where(ev)}vm {ev.vm} has no replica at DC {ev.src_dc}")
+                if ev.dst_dc in vm.locations:
+                    raise ScenarioError(f"{_where(ev)}vm {ev.vm} already has a replica "
+                                        f"at DC {ev.dst_dc}")
+                vm.locations.add(ev.dst_dc)
+                kind = NotificationKind.REPLICATION
             else:
-                if ev.vm not in vms:
-                    raise ScenarioError(f"{where}unknown vm {ev.vm}")
+                if ev.dc not in vm.locations:
+                    raise ScenarioError(f"{_where(ev)}vm {ev.vm} is not hosted at DC {ev.dc}")
+                vm.locations.discard(ev.dc)
+                kind = NotificationKind.DESTRUCTION
+            # Creations and unicast changes flood nothing: no table holds them.
+            self._changes[i] = frozenset(vm.locations), (
+                None if kind is None or vm.mode is VmMode.UNICAST else (kind, dc_ids, next(seqs)))
 
-    def _push(self, time: float, handler: Callable[..., None], *args: object) -> None:
-        heapq.heappush(self._heap, (time, next(self._counter), handler, args))
+    @functools.cached_property
+    def _placements(self) -> dict[int, tuple[Point, DcrId]]:
+        """Per user placement, by scenario index: the user's position and ingress."""
+        users = {i: Point(ev.x, ev.y) for i, ev in enumerate(self._events)
+                 if ev.kind is EventKind.PLACE_USER}
+        return {i: (user, nearest_dcr(user, self.topology)) for i, user in users.items()}
 
-    def _where(self, ev: ScenarioEvent) -> str:
-        return f"line {ev.line}: " if ev.line is not None else ""
+    @functools.cached_property
+    def _queue(self) -> list[tuple[float, int, int]]:
+        """Replay order: (time, 0, index) per lifecycle change and (arrival at
+        the first DCR, 1, index) per send, so changes go first at equal times."""
+        queue = [(self._events[i].time, 0, i) for i in self._changes]
+        for j, p in self._placed.items():
+            ev = self._events[j]
+            user, ingress = self._placements[p]
+            vm = self._records[ev.vm]
+            first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
+            queue.append((ev.time + distance(user, self.topology.position(first_dcr)), 1, j))
+        queue.sort()
+        return queue
 
-    def handle_lifecycle(self, ev: ScenarioEvent) -> Notification | None:
-        """Apply a lifecycle event to the ground truth and return the
-        notification to flood, if the change concerns anycast tables."""
-        where = self._where(ev)
-        if ev.kind is EventKind.CREATE_VM:
-            if ev.vm in self.vms:
-                raise ScenarioError(f"{where}vm {ev.vm} already exists")
-            self.topology.position(ev.dc)
-            if ev.mode is VmMode.UNICAST:
-                addr = self._plan.allocate_unicast(ev.dc)
-            else:
-                addr = self._plan.allocate_anycast(ev.dc)
-            self.vms[ev.vm] = VmRecord(address=addr, mode=ev.mode, locations={ev.dc})
-            return None
-        vm = self.vms.get(ev.vm)
-        if vm is None:
-            raise ScenarioError(f"{where}unknown vm {ev.vm}")
-        if ev.kind is EventKind.MIGRATE_VM:
-            if vm.mode is not VmMode.ANYCAST_MIGRATABLE:
-                raise ModeConflict(f"{where}cannot migrate {vm.mode.value} vm {ev.vm}")
-            if not vm.locations:
-                raise ScenarioError(f"{where}vm {ev.vm} has been destroyed")
-            self.topology.position(ev.dc)
-            vm.locations.clear()
-            vm.locations.add(ev.dc)
-            return make_notification(NotificationKind.MIGRATION, vm.address,
-                                     (ev.dc,), next(self._next_seq))
-        if ev.kind is EventKind.REPLICATE_VM:
-            if vm.mode is not VmMode.ANYCAST_REPLICATED:
-                raise ModeConflict(f"{where}cannot replicate {vm.mode.value} vm {ev.vm}")
-            if ev.src_dc not in vm.locations:
-                raise ScenarioError(f"{where}vm {ev.vm} has no replica at DC {ev.src_dc}")
-            self.topology.position(ev.dst_dc)
-            if ev.dst_dc in vm.locations:
-                raise ScenarioError(f"{where}vm {ev.vm} already has a replica at DC {ev.dst_dc}")
-            vm.locations.add(ev.dst_dc)
-            return make_notification(NotificationKind.REPLICATION, vm.address,
-                                     (ev.src_dc, ev.dst_dc), next(self._next_seq))
-        if ev.kind is EventKind.DESTROY_VM_AT:
-            if ev.dc not in vm.locations:
-                raise ScenarioError(f"{where}vm {ev.vm} is not hosted at DC {ev.dc}")
-            vm.locations.discard(ev.dc)
-            if vm.mode is VmMode.UNICAST:
-                return None
-            return make_notification(NotificationKind.DESTRUCTION, vm.address,
-                                     (ev.dc,), next(self._next_seq))
-        raise ScenarioError(f"{where}not a lifecycle event: {ev.kind.value}")
+    def _change(self, i: int) -> None:
+        """Apply lifecycle change i to the ground truth and flood it."""
+        name = self._events[i].vm
+        hosts, flood = self._changes[i]
+        vm = self.vms[name] = self._records[name]
+        vm.locations = set(hosts)
+        if flood is not None:
+            kind, addrs, seq = flood
+            self._flood(Notification(kind, vm.address, addrs, seq), i)
 
-    def _flood(self, n: Notification, origin: DcrId) -> None:
+    def _flood(self, n: Notification, index: int) -> None:
+        origin = notification_origin(n)
         self._notifications += 1
         self._duplicates += flood_duplicate_count(self.overlay)
         self.trace_lines.append(format_notification_line(n))
         if origin not in self._schedules:
             delays = flood_schedule(self.overlay, origin)
             self._schedules[origin] = delays, max(delays.values())
-        # The flood takes one push counter: it precedes, in heap order, every
-        # event pushed after it and follows every event pushed before it.
-        self._in_flight(n.vm).append((self.now, next(self._counter), origin, n))
+        # The flood is logged under its change's scenario index, which
+        # breaks ties with deliveries that reach a DCR when it does.
+        self._in_flight(n.vm).append((self.now, index, origin, n))
 
     def _in_flight(self, vm: AnycastAddress) -> list[LogEntry]:
         """Fold vm's notifications that reached every DCR before `now` into
@@ -417,43 +437,26 @@ class Simulation:
         self._logs[vm] = flying
         return flying
 
-    def _read_table(self, dcr: DcrId, vm: AnycastAddress) -> ForwardingTable:
-        """vm's entry in dcr's table as the event being processed reads it:
-        the notifications that reached dcr before this event in (time, push
-        counter) order, which is the order the heap would pop them in."""
+    def _read_table(self, dcr: DcrId, vm: AnycastAddress, index: int) -> ForwardingTable:
+        """vm's entry in dcr's table as the packet of send `index`, arriving
+        now, reads it: the notifications whose (arrival at dcr, scenario index
+        of their change) is below (now, index)."""
         flying = self._in_flight(vm)
         table = self._settled[vm]
-        for emit, counter, origin, n in flying:
-            if (emit + self._schedules[origin][0][dcr], counter) < (self.now, self._order):
+        for emit, i, origin, n in flying:
+            if (emit + self._schedules[origin][0][dcr], i) < (self.now, index):
                 table = apply_notification(table, n)
         return table
 
-    def _process_scenario(self, ev: ScenarioEvent) -> None:
-        if ev.kind is EventKind.PLACE_USER:
-            user = Point(ev.x, ev.y)
-            self.users[ev.user] = (user, nearest_dcr(user, self.topology))
-            return
-        if ev.kind is EventKind.SEND_PACKET:
-            self._send(ev)
-            return
-        notification = self.handle_lifecycle(ev)
-        if notification is not None:
-            self._flood(notification, notification_origin(notification))
-
-    def _send(self, ev: ScenarioEvent) -> None:
+    def _deliver(self, j: int) -> None:
+        ev = self._events[j]
         # The packet carries where the user was and the ingress chosen there,
         # so a user who moves while it is in flight does not reroute it.
-        user, ingress = self.users[ev.user]
+        user, ingress = self._placements[self._placed[j]]
         vm = self.vms[ev.vm]
-        first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
-        arrival = ev.time + distance(user, self.topology.position(first_dcr))
-        self._push(arrival, self._deliver, ev, user, ingress)
-
-    def _deliver(self, ev: ScenarioEvent, user: Point, ingress: DcrId) -> None:
-        vm = self.vms[ev.vm]
-        tables = ({} if vm.mode is VmMode.UNICAST
-                  else {ingress: self._read_table(ingress, vm.address)})
-        trace = route_user_packet(user, ingress, vm, tables, self.topology)
+        table = (None if vm.mode is VmMode.UNICAST
+                 else self._read_table(ingress, vm.address, j))
+        trace = route_user_packet(user, ingress, vm, table, self.topology)
         if vm.mode is VmMode.UNICAST:
             ingress = None  # the packet bypassed it, so the report leaves it empty
             target = vm.address.dc
@@ -472,7 +475,7 @@ class Simulation:
         reply = None
         if trace.delivered_at is not None:
             reply = route_reply(trace.delivered_at, user, self.topology)
-        record = PacketRecord(index=next(self._packet_index), time=ev.time,
+        record = PacketRecord(index=len(self._packets), time=ev.time,
                               user=ev.user, vm=ev.vm, session=ev.session,
                               ingress=ingress, target=target, trace=trace,
                               stretch=stretch, penalty=penalty, reply=reply)
@@ -513,16 +516,18 @@ class Simulation:
         return st, False
 
     def step(self) -> bool:
-        """Process one event; False when nothing is pending."""
-        if not self._heap:
+        """Replay one lifecycle change or delivery; False when none is left."""
+        queue = self._queue
+        if self._next == len(queue):
             return False
-        self.now, self._order, handler, args = heapq.heappop(self._heap)
-        handler(*args)
+        self.now, phase, index = queue[self._next]
+        self._next += 1
+        (self._deliver if phase else self._change)(index)
         return True
 
     def run_until(self, time: float) -> None:
-        """Process every event with timestamp <= time."""
-        while self._heap and self._heap[0][0] <= time:
+        """Replay every change and delivery with timestamp <= time."""
+        while self._next < len(self._queue) and self._queue[self._next][0] <= time:
             self.step()
         self.now = max(self.now, time)
 

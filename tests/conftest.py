@@ -1,5 +1,12 @@
 import os
 
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failure in
+# CI reproduces locally under the same profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
 HERE = os.path.dirname(__file__)
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from dcrsim import (AddressPlan, EventKind, ForwardingTable, NotificationKind,
-                    PacketRecord, Point, SessionState, SimReport, VmMode,
-                    VmRecord, apply_notification, distance,
+from dcrsim import (AddressPlan, EventKind, ForwardingTable, Notification,
+                    NotificationKind, PacketRecord, Point, SessionState,
+                    SimReport, VmMode, VmRecord, apply_notification, distance,
                     flood_duplicate_count, format_notification_line,
-                    format_trace_line, make_notification, nearest_dcr,
-                    notification_origin, overlay_metrics, route_reply,
-                    route_user_packet)
+                    format_trace_line, nearest_dcr, notification_origin,
+                    overlay_metrics, route_reply, route_user_packet)
 
 INF = float("inf")
 TUNNEL_HEADER_BYTES = 20  # the simulator's default
@@ -194,7 +193,7 @@ class EagerSimulation:
             if vm.mode is VmMode.UNICAST:
                 return
             kind, addrs = NotificationKind.DESTRUCTION, (ev.dc,)
-        n = make_notification(kind, vm.address, addrs, next(self._seq))
+        n = Notification(kind, vm.address, addrs, next(self._seq))
         self._notifications += 1
         self._duplicates += flood_duplicate_count(self.overlay)
         self.trace_lines.append(format_notification_line(n))
@@ -204,7 +203,8 @@ class EagerSimulation:
 
     def _deliver(self, ev, user, ingress):
         vm = self.vms[ev.vm]
-        trace = route_user_packet(user, ingress, vm, self.tables, self.topology)
+        table = None if vm.mode is VmMode.UNICAST else self.tables[ingress]
+        trace = route_user_packet(user, ingress, vm, table, self.topology)
         stretch = penalty = None
         if vm.mode is VmMode.UNICAST:
             ingress = None

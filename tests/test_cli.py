@@ -1,8 +1,18 @@
+import contextlib
+import io
+import operator
+import os
+import re
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcrsim.cli
-from dcrsim import (ConfigError, ParseError, build_overlay, generate_random_topology,
-                    overlay_metrics, parse_overlay, parse_scenario, parse_topology)
+from dcrsim import (ConfigError, ParseError, ScenarioError, Simulation, build_overlay,
+                    generate_random_topology, load_topology, overlay_metrics,
+                    parse_overlay, parse_scenario, parse_topology)
 from dcrsim.cli import RunConfig, main
 
 from conftest import example_path
@@ -266,6 +276,63 @@ def test_negative_scenario_time_fails_at_parse_time(tmp_path, capsys):
     assert code == 2
     assert "line 2: negative time" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 create x 99 unicast\n", 1),
+    ("0 create vm1 1 anycast-migrate\n1 migrate vm1 99\n", 2),
+    ("0 create vm1 1 anycast-replicate\n1 replicate vm1 99 2\n", 2),
+    ("0 create vm1 1 anycast-replicate\n1 replicate vm1 1 99\n", 2),
+    ("0 create vm1 1 anycast-migrate\n1 destroy vm1 99\n", 2),
+], ids=["create", "migrate", "replicate-src", "replicate-dst", "destroy"])
+def test_unknown_dc_ids_name_their_line(text, line, tmp_path, capsys):
+    t = load_topology(example_path("square.top"))
+    with pytest.raises(ScenarioError, match=f"^line {line}: unknown DCR id 99$"):
+        Simulation(t, build_overlay(t, 3), parse_scenario(text))
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text)
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: line {line}: unknown DCR id 99\n"
+
+
+# Scenario lines over the square's DCRs 1..4, with DC ids 0 and 99 unknown.
+_TIMES = st.one_of(st.integers(0, 20), st.floats(0, 50))
+_VMS = st.sampled_from(["vm0", "vm1", "vm2"])
+_USERS = st.sampled_from(["u0", "u1"])
+_DCS = st.sampled_from([0, 1, 2, 3, 4, 99])
+_COORDS = st.floats(-50, 150)
+_MODES = st.sampled_from(["unicast", "anycast-migrate", "anycast-replicate"])
+_SCENARIO_LINES = st.one_of(
+    st.builds("{} create {} {} {}".format, _TIMES, _VMS, _DCS, _MODES),
+    st.builds("{} migrate {} {}".format, _TIMES, _VMS, _DCS),
+    st.builds("{} replicate {} {} {}".format, _TIMES, _VMS, _DCS, _DCS),
+    st.builds("{} destroy {} {}".format, _TIMES, _VMS, _DCS),
+    st.builds("{} user {} {} {}".format, _TIMES, _USERS, _COORDS, _COORDS),
+    st.builds("{} send {} {}".format, _TIMES, _USERS, _VMS),
+    st.builds("{} send {} {} session {}".format, _TIMES, _USERS, _VMS,
+              st.sampled_from(["s0", "s1"])),
+)
+# Users and VMs set up at time 0, so that more of the lines after them run.
+_SETUP_LINES = st.lists(st.one_of(
+    st.builds("0 user {} {} {}".format, _USERS, _COORDS, _COORDS),
+    st.builds("0 create {} {} {}".format, _VMS, _DCS, _MODES)), max_size=5)
+
+
+@settings(max_examples=200)
+@given(st.builds(operator.add, _SETUP_LINES, st.lists(_SCENARIO_LINES, max_size=10)))
+def test_run_ends_in_a_report_or_a_line_numbered_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = os.path.join(tmp, "s.scn")
+        with open(scn, "w", encoding="utf-8") as f:
+            f.write("".join(line + "\n" for line in lines))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", example_path("square.top"), scn,
+                         "--trace", os.path.join(tmp, "s.trace")])
+    assert code in (0, 2)
+    if code == 2:
+        assert re.match(r"error: line \d+: ", err.getvalue()), err.getvalue()
 
 
 def test_unknown_subcommand():

@@ -8,8 +8,7 @@ from dcrsim import (AnycastAddress, ConfigError, ForwardingTable, Notification,
                     NotificationKind, Point, Topology, UnicastAddress, VmMode,
                     VmRecord, apply_notification, distance,
                     format_notification_line, format_trace_line, join_tables,
-                    lookup, make_notification, notification_origin, route_reply,
-                    route_user_packet)
+                    lookup, notification_origin, route_reply, route_user_packet)
 
 VM = AnycastAddress(1, 0)
 
@@ -26,22 +25,22 @@ def apply_all(notifications, table=None):
     return table
 
 
-def test_make_notification_checks_arity():
-    make_notification(NotificationKind.MIGRATION, VM, (2,), 0)
-    make_notification(NotificationKind.REPLICATION, VM, (2, 3), 1)
-    make_notification(NotificationKind.DESTRUCTION, VM, (2,), 2)
+def test_notification_checks_arity():
+    Notification(NotificationKind.MIGRATION, VM, (2,), 0)
+    Notification(NotificationKind.REPLICATION, VM, (2, 3), 1)
+    Notification(NotificationKind.DESTRUCTION, VM, (2,), 2)
     with pytest.raises(ConfigError):
-        make_notification(NotificationKind.MIGRATION, VM, (2, 3), 0)
+        Notification(NotificationKind.MIGRATION, VM, (2, 3), 0)
     with pytest.raises(ConfigError):
-        make_notification(NotificationKind.REPLICATION, VM, (2,), 0)
+        Notification(NotificationKind.REPLICATION, VM, (2,), 0)
     with pytest.raises(ConfigError):
-        make_notification(NotificationKind.DESTRUCTION, VM, (), 0)
+        Notification(NotificationKind.DESTRUCTION, VM, (), 0)
 
 
 def test_notification_origin():
-    assert notification_origin(make_notification(NotificationKind.MIGRATION, VM, (2,), 0)) == 2
-    assert notification_origin(make_notification(NotificationKind.REPLICATION, VM, (2, 3), 1)) == 3
-    assert notification_origin(make_notification(NotificationKind.DESTRUCTION, VM, (4,), 2)) == 4
+    assert notification_origin(Notification(NotificationKind.MIGRATION, VM, (2,), 0)) == 2
+    assert notification_origin(Notification(NotificationKind.REPLICATION, VM, (2, 3), 1)) == 3
+    assert notification_origin(Notification(NotificationKind.DESTRUCTION, VM, (4,), 2)) == 4
 
 
 def test_empty_table_has_no_entries():
@@ -52,61 +51,61 @@ def test_empty_table_has_no_entries():
 
 def test_migration_replaces_entry():
     table = apply_all([
-        make_notification(NotificationKind.MIGRATION, VM, (2,), 0),
-        make_notification(NotificationKind.MIGRATION, VM, (4,), 1),
+        Notification(NotificationKind.MIGRATION, VM, (2,), 0),
+        Notification(NotificationKind.MIGRATION, VM, (4,), 1),
     ])
     assert table.entries() == {VM: frozenset({4})}
 
 
 def test_replication_accumulates_replicas():
     table = apply_all([
-        make_notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
-        make_notification(NotificationKind.REPLICATION, VM, (2, 3), 1),
+        Notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
+        Notification(NotificationKind.REPLICATION, VM, (2, 3), 1),
     ])
     assert table.entry(VM) == frozenset({1, 2, 3})
 
 
 def test_destruction_removes_one_replica():
     table = apply_all([
-        make_notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
-        make_notification(NotificationKind.DESTRUCTION, VM, (1,), 1),
+        Notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
+        Notification(NotificationKind.DESTRUCTION, VM, (1,), 1),
     ])
     assert table.entry(VM) == frozenset({2})
 
 
 def test_destruction_after_migration_clears_entry():
     table = apply_all([
-        make_notification(NotificationKind.MIGRATION, VM, (3,), 0),
-        make_notification(NotificationKind.DESTRUCTION, VM, (3,), 1),
+        Notification(NotificationKind.MIGRATION, VM, (3,), 0),
+        Notification(NotificationKind.DESTRUCTION, VM, (3,), 1),
     ])
     assert table.entries() == {}
 
 
 def test_stale_migration_is_ignored():
-    fresh = make_notification(NotificationKind.MIGRATION, VM, (4,), 5)
-    stale = make_notification(NotificationKind.MIGRATION, VM, (2,), 3)
+    fresh = Notification(NotificationKind.MIGRATION, VM, (4,), 5)
+    stale = Notification(NotificationKind.MIGRATION, VM, (2,), 3)
     assert apply_all([stale, fresh]).entry(VM) == frozenset({4})
     assert apply_all([fresh, stale]).entry(VM) == frozenset({4})
 
 
 def test_replica_can_return_after_destruction():
     table = apply_all([
-        make_notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
-        make_notification(NotificationKind.DESTRUCTION, VM, (2,), 1),
-        make_notification(NotificationKind.REPLICATION, VM, (1, 2), 2),
+        Notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
+        Notification(NotificationKind.DESTRUCTION, VM, (2,), 1),
+        Notification(NotificationKind.REPLICATION, VM, (1, 2), 2),
     ])
     assert table.entry(VM) == frozenset({1, 2})
 
 
 def test_apply_notification_is_idempotent():
-    n = make_notification(NotificationKind.REPLICATION, VM, (1, 2), 0)
+    n = Notification(NotificationKind.REPLICATION, VM, (1, 2), 0)
     once = apply_all([n])
     assert apply_all([n, n]) == once
 
 
 def test_apply_notification_is_pure():
     table = ForwardingTable()
-    apply_notification(table, make_notification(NotificationKind.MIGRATION, VM, (2,), 0))
+    apply_notification(table, Notification(NotificationKind.MIGRATION, VM, (2,), 0))
     assert table.entries() == {}
 
 
@@ -126,7 +125,7 @@ def _notification_stream(rng: random.Random, n_events: int):
                 addrs = (rng.randint(1, 4), rng.randint(1, 4))
             else:
                 addrs = (rng.randint(1, 4),)
-        out.append(make_notification(kind, vm, addrs, seq))
+        out.append(Notification(kind, vm, addrs, seq))
     return out
 
 
@@ -158,14 +157,14 @@ def test_join_equals_applying_both_streams(seed, n_events):
 
 def test_lookup_prefers_nearest_member():
     t = square()
-    table = apply_all([make_notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
+    table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
     assert lookup(table, VM, 1, t) == 2
     assert lookup(table, VM, 4, t) == 3
 
 
 def test_lookup_distance_tie_goes_to_lowest_id():
     t = square()
-    table = apply_all([make_notification(NotificationKind.REPLICATION, VM, (2, 4), 0)])
+    table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 4), 0)])
     # DCRs 2 and 4 are both 10 away from DCR 1.
     assert lookup(table, VM, 1, t) == 2
 
@@ -178,7 +177,7 @@ def test_lookup_falls_back_to_subblock():
 def test_route_unicast_packet_direct():
     t = square()
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
-    trace = route_user_packet(Point(1, 1), 4, vm, {}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, None, t)
     assert not trace.tunneled
     assert len(trace.hops) == 1
     assert trace.delivered_at == 2
@@ -189,16 +188,16 @@ def test_route_unicast_packet_misses_destroyed_vm():
     t = square()
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
     vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), 4, vm, {}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, None, t)
     assert trace.delivered_at is None
 
 
 def test_route_anycast_packet_tunnels_via_ingress():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={2})
-    tables = {d: apply_all([make_notification(NotificationKind.MIGRATION, VM, (2,), 0)])
+    tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), 4, vm, tables, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, tables[4], t)
     assert trace.tunneled
     assert [h[1] for h in trace.hops] == [4, 2]
     assert trace.delivered_at == 2
@@ -209,9 +208,9 @@ def test_route_anycast_packet_tunnels_via_ingress():
 def test_route_anycast_packet_miss_when_table_is_stale():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={3})
-    tables = {d: apply_all([make_notification(NotificationKind.MIGRATION, VM, (2,), 0)])
+    tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), 4, vm, tables, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, tables[4], t)
     assert trace.delivered_at is None
     assert trace.hops[-1][1] == 2
 
@@ -238,16 +237,16 @@ def test_vm_record_validation():
 
 
 def test_format_notification_line():
-    n = make_notification(NotificationKind.REPLICATION, AnycastAddress(2, 0), (2, 3), 7)
+    n = Notification(NotificationKind.REPLICATION, AnycastAddress(2, 0), (2, 3), 7)
     assert format_notification_line(n) == "NOTIFY 7 REPLICATION 2:0 2,3"
-    m = make_notification(NotificationKind.MIGRATION, AnycastAddress(1, 4), (2,), 9)
+    m = Notification(NotificationKind.MIGRATION, AnycastAddress(1, 4), (2,), 9)
     assert format_notification_line(m) == "NOTIFY 9 MIGRATION 1:4 2"
 
 
 def test_format_trace_line():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
-    trace = route_user_packet(Point(1, 1), 4, vm, {4: ForwardingTable()}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, ForwardingTable(), t)
     line = format_trace_line(1.0, trace)
     assert line == ("PKT 1.000000 (1.000000,1.000000)->dcr4:1.414214 "
                     "dcr4->dcr1:10.000000 delay=11.414214 tunneled=1 result=dcr1")
@@ -257,5 +256,5 @@ def test_format_trace_line_miss():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
     vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), 4, vm, {4: ForwardingTable()}, t)
+    trace = route_user_packet(Point(1, 1), 4, vm, ForwardingTable(), t)
     assert format_trace_line(2.0, trace).endswith("result=MISS")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import dcrsim.simulator
 from dcrsim import (ConfigError, EventKind, ModeConflict, ParseError, Point,
                     ScenarioError, ScenarioEvent, Simulation, Topology, VmMode,
                     build_overlay, format_scenario, parse_scenario, run_scenario)
@@ -132,6 +133,77 @@ def test_undefined_references_fail_before_execution_starts():
                             "0 create vm1 1 anycast-migrate\n")
     with pytest.raises(ScenarioError, match="unknown user"):
         sim_for(events)
+
+
+BAD_LIFECYCLES = [
+    ("0 create vm1 1 anycast-migrate\n1 create vm1 2 unicast\n",
+     ScenarioError, "line 3: vm vm1 already exists"),
+    ("0 create vm1 1 anycast-migrate\n1 replicate vm1 1 2\n",
+     ModeConflict, "line 3: cannot replicate anycast-migrate vm vm1"),
+    ("0 create vm1 1 anycast-replicate\n1 migrate vm1 2\n",
+     ModeConflict, "line 3: cannot migrate anycast-replicate vm vm1"),
+    ("0 create vm1 1 unicast\n1 migrate vm1 2\n",
+     ModeConflict, "line 3: cannot migrate unicast vm vm1"),
+    ("0 create vm1 1 unicast\n1 replicate vm1 1 2\n",
+     ModeConflict, "line 3: cannot replicate unicast vm vm1"),
+    ("0 create vm1 1 anycast-migrate\n1 destroy vm1 1\n2 migrate vm1 2\n",
+     ScenarioError, "line 4: vm vm1 has been destroyed"),
+    ("0 create vm1 1 anycast-replicate\n1 replicate vm1 3 2\n",
+     ScenarioError, "line 3: vm vm1 has no replica at DC 3"),
+    ("0 create vm1 1 anycast-replicate\n1 replicate vm1 1 2\n2 replicate vm1 1 2\n",
+     ScenarioError, "line 4: vm vm1 already has a replica at DC 2"),
+    ("0 create vm1 1 anycast-migrate\n1 destroy vm1 2\n",
+     ScenarioError, "line 3: vm vm1 is not hosted at DC 2"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", BAD_LIFECYCLES, ids=[
+    "duplicate-create", "replicate-migratable", "migrate-replicated",
+    "migrate-unicast", "replicate-unicast", "migrate-destroyed",
+    "missing-replica-source", "existing-replica-destination",
+    "destroy-at-non-host"])
+def test_bad_lifecycles_fail_before_anything_runs(text, error, message, monkeypatch):
+    # Valid events, a packet among them, precede the bad line, so a
+    # run_until() short of it could replay them; the scenario must instead be
+    # refused before anything runs.
+    events = parse_scenario("0 user u1 1 1\n" + text + "0.5 send u1 vm1\n")
+    placed = []
+    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
+                        lambda *args: placed.append(args) or 4)
+    with pytest.raises(error, match=message):
+        sim_for(events)
+    assert placed == []
+
+
+def test_compiling_places_no_user_and_computes_no_delays(monkeypatch):
+    events = parse_scenario("0 user u1 1 1\n0 user u2 9 9\n"
+                            "0 create vm1 1 anycast-migrate\n"
+                            "1 send u1 vm1\n2 migrate vm1 2\n3 send u1 vm1\n"
+                            "4 user u1 5 5\n5 send u2 vm1\n")
+    nearest, placed = dcrsim.simulator.nearest_dcr, []
+    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
+                        lambda p, t: placed.append(p) or nearest(p, t))
+    t = square()
+    overlay = build_overlay(t, 3)
+    sim = Simulation(t, overlay, events)
+    assert placed == []
+    assert "_delays" not in vars(overlay)  # the overlay's cached delay matrix
+    report = sim.run()
+    assert placed == [Point(1, 1), Point(9, 9), Point(5, 5)]
+    assert [p.ingress for p in report.packets] == [4, 4, 2]
+
+
+def test_step_replays_one_change_or_delivery_at_a_time():
+    events = parse_scenario("0 user u1 1 1\n0 create vm1 1 anycast-migrate\n"
+                            "1 send u1 vm1\n2 migrate vm1 2\n")
+    sim = sim_for(events)
+    times = []
+    while sim.step():
+        times.append(sim.now)
+    # The create, the migration, then the delivery of the send at 1, which
+    # reaches dcr4 at 1 + sqrt(2); placing a user or sending takes no step.
+    assert times == [0.0, 2.0, 1.0 + math.sqrt(2)]
+    assert not sim.step()
 
 
 def test_track_session_returns_state_and_break_flag():
