@@ -94,8 +94,9 @@ def cmd_compare(cfg: RunConfig) -> int:
         seed = cfg.seed + i
         n = lo + i % (hi - lo + 1)
         t = generate_random_topology(seed, n, cfg.extent)
-        # Each stage extends the last, as in build_overlay. Only one overlay,
-        # with its cached delay matrix, is held at a time.
+        # Each stage extends the last, as in build_overlay, and its delay
+        # matrix starts from the last stage's, which it holds until its own
+        # is computed: at most two matrices are alive at a time.
         o = build_tree(t)
         for alg in (1, 2, 3):
             if alg == 2:

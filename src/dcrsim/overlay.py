@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, OverlayError, ParseError
-from .topology import DcrId, Point, Topology, distance, nearest_dcr
+from .topology import DcrId, Point, Topology, distance, nearest_among, nearest_dcr
 
 Edge = tuple[DcrId, DcrId]
 
@@ -90,12 +90,15 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
     rp = t.position(root)
     pending = sorted((i for i in t.ids() if i != root),
                      key=lambda i: (distance(rp, t.position(i)), i))
-    in_tree = [root]
+    # The in-tree ids and their coordinates, in joining order.
+    in_tree = np.empty(t.n, dtype=np.intp)
+    xs, ys = np.empty(t.n), np.empty(t.n)
+    in_tree[0], xs[0], ys[0] = root, rp.x, rp.y
     parents: dict[DcrId, DcrId] = {}
     edges: dict[Edge, float] = {}
-    for j in pending:
+    for size, j in enumerate(pending, start=1):
         jp = t.position(j)
-        k = min(in_tree, key=lambda v: (distance(jp, t.position(v)), v))
+        k = nearest_among(jp, in_tree[:size], xs[:size], ys[:size], t)
         attach = k
         if k != root:
             m = parents[k]
@@ -105,7 +108,7 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
                 attach = m
         parents[j] = attach
         edges[_key(j, attach)] = distance(jp, t.position(attach))
-        in_tree.append(j)
+        in_tree[size], xs[size], ys[size] = j, jp.x, jp.y
     return Overlay(nodes=tuple(t.ids()), edges=edges, root=root,
                    parents=parents, insertion_order=tuple(pending))
 
@@ -142,15 +145,15 @@ def connect_leaves(o: Overlay, t: Topology) -> Overlay:
             gap += 2.0 * math.pi
         gaps.append(gap)
     skip = gaps.index(max(gaps))
-    edges = dict(o.edges)
+    added: dict[Edge, float] = {}
     for i, a in enumerate(ring):
         if i == skip:
             continue
         b = ring[(i + 1) % len(ring)]
         key = _key(a, b)
-        if key not in edges:
-            edges[key] = distance(t.position(a), t.position(b))
-    return replace(o, edges=edges)
+        if key not in o.edges:
+            added[key] = distance(t.position(a), t.position(b))
+    return _extend(o, added)
 
 
 def add_wraparound(o: Overlay, t: Topology) -> Overlay:
@@ -167,9 +170,17 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
     east = nearest_dcr(Point(max(xs), mid_y), t)
     if west == east or o.has_edge(west, east):
         return o
-    edges = dict(o.edges)
-    edges[_key(west, east)] = distance(t.position(west), t.position(east))
-    return replace(o, edges=edges)
+    return _extend(o, {_key(west, east): distance(t.position(west), t.position(east))})
+
+
+def _extend(o: Overlay, added: dict[Edge, float]) -> Overlay:
+    """o plus the added links. If o's delay matrix is already computed, the
+    new overlay's matrix starts from it (see _delay_matrix)."""
+    new = replace(o, edges={**o.edges, **added})
+    base = vars(o).get("_delays")
+    if base is not None:
+        object.__setattr__(new, "_warm", (base, {v for e in added for v in e}))
+    return new
 
 
 def build_overlay(t: Topology, alg: int, root: DcrId | None = None) -> Overlay:
@@ -195,7 +206,16 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     monotone and costs are positive, so it equals a single-source Dijkstra's
     bit for bit, whatever the visit order. Summing path segments in another
     order (Floyd-Warshall, min-plus squaring) would not.
+
+    Warm start: connect_leaves and add_wraparound only add links, and when
+    their input's matrix was already computed they hand it on. The sweeps
+    then start from a copy of it, with only the added links' endpoints dirty.
+    Every old entry is a sum, added from the source outward, along a path
+    the new overlay also has, so the sweeps reach the same fixed point, bit
+    for bit. The hand-off is dropped once this matrix is computed; until
+    then, an extended overlay keeps its base's matrix alive.
     """
+    warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
     index = {v: i for i, v in enumerate(o.nodes)}
     nbrs: list[list[int]] = [[] for _ in o.nodes]
@@ -222,9 +242,14 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     rows = [np.array(ns, dtype=np.intp) for ns in nbrs]
     cols = [np.array(cs)[:, None] for cs in costs]
     # dt[w, s] is the delay from s to w: one contiguous row per destination.
-    dt = np.full((n, n), math.inf)
-    np.fill_diagonal(dt, 0.0)
-    dirty = [bool(ns) for ns in nbrs]  # a lone node has nothing to relax
+    if warm is None:
+        dt = np.full((n, n), math.inf)
+        np.fill_diagonal(dt, 0.0)
+        dirty = [bool(ns) for ns in nbrs]  # a lone node has nothing to relax
+    else:
+        base, ends = warm
+        dt = base.T.copy()
+        dirty = [v in ends for v in o.nodes]
     improved = True
     while improved:
         improved = False

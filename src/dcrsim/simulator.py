@@ -28,8 +28,8 @@ from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTr
                        VmMode, VmRecord, apply_notification, format_notification_line,
                        format_trace_line, join_tables, notification_origin,
                        route_reply, route_user_packet)
-from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, distance,
-                       nearest_dcr)
+from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, box_fits,
+                       distance, nearest_dcr)
 
 TUNNEL_HEADER_BYTES = 20
 
@@ -324,6 +324,9 @@ class Simulation:
         what the replay needs. Ground truth does not depend on floods, so a
         bad scenario fails here, before any event runs."""
         known = set(self.topology.ids())
+        xs = [p.x for _, p in self.topology.dcrs]
+        ys = [p.y for _, p in self.topology.dcrs]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         plan = AddressPlan(self.topology.n)
         seqs = itertools.count()
         placed: dict[str, int] = {}  # each user's latest placement
@@ -336,6 +339,9 @@ class Simulation:
                 self._placed[i] = placed[ev.user]
                 continue
             if ev.kind is EventKind.PLACE_USER:
+                if not box_fits(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y)):
+                    raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "
+                                        "is too far from the DCRs: their distance overflows")
                 placed[ev.user] = i
                 continue
             # The DC ids the line names, which its notification carries too.

@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, ParseError
 
 DcrId = int
@@ -54,6 +56,10 @@ class Topology:
                 raise ConfigError(f"DCR {i} and DCR {seen[key]} share position {key}")
             seen[key] = i
         object.__setattr__(self, "_pos", dict(dcrs))
+        # The ids and their coordinates, for vectorised nearest-DCR scans.
+        object.__setattr__(self, "_ids", np.array(ids, dtype=np.intp))
+        object.__setattr__(self, "_xs", np.array([p.x for _, p in dcrs]))
+        object.__setattr__(self, "_ys", np.array([p.y for _, p in dcrs]))
 
     @property
     def n(self) -> int:
@@ -69,9 +75,30 @@ class Topology:
             raise ConfigError(f"unknown DCR id {dcr}") from None
 
 
+def nearest_among(p: Point, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                  t: Topology) -> DcrId:
+    """The DCR among ids (at xs, ys) nearest p, by the exact key
+    (distance(p, position), id), so ties go to the lowest id.
+
+    np.hypot shortlists the DCRs within a relative 1e-9 of the nearest (plus
+    an absolute 1e-300, for subnormal distances). np.hypot and math.hypot may
+    differ in the last ulp, so only the shortlist is ranked by the exact key,
+    which always holds the exact winner.
+    """
+    d = np.hypot(xs - p.x, ys - p.y)
+    close = ids[d <= d.min() * (1.0 + 1e-9) + 1e-300]
+    return min(close.tolist(), key=lambda i: (distance(p, t.position(i)), i))
+
+
 def nearest_dcr(p: Point, t: Topology) -> DcrId:
     """The DCR a client at p attaches to; distance ties go to the lowest id."""
-    return min(t.ids(), key=lambda i: (distance(p, t.position(i)), i))
+    return nearest_among(p, t._ids, t._xs, t._ys, t)  # type: ignore[attr-defined]
+
+
+def box_fits(x0: float, x1: float, y0: float, y1: float) -> bool:
+    """True iff no two points of the box [x0, x1] x [y0, y1] are an infinite
+    distance apart: none is farther apart than the box's diagonal."""
+    return math.isfinite(math.hypot(x1 - x0, y1 - y0))
 
 
 @dataclass(frozen=True)
@@ -162,10 +189,12 @@ def parse_topology(text: str) -> Topology:
     """Strict parser for the format written by format_topology.
 
     Blank lines and lines starting with `#` are ignored. Anything else must
-    be a well-formed `dcr` line; duplicate ids are rejected.
+    be a well-formed `dcr` line; duplicate ids are rejected, and so is a DCR
+    whose distance to an earlier one overflows.
     """
     dcrs: list[tuple[DcrId, Point]] = []
     seen: set[DcrId] = set()
+    box = [math.inf, -math.inf, math.inf, -math.inf]  # x0, x1, y0, y1 so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -183,6 +212,10 @@ def parse_topology(text: str) -> Topology:
             raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
         if i in seen:
             raise ParseError(f"line {lineno}: duplicate DCR id {i}")
+        box = [min(box[0], x), max(box[1], x), min(box[2], y), max(box[3], y)]
+        if not box_fits(*box):
+            raise ParseError(f"line {lineno}: DCR {i} at ({x!r}, {y!r}) is too far "
+                             "from the others: their distance overflows")
         seen.add(i)
         dcrs.append((i, Point(x, y)))
     return Topology(tuple(dcrs))

@@ -3,9 +3,10 @@
 The shortest-path oracles (Floyd-Warshall, and the scalar Dijkstra that the
 library's vectorised delay matrix must match bit for bit) work on plain dicts
 and lists rather than the package's own types, so a bug in the library cannot
-hide inside a shared code path. `EagerSimulation` is the event loop that
-writes every DCR's table on every flood, against which the lazy table views
-are checked.
+hide inside a shared code path. `scalar_nearest_dcr` and `scalar_build_tree`
+are the plain Python scans that the library's vectorised nearest-point rule
+must match exactly. `EagerSimulation` is the event loop that writes every
+DCR's table on every flood, against which the lazy table views are checked.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import heapq
 import itertools
 
 from dcrsim import (AddressPlan, EventKind, ForwardingTable, Notification,
-                    NotificationKind, PacketRecord, Point, SessionState,
+                    NotificationKind, Overlay, PacketRecord, Point, SessionState,
                     SimReport, VmMode, VmRecord, apply_notification, distance,
                     flood_duplicate_count, format_notification_line,
-                    format_trace_line, nearest_dcr, notification_origin,
-                    overlay_metrics, route_reply, route_user_packet)
+                    format_trace_line, notification_origin, overlay_metrics,
+                    route_reply, route_user_packet)
 
 INF = float("inf")
 TUNNEL_HEADER_BYTES = 20  # the simulator's default
@@ -95,6 +96,42 @@ def pair_delays(nodes, edges):
     return out
 
 
+def scalar_nearest_dcr(p, t):
+    """The DCR nearest p by a scan of every DCR; ties go to the lowest id."""
+    return min(t.ids(), key=lambda i: (distance(p, t.position(i)), i))
+
+
+def scalar_build_tree(t, root=None):
+    """Stage 1 with a Python scan of the whole tree for each joiner's nearest
+    in-tree node, as the library's `build_tree` did before it was vectorised."""
+    if root is None:
+        xs = [p.x for _, p in t.dcrs]
+        ys = [p.y for _, p in t.dcrs]
+        center = Point((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0)
+        root = scalar_nearest_dcr(center, t)
+    rp = t.position(root)
+    pending = sorted((i for i in t.ids() if i != root),
+                     key=lambda i: (distance(rp, t.position(i)), i))
+    in_tree = [root]
+    parents = {}
+    edges = {}
+    for j in pending:
+        jp = t.position(j)
+        k = min(in_tree, key=lambda v: (distance(jp, t.position(v)), v))
+        attach = k
+        if k != root:
+            m = parents[k]
+            direct = distance(jp, t.position(m))
+            indirect = distance(jp, t.position(k)) + distance(t.position(k), t.position(m))
+            if indirect >= 1.25 * direct:
+                attach = m
+        parents[j] = attach
+        edges[(min(j, attach), max(j, attach))] = distance(jp, t.position(attach))
+        in_tree.append(j)
+    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root,
+                   parents=parents, insertion_order=tuple(pending))
+
+
 class EagerSimulation:
     """The simulator's eager flood path, kept as a differential oracle.
 
@@ -165,7 +202,7 @@ class EagerSimulation:
     def _scenario(self, ev):
         if ev.kind is EventKind.PLACE_USER:
             user = Point(ev.x, ev.y)
-            self.users[ev.user] = (user, nearest_dcr(user, self.topology))
+            self.users[ev.user] = (user, scalar_nearest_dcr(user, self.topology))
         elif ev.kind is EventKind.SEND_PACKET:
             user, ingress = self.users[ev.user]
             vm = self.vms[ev.vm]

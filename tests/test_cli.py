@@ -15,7 +15,7 @@ from dcrsim import (ConfigError, ParseError, ScenarioError, Simulation, build_ov
                     parse_overlay, parse_scenario, parse_topology)
 from dcrsim.cli import RunConfig, main
 
-from conftest import example_path
+from conftest import example_path, golden_path
 
 
 def run_cli(args, capsys):
@@ -168,6 +168,15 @@ def test_compare_rejects_bad_n_spec(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_compare_reproduces_the_golden_csv_at_n_400(capsys):
+    # The benchmark's `compare` job; the golden was written before the tree
+    # scan was vectorised and the stage delay matrices were warm-started.
+    code, out, _ = run_cli(["compare", "--seed", "1", "--count", "3", "--n", "400"], capsys)
+    assert code == 0
+    with open(golden_path("compare.seed1.n400.csv"), encoding="utf-8") as f:
+        assert out == f.read()
+
+
 def test_run_writes_report_and_trace(tmp_path, capsys):
     rep = tmp_path / "r.csv"
     trc = tmp_path / "r.trace"
@@ -267,6 +276,26 @@ def test_non_finite_topology_coordinates_fail_at_parse_time(dcr_line, value, tmp
     assert code == 2
     assert "line 2: non-finite coordinate" in err
     assert out == ""
+
+
+def test_user_whose_distance_overflows_fails_before_running(tmp_path, capsys):
+    text = "0 create vm1 1 anycast-migrate\n0 user u1 1.7e308 1.7e308\n1 send u1 vm1\n"
+    t = load_topology(example_path("square.top"))
+    with pytest.raises(ScenarioError, match="^line 2: user u1 .* distance overflows"):
+        Simulation(t, build_overlay(t, 3), parse_scenario(text))
+    scn = tmp_path / "far.scn"
+    scn.write_text(text)
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: user u1 ")
+
+
+def test_topology_whose_distances_overflow_fails_at_parse_time(tmp_path, capsys):
+    top = tmp_path / "wide.top"
+    top.write_text("dcr 1 0 0\ndcr 2 1.7e308 0\ndcr 3 -1.7e308 1\ndcr 4 5 5\n")
+    code, out, err = run_cli(["build-overlay", str(top), "--alg", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: DCR 3 ")
 
 
 def test_negative_scenario_time_fails_at_parse_time(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
                     leaf_set, overlay_metrics, parse_overlay)
 
 import scenariogen
-from oracles import dijkstra_matrix, floyd_warshall, pair_delays
+from oracles import dijkstra_matrix, floyd_warshall, pair_delays, scalar_build_tree
 
 
 def square() -> Topology:
@@ -367,3 +368,94 @@ def test_disconnected_overlay_raises_from_every_reader(root):
     for read in readers:
         with pytest.raises(OverlayError, match=r"no path from 1 to \[3, 4\]"):
             read(o)
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 50), (3, 50), (5, 50), (17, 50), (64, 20), (400, 3)])
+def test_build_tree_equals_the_scalar_oracle(n, seeds):
+    for seed in range(seeds):
+        t = generate_random_topology(seed, n)
+        # Overlay equality compares the edges with their costs, the root, the
+        # parents and the insertion order.
+        assert build_tree(t) == scalar_build_tree(t)
+
+
+def lattice(side: int, seed: int) -> Topology:
+    """An integer lattice with its ids shuffled, so many in-tree nodes tie
+    for nearest and the lowest id is not the first one scanned."""
+    ids = list(range(1, side * side + 1))
+    random.Random(seed).shuffle(ids)
+    return Topology(tuple((ids[k], Point(float(k % side), float(k // side)))
+                          for k in range(side * side)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_tree_equals_the_scalar_oracle_on_a_tie_heavy_lattice(seed):
+    t = lattice(8, seed)
+    assert build_tree(t) == scalar_build_tree(t)
+    for root in t.ids():
+        assert build_tree(t, root=root) == scalar_build_tree(t, root=root)
+
+
+def staged(t, root=None):
+    """The three stages built as `dcrsim compare` builds them: each stage's
+    metrics are read before the next stage extends it."""
+    o = build_tree(t, root=root)
+    overlay_metrics(o)
+    yield o
+    for extend in (connect_leaves, add_wraparound):
+        base, o = o, extend(o, t)
+        # Whenever a stage adds links, its matrix starts from the base's.
+        assert (o is base) or "_warm" in vars(o)
+        overlay_metrics(o)
+        yield o
+
+
+def acceptance_topologies():
+    """The topologies (with their roots) behind acceptance_overlays."""
+    for i in range(100):
+        yield generate_random_topology(i, 8 + i % 25), None
+    for i in range(60):
+        yield generate_random_topology(500 + i, 8 + i % 25), None
+    yield from ((line3(), 1), (kite3(), 1), (square(), None), (plus_topology(), None))
+    for i in range(50):
+        yield generate_random_topology(2_000 + i, 5 + i % 16), None
+
+
+def test_warm_started_delays_equal_scalar_dijkstra_on_acceptance_topologies():
+    for t, root in acceptance_topologies():
+        for o in staged(t, root):
+            assert_same_as_dijkstra(o)
+
+
+def test_warm_started_delays_equal_scalar_dijkstra_on_scenario_corpus():
+    for seed in range(200):
+        for o in staged(scenariogen.generate(seed).topology):
+            assert_same_as_dijkstra(o)
+
+
+def test_warm_started_delays_equal_scalar_dijkstra_at_n_1000():
+    _, o2, o3 = staged(generate_random_topology(1, 1000))
+    assert_same_as_dijkstra(o2)
+    assert_same_as_dijkstra(o3)
+
+
+def test_warm_start_leaves_the_base_matrix_alone():
+    t = generate_random_topology(4, 60)
+    o1 = build_tree(t)
+    before = all_pairs_delay(o1)
+    o2 = connect_leaves(o1, t)
+    overlay_metrics(o2)
+    assert "_warm" not in vars(o2)  # the hand-off is dropped once used
+    assert not o2._delays.flags.writeable
+    assert np.array_equal(o1._delays, before)
+    assert not o1._delays.flags.writeable
+    assert not np.array_equal(o2._delays, before)  # the leaf chain shortened some paths
+
+
+def test_extending_an_uncomputed_overlay_starts_cold():
+    t = generate_random_topology(5, 40)
+    o2 = connect_leaves(build_tree(t), t)
+    o3 = add_wraparound(o2, t)
+    assert o3 is not o2
+    assert "_warm" not in vars(o2) and "_warm" not in vars(o3)
+    assert_same_as_dijkstra(o3)

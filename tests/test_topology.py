@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from dcrsim import (AddressPlan, AnycastAddress, ConfigError, ParseError, Point,
                     Topology, UnicastAddress, distance, format_topology,
                     generate_random_topology, nearest_dcr, parse_topology)
+
+from oracles import scalar_nearest_dcr
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -145,3 +148,39 @@ def test_parse_topology_reports_line_numbers():
 def test_parse_topology_rejects_extra_tokens():
     with pytest.raises(ParseError):
         parse_topology("dcr 1 0 0 9\n")
+
+
+def test_nearest_dcr_equals_the_scalar_scan():
+    t = generate_random_topology(8, 256)
+    rng = random.Random(8)
+    points = [Point(rng.uniform(-20, 120), rng.uniform(-20, 120)) for _ in range(2000)]
+    points += [p for _, p in t.dcrs]  # distance 0 to one DCR
+    for p in points:
+        assert nearest_dcr(p, t) == scalar_nearest_dcr(p, t)
+
+
+def test_nearest_dcr_ties_on_a_lattice_go_to_the_lowest_id():
+    # Ids shuffled over a 6x6 integer lattice: a cell centre ties four DCRs,
+    # an edge midpoint two.
+    ids = list(range(1, 37))
+    random.Random(1).shuffle(ids)
+    t = Topology(tuple((ids[k], Point(float(k % 6), float(k // 6))) for k in range(36)))
+    for i in range(11):
+        for j in range(11):
+            p = Point(i / 2.0, j / 2.0)
+            assert nearest_dcr(p, t) == scalar_nearest_dcr(p, t)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dcr 1 0 0\ndcr 2 1.7e308 0\ndcr 3 -1.7e308 1\ndcr 4 5 5\n", 3),
+    ("dcr 1 -1e308 0\n# far corner\ndcr 2 1e308 0\n", 3),
+    ("dcr 1 0 1.7e308\ndcr 2 1.7e308 0\n", 2),
+], ids=["x", "x-comment", "diagonal"])
+def test_parse_topology_rejects_distances_that_overflow(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: DCR .* distance overflows"):
+        parse_topology(text)
+
+
+def test_parse_topology_accepts_the_largest_finite_distances():
+    t = parse_topology("dcr 1 0 0\ndcr 2 1e308 1e308\ndcr 3 0 1e308\n")
+    assert all(math.isfinite(distance(p, q)) for _, p in t.dcrs for _, q in t.dcrs)
