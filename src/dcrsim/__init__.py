@@ -9,11 +9,11 @@ from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       leaf_set, load_overlay, overlay_metrics, parse_overlay,
                       save_overlay)
 from .protocol import (ForwardingTable, Notification, NotificationKind,
-                       PacketTrace, VmMode, VmRecord, apply_notification,
+                       PacketTrace, Route, VmMode, VmRecord, apply_notification,
                        format_notification_line, format_trace_line,
                        join_tables, lookup, notification_origin, route_reply,
                        route_user_packet)
-from .simulator import (EventKind, PacketRecord, ScenarioEvent, SessionState,
+from .simulator import (Delivery, EventKind, PacketRecord, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
 from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology,
@@ -24,10 +24,10 @@ from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressPlan", "AnycastAddress", "ConfigError", "DcrId", "EventKind",
+    "AddressPlan", "AnycastAddress", "ConfigError", "DcrId", "Delivery", "EventKind",
     "ForwardingTable", "ModeConflict", "Notification", "NotificationKind",
     "Overlay", "OverlayError", "OverlayMetrics", "PacketRecord", "PacketTrace",
-    "ParseError", "Point", "ScenarioError", "ScenarioEvent", "SessionState",
+    "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent", "SessionState",
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
     "VmRecord", "add_wraparound", "all_pairs_delay", "apply_notification",
     "build_overlay", "build_tree", "connect_leaves", "distance",

@@ -56,6 +56,12 @@ class Overlay:
                 raise ConfigError(f"edge ({a}, {b}) references a missing node")
             if not (math.isfinite(cost) and cost > 0):
                 raise ConfigError(f"edge ({a}, {b}) has non-positive cost {cost}")
+        # No delay exceeds the total link cost, and a mean of delays sums
+        # fewer than N^2 of them.
+        total = sum(self.edges.values())
+        if not math.isfinite(len(self.nodes) ** 2 * total):
+            raise ConfigError(f"overlay link costs sum to {total!r}: the sums of "
+                              f"delays over {len(self.nodes)} nodes overflow")
 
     def has_edge(self, a: DcrId, b: DcrId) -> bool:
         return _key(a, b) in self.edges

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ConfigError
 from .topology import AnycastAddress, DcrId, Point, Topology, UnicastAddress, distance
@@ -188,40 +188,72 @@ class PacketTrace:
         return sum(delay for _, _, delay in self.hops)
 
 
+class Route(NamedTuple):
+    """One user packet's path, as compact as the report needs.
+
+    ingress is None when the packet bypassed it (unicast goes straight to
+    its DC); otherwise the packet was tunnelled from there to target.
+    delivered_at is target, or None for a miss. delays holds each hop's
+    delay in hop order, and direct is the user's distance to target, which
+    is also the delay of the reply from target.
+    """
+
+    user: Point
+    ingress: DcrId | None
+    target: DcrId
+    delivered_at: DcrId | None
+    delays: tuple[float, ...]
+    direct: float
+
+    @property
+    def tunneled(self) -> bool:
+        return self.ingress is not None
+
+    @property
+    def total_delay(self) -> float:
+        """The hop delays summed in hop order, as PacketTrace sums them."""
+        return sum(self.delays)
+
+    @property
+    def hops(self) -> tuple[Hop, ...]:
+        if self.ingress is None:
+            return ((self.user, self.target, self.delays[0]),)
+        return ((self.user, self.ingress, self.delays[0]),
+                (self.ingress, self.target, self.delays[1]))
+
+    def trace(self) -> PacketTrace:
+        return PacketTrace(self.hops, self.tunneled, self.delivered_at)
+
+
 def lookup(table: ForwardingTable, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
     """Where router `at` forwards a packet for vm: the nearest DCR among the
     table entry (ties to the lowest id), or the address's own subblock DCR
     when the table has no entry (packets then fall back to the birth DC)."""
     members = table.entry(vm)
-    if not members:
-        return vm.subblock
+    if len(members) < 2:
+        return next(iter(members), vm.subblock)
     ap = t.position(at)
     return min(members, key=lambda d: (distance(ap, t.position(d)), d))
 
 
 def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord,
-                      table: ForwardingTable | None, t: Topology) -> PacketTrace:
+                      table: ForwardingTable | None, t: Topology) -> Route:
     """Route one user packet and report the path it took.
 
     Unicast goes straight to the address's DC, no tunnel, and reads no table
     (pass None). Anycast enters the network at `ingress`, the DCR the user
     attached to, which consults `table`, its forwarding table, and tunnels
     the packet to the chosen DCR. Delivery succeeds only if the VM truly
-    hosts there; otherwise the trace records a miss.
+    hosts there; otherwise the route records a miss.
     """
     if vm.mode is VmMode.UNICAST:
-        assert isinstance(vm.address, UnicastAddress)
         dc = vm.address.dc
-        hop = (user, dc, distance(user, t.position(dc)))
-        return PacketTrace(hops=(hop,), tunneled=False,
-                           delivered_at=dc if dc in vm.locations else None)
-    assert isinstance(vm.address, AnycastAddress) and table is not None
+        delay = distance(user, t.position(dc))
+        return Route(user, None, dc, dc if dc in vm.locations else None, (delay,), delay)
     target = lookup(table, vm.address, ingress, t)
-    ip = t.position(ingress)
-    hops = ((user, ingress, distance(user, ip)),
-            (ingress, target, distance(ip, t.position(target))))
-    return PacketTrace(hops=hops, tunneled=True,
-                       delivered_at=target if target in vm.locations else None)
+    ip, tp = t.position(ingress), t.position(target)
+    return Route(user, ingress, target, target if target in vm.locations else None,
+                 (distance(user, ip), distance(ip, tp)), distance(user, tp))
 
 
 def route_reply(vm_location: DcrId, user: Point, t: Topology) -> PacketTrace:
@@ -231,15 +263,13 @@ def route_reply(vm_location: DcrId, user: Point, t: Topology) -> PacketTrace:
     return PacketTrace(hops=(hop,), tunneled=False, delivered_at=None)
 
 
-def _fmt_endpoint(e: Endpoint) -> str:
-    if isinstance(e, Point):
-        return f"({e.x:.6f},{e.y:.6f})"
-    return f"dcr{e}"
-
-
-def format_trace_line(time: float, trace: PacketTrace) -> str:
-    hops = " ".join(f"{_fmt_endpoint(a)}->{_fmt_endpoint(b)}:{d:.6f}"
-                    for a, b, d in trace.hops)
-    result = "MISS" if trace.delivered_at is None else f"dcr{trace.delivered_at}"
-    return (f"PKT {time:.6f} {hops} delay={trace.total_delay:.6f} "
-            f"tunneled={int(trace.tunneled)} result={result}")
+def format_trace_line(time: float, route: Route) -> str:
+    user, ingress, target, delivered_at, delays, _ = route
+    if ingress is None:
+        hops = f"({user.x:.6f},{user.y:.6f})->dcr{target}:{delays[0]:.6f}"
+    else:
+        hops = (f"({user.x:.6f},{user.y:.6f})->dcr{ingress}:{delays[0]:.6f} "
+                f"dcr{ingress}->dcr{target}:{delays[1]:.6f}")
+    result = "MISS" if delivered_at is None else f"dcr{delivered_at}"
+    return (f"PKT {time:.6f} {hops} delay={sum(delays):.6f} "
+            f"tunneled={int(ingress is not None)} result={result}")

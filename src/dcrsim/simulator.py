@@ -20,14 +20,14 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, flood_schedule, overlay_metrics
 from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTrace,
-                       VmMode, VmRecord, apply_notification, format_notification_line,
-                       format_trace_line, join_tables, notification_origin,
-                       route_reply, route_user_packet)
+                       Route, VmMode, VmRecord, apply_notification,
+                       format_notification_line, format_trace_line, join_tables,
+                       notification_origin, route_user_packet)
 from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, box_fits,
                        distance, nearest_dcr)
 
@@ -199,62 +199,108 @@ class PacketRecord:
     reply: PacketTrace | None
 
 
+class Delivery(NamedTuple):
+    """One packet delivery: the scenario index of its send, and its route."""
+
+    send: int
+    route: Route
+
+
 _CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
                "total_delay,tunneled,stretch,penalty,reply_delay,reply_tunneled")
 
 
-def _opt(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
+def _stretch_penalty(total: float, direct: float) -> tuple[float, float]:
+    """A delivered packet's stretch and penalty: its delay against the
+    user's direct distance to where it was delivered."""
+    return (1.0 if direct == 0.0 else total / direct), total - direct
+
+
+def _agg(values: list[float]) -> tuple[float, float]:
+    if not values:
+        return 0.0, 0.0
+    mean = sum(values) / len(values)
+    if mean == math.inf:  # the sum overflowed, though a mean of finite values cannot
+        mean = math.fsum(v / len(values) for v in values)
+    return mean, max(values)
 
 
 @dataclass
 class SimReport:
-    packets: list[PacketRecord]
+    """What a run produced: one stream of its flooded notifications and
+    packet deliveries, in replay order, and its counters. The CSV, the trace
+    lines and the packet records are all rendered from the stream; the trace
+    lines and the records on first read."""
+
+    stream: list[Notification | Delivery]
+    events: Sequence[ScenarioEvent]  # the scenario sorted by time, as Delivery.send indexes it
     notifications: int
     duplicate_notifications: int
     session_breaks: int
     sessions: dict[str, SessionState]
     tunnel_header_bytes: int
     overlay: OverlayMetrics
-    trace_lines: list[str]
+
+    @functools.cached_property
+    def _deliveries(self) -> list[Delivery]:
+        return [x for x in self.stream if type(x) is Delivery]
+
+    @functools.cached_property
+    def trace_lines(self) -> list[str]:
+        events = self.events
+        return [format_trace_line(events[x.send].time, x.route) if type(x) is Delivery
+                else format_notification_line(x) for x in self.stream]
+
+    @functools.cached_property
+    def packets(self) -> list[PacketRecord]:
+        out = []
+        for k, (send, route) in enumerate(self._deliveries):
+            ev = self.events[send]
+            at = route.delivered_at
+            stretch = penalty = reply = None
+            if at is not None:
+                stretch, penalty = _stretch_penalty(route.total_delay, route.direct)
+                reply = PacketTrace(((at, route.user, route.direct),), False, None)
+            out.append(PacketRecord(k, ev.time, ev.user, ev.vm, ev.session, route.ingress,
+                                    route.target, route.trace(), stretch, penalty, reply))
+        return out
 
     @property
     def delivered(self) -> int:
-        return sum(1 for p in self.packets if p.trace.delivered_at is not None)
+        return sum(1 for d in self._deliveries if d.route.delivered_at is not None)
 
     @property
     def missed(self) -> int:
-        return len(self.packets) - self.delivered
-
-    def _agg(self, values: list[float]) -> tuple[float, float]:
-        if not values:
-            return 0.0, 0.0
-        return sum(values) / len(values), max(values)
+        return len(self._deliveries) - self.delivered
 
     def to_csv(self) -> str:
         rows = [_CSV_HEADER]
-        for p in self.packets:
-            result = "MISS" if p.trace.delivered_at is None else str(p.trace.delivered_at)
-            reply_delay = p.reply.total_delay if p.reply is not None else None
-            reply_tun = "" if p.reply is None else str(int(p.reply.tunneled))
-            rows.append(",".join([
-                str(p.index), f"{p.time:.6f}", p.user, p.vm, p.session or "",
-                "" if p.ingress is None else str(p.ingress), str(p.target), result,
-                f"{p.trace.total_delay:.6f}", str(int(p.trace.tunneled)),
-                _opt(p.stretch), _opt(p.penalty), _opt(reply_delay), reply_tun,
-            ]))
-        delays = [p.trace.total_delay for p in self.packets
-                  if p.trace.delivered_at is not None]
-        stretches = [p.stretch for p in self.packets if p.stretch is not None]
-        penalties = [p.penalty for p in self.packets if p.penalty is not None]
-        mean_delay, max_delay = self._agg(delays)
-        mean_stretch, max_stretch = self._agg(stretches)
-        mean_penalty, max_penalty = self._agg(penalties)
+        events = self.events
+        delays, stretches, penalties = [], [], []
+        for k, (send, (_, ingress, target, at, hop_delays, direct)) in \
+                enumerate(self._deliveries):
+            ev = events[send]
+            total = sum(hop_delays)
+            head = (f"{k},{ev.time:.6f},{ev.user},{ev.vm},{ev.session or ''},"
+                    f"{'' if ingress is None else ingress},{target}")
+            if at is None:
+                rows.append(f"{head},MISS,{total:.6f},{int(ingress is not None)},,,,")
+                continue
+            # A reply goes straight back from `at`, which is target: `direct` away.
+            stretch, penalty = _stretch_penalty(total, direct)
+            rows.append(f"{head},{at},{total:.6f},{int(ingress is not None)},"
+                        f"{stretch:.6f},{penalty:.6f},{direct:.6f},0")
+            delays.append(total)
+            stretches.append(stretch)
+            penalties.append(penalty)
+        mean_delay, max_delay = _agg(delays)
+        mean_stretch, max_stretch = _agg(stretches)
+        mean_penalty, max_penalty = _agg(penalties)
         rows.append(
             "# summary:"
-            f" packets={len(self.packets)}"
-            f" delivered={self.delivered}"
-            f" miss={self.missed}"
+            f" packets={len(rows) - 1}"
+            f" delivered={len(delays)}"
+            f" miss={len(rows) - 1 - len(delays)}"
             f" session_breaks={self.session_breaks}"
             f" notifications={self.notifications}"
             f" duplicate_notifications={self.duplicate_notifications}"
@@ -312,12 +358,12 @@ class Simulation:
             defaultdict(ForwardingTable)
         self._logs: defaultdict[AnycastAddress, list[LogEntry]] = defaultdict(list)
         self._tunnel_bytes_per_packet = tunnel_header_bytes
-        self._packets: list[PacketRecord] = []
+        # Every flooded notification and packet delivery, in replay order.
+        self._stream: list[Notification | Delivery] = []
         self._notifications = 0
         self._duplicates = 0
         self._breaks = 0
         self._tunnel_bytes = 0
-        self.trace_lines: list[str] = []
 
     def _compile(self) -> None:
         """Check every event in time order, with its line number, and record
@@ -339,9 +385,10 @@ class Simulation:
                 self._placed[i] = placed[ev.user]
                 continue
             if ev.kind is EventKind.PLACE_USER:
-                if not box_fits(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y)):
+                # A packet takes at most two hops: user to ingress, then on.
+                if not box_fits(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "
-                                        "is too far from the DCRs: their distance overflows")
+                                        "is too far from the DCRs: a packet's distance overflows")
                 placed[ev.user] = i
                 continue
             # The DC ids the line names, which its notification carries too.
@@ -421,7 +468,7 @@ class Simulation:
         origin = notification_origin(n)
         self._notifications += 1
         self._duplicates += flood_duplicate_count(self.overlay)
-        self.trace_lines.append(format_notification_line(n))
+        self._stream.append(n)
         if origin not in self._schedules:
             delays = flood_schedule(self.overlay, origin)
             self._schedules[origin] = delays, max(delays.values())
@@ -447,6 +494,8 @@ class Simulation:
         """vm's entry in dcr's table as the packet of send `index`, arriving
         now, reads it: the notifications whose (arrival at dcr, scenario index
         of their change) is below (now, index)."""
+        if not self._logs[vm]:
+            return self._settled[vm]
         flying = self._in_flight(vm)
         table = self._settled[vm]
         for emit, i, origin, n in flying:
@@ -460,39 +509,19 @@ class Simulation:
         # so a user who moves while it is in flight does not reroute it.
         user, ingress = self._placements[self._placed[j]]
         vm = self.vms[ev.vm]
-        table = (None if vm.mode is VmMode.UNICAST
-                 else self._read_table(ingress, vm.address, j))
-        trace = route_user_packet(user, ingress, vm, table, self.topology)
-        if vm.mode is VmMode.UNICAST:
-            ingress = None  # the packet bypassed it, so the report leaves it empty
-            target = vm.address.dc
-            stretch = penalty = None
-            if trace.delivered_at is not None:
-                stretch, penalty = 1.0, 0.0
-        else:
-            target = trace.hops[-1][1]
+        table = None
+        if vm.mode is not VmMode.UNICAST:
+            table = self._read_table(ingress, vm.address, j)
             self._tunnel_bytes += self._tunnel_bytes_per_packet
-            stretch = penalty = None
-            if trace.delivered_at is not None:
-                direct = distance(user, self.topology.position(target))
-                actual = trace.total_delay
-                stretch = 1.0 if direct == 0.0 else actual / direct
-                penalty = actual - direct
-        reply = None
-        if trace.delivered_at is not None:
-            reply = route_reply(trace.delivered_at, user, self.topology)
-        record = PacketRecord(index=len(self._packets), time=ev.time,
-                              user=ev.user, vm=ev.vm, session=ev.session,
-                              ingress=ingress, target=target, trace=trace,
-                              stretch=stretch, penalty=penalty, reply=reply)
-        self._packets.append(record)
-        self.trace_lines.append(format_trace_line(ev.time, trace))
+        route = route_user_packet(user, ingress, vm, table, self.topology)
+        self._stream.append(Delivery(j, route))
         if ev.session is not None:
-            self.track_session(ev.session, ev.user, ev.vm, trace)
+            self.track_session(ev.session, ev.user, ev.vm, route.delivered_at)
 
     def track_session(self, session_id: str, user: str, vm_name: str,
-                      trace: PacketTrace) -> tuple[SessionState, bool]:
-        """Update session pinning for one packet outcome.
+                      delivered_at: DcrId | None) -> tuple[SessionState, bool]:
+        """Update session pinning for one packet outcome: delivery at
+        delivered_at, or a miss (None).
 
         Returns the session state and whether this packet broke it. A miss
         always breaks and closes the session; so does delivery at a different
@@ -505,7 +534,6 @@ class Simulation:
             self.sessions[session_id] = st
         if not st.open:
             return st, False
-        delivered_at = trace.delivered_at
         if delivered_at is None:
             st.open = False
             self._breaks += 1
@@ -569,14 +597,13 @@ class Simulation:
         return self.report()
 
     def report(self) -> SimReport:
-        return SimReport(packets=list(self._packets),
+        return SimReport(stream=list(self._stream), events=self._events,
                          notifications=self._notifications,
                          duplicate_notifications=self._duplicates,
                          session_breaks=self._breaks,
                          sessions=dict(self.sessions),
                          tunnel_header_bytes=self._tunnel_bytes,
-                         overlay=overlay_metrics(self.overlay),
-                         trace_lines=list(self.trace_lines))
+                         overlay=overlay_metrics(self.overlay))
 
 
 def run_scenario(topology: Topology, overlay: Overlay,

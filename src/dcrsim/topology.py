@@ -95,10 +95,11 @@ def nearest_dcr(p: Point, t: Topology) -> DcrId:
     return nearest_among(p, t._ids, t._xs, t._ys, t)  # type: ignore[attr-defined]
 
 
-def box_fits(x0: float, x1: float, y0: float, y1: float) -> bool:
-    """True iff no two points of the box [x0, x1] x [y0, y1] are an infinite
-    distance apart: none is farther apart than the box's diagonal."""
-    return math.isfinite(math.hypot(x1 - x0, y1 - y0))
+def box_fits(x0: float, x1: float, y0: float, y1: float, hops: int = 1) -> bool:
+    """True iff a path of `hops` straight hops between points of the box
+    [x0, x1] x [y0, y1] cannot be infinitely long: no hop is longer than the
+    box's diagonal, so `hops` diagonals bound the path."""
+    return math.isfinite(hops * math.hypot(x1 - x0, y1 - y0))
 
 
 @dataclass(frozen=True)

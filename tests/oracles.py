@@ -7,19 +7,23 @@ hide inside a shared code path. `scalar_nearest_dcr` and `scalar_build_tree`
 are the plain Python scans that the library's vectorised nearest-point rule
 must match exactly. `EagerSimulation` is the event loop that writes every
 DCR's table on every flood, against which the lazy table views are checked.
+It routes, formats and reports each packet with its own copies of the
+library's per-packet code as it stood before deliveries became records, so
+the report and trace bytes are checked against an independent formatter.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 
-from dcrsim import (AddressPlan, EventKind, ForwardingTable, Notification,
-                    NotificationKind, Overlay, PacketRecord, Point, SessionState,
-                    SimReport, VmMode, VmRecord, apply_notification, distance,
+from dcrsim import (AddressPlan, AnycastAddress, EventKind, ForwardingTable,
+                    Notification, NotificationKind, Overlay, OverlayMetrics,
+                    PacketRecord, PacketTrace, Point, SessionState,
+                    UnicastAddress, VmMode, VmRecord, apply_notification, distance,
                     flood_duplicate_count, format_notification_line,
-                    format_trace_line, notification_origin, overlay_metrics,
-                    route_reply, route_user_packet)
+                    notification_origin, overlay_metrics)
 
 INF = float("inf")
 TUNNEL_HEADER_BYTES = 20  # the simulator's default
@@ -132,6 +136,138 @@ def scalar_build_tree(t, root=None):
                    parents=parents, insertion_order=tuple(pending))
 
 
+def lookup(table, vm, at, t):
+    """Where router `at` forwards a packet for vm: the nearest DCR among the
+    table entry (ties to the lowest id), or the address's own subblock DCR
+    when the table has no entry (packets then fall back to the birth DC)."""
+    members = table.entry(vm)
+    if not members:
+        return vm.subblock
+    ap = t.position(at)
+    return min(members, key=lambda d: (distance(ap, t.position(d)), d))
+
+
+def route_user_packet(user, ingress, vm, table, t):
+    """Route one user packet and report the path it took.
+
+    Unicast goes straight to the address's DC, no tunnel, and reads no table
+    (pass None). Anycast enters the network at `ingress`, the DCR the user
+    attached to, which consults `table`, its forwarding table, and tunnels
+    the packet to the chosen DCR. Delivery succeeds only if the VM truly
+    hosts there; otherwise the trace records a miss.
+    """
+    if vm.mode is VmMode.UNICAST:
+        assert isinstance(vm.address, UnicastAddress)
+        dc = vm.address.dc
+        hop = (user, dc, distance(user, t.position(dc)))
+        return PacketTrace(hops=(hop,), tunneled=False,
+                           delivered_at=dc if dc in vm.locations else None)
+    assert isinstance(vm.address, AnycastAddress) and table is not None
+    target = lookup(table, vm.address, ingress, t)
+    ip = t.position(ingress)
+    hops = ((user, ingress, distance(user, ip)),
+            (ingress, target, distance(ip, t.position(target))))
+    return PacketTrace(hops=hops, tunneled=True,
+                       delivered_at=target if target in vm.locations else None)
+
+
+def route_reply(vm_location, user, t):
+    """Reply path: straight from the hosting DCR back to the user, no tunnel
+    (the user's address is a plain destination)."""
+    hop = (vm_location, user, distance(t.position(vm_location), user))
+    return PacketTrace(hops=(hop,), tunneled=False, delivered_at=None)
+
+
+def _fmt_endpoint(e):
+    if isinstance(e, Point):
+        return f"({e.x:.6f},{e.y:.6f})"
+    return f"dcr{e}"
+
+
+def format_trace_line(time, trace):
+    hops = " ".join(f"{_fmt_endpoint(a)}->{_fmt_endpoint(b)}:{d:.6f}"
+                    for a, b, d in trace.hops)
+    result = "MISS" if trace.delivered_at is None else f"dcr{trace.delivered_at}"
+    return (f"PKT {time:.6f} {hops} delay={trace.total_delay:.6f} "
+            f"tunneled={int(trace.tunneled)} result={result}")
+
+
+_CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
+               "total_delay,tunneled,stretch,penalty,reply_delay,reply_tunneled")
+
+
+def _opt(v):
+    return "" if v is None else f"{v:.6f}"
+
+
+@dataclass
+class EagerReport:
+    """The report as the library built it before it recorded deliveries:
+    packet records and trace lines made per packet, and the CSV rendered
+    from the records."""
+
+    packets: list
+    notifications: int
+    duplicate_notifications: int
+    session_breaks: int
+    sessions: dict
+    tunnel_header_bytes: int
+    overlay: OverlayMetrics
+    trace_lines: list
+
+    @property
+    def delivered(self):
+        return sum(1 for p in self.packets if p.trace.delivered_at is not None)
+
+    @property
+    def missed(self):
+        return len(self.packets) - self.delivered
+
+    def _agg(self, values):
+        if not values:
+            return 0.0, 0.0
+        return sum(values) / len(values), max(values)
+
+    def to_csv(self):
+        rows = [_CSV_HEADER]
+        for p in self.packets:
+            result = "MISS" if p.trace.delivered_at is None else str(p.trace.delivered_at)
+            reply_delay = p.reply.total_delay if p.reply is not None else None
+            reply_tun = "" if p.reply is None else str(int(p.reply.tunneled))
+            rows.append(",".join([
+                str(p.index), f"{p.time:.6f}", p.user, p.vm, p.session or "",
+                "" if p.ingress is None else str(p.ingress), str(p.target), result,
+                f"{p.trace.total_delay:.6f}", str(int(p.trace.tunneled)),
+                _opt(p.stretch), _opt(p.penalty), _opt(reply_delay), reply_tun,
+            ]))
+        delays = [p.trace.total_delay for p in self.packets
+                  if p.trace.delivered_at is not None]
+        stretches = [p.stretch for p in self.packets if p.stretch is not None]
+        penalties = [p.penalty for p in self.packets if p.penalty is not None]
+        mean_delay, max_delay = self._agg(delays)
+        mean_stretch, max_stretch = self._agg(stretches)
+        mean_penalty, max_penalty = self._agg(penalties)
+        rows.append(
+            "# summary:"
+            f" packets={len(self.packets)}"
+            f" delivered={self.delivered}"
+            f" miss={self.missed}"
+            f" session_breaks={self.session_breaks}"
+            f" notifications={self.notifications}"
+            f" duplicate_notifications={self.duplicate_notifications}"
+            f" tunnel_header_bytes={self.tunnel_header_bytes}"
+            f" mean_delay={mean_delay:.6f}"
+            f" max_delay={max_delay:.6f}"
+            f" mean_stretch={mean_stretch:.6f}"
+            f" max_stretch={max_stretch:.6f}"
+            f" mean_penalty={mean_penalty:.6f}"
+            f" max_penalty={max_penalty:.6f}"
+            f" overlay_worst={self.overlay.worst_delay:.6f}"
+            f" overlay_avg={self.overlay.avg_delay:.6f}"
+            f" overlay_overhead={self.overlay.flooding_overhead:.6f}")
+        return "\n".join(rows) + "\n"
+
+
 class EagerSimulation:
     """The simulator's eager flood path, kept as a differential oracle.
 
@@ -139,10 +275,10 @@ class EagerSimulation:
     notification into that DCR's own table, so the tables are always
     materialised and a packet reads its ingress table as it stands. Events
     are ordered by (time, push counter), as in the library. Unlike the rest
-    of this module it uses the package's own types: it reuses the pure
-    pieces (merge, routing, formatting, the report) but owns its flood delays
-    (by `dijkstra`), its event order, its tables and its ground truth, which
-    are what it cross-checks. Valid scenarios only: it checks no lifecycle
+    of this module it uses the package's own types: it reuses the table
+    merge but owns its flood delays (by `dijkstra`), its event order, its
+    tables, its ground truth, its routing and its report, which are what it
+    cross-checks. Valid scenarios only: it checks no lifecycle
     legality.
     """
 
@@ -191,7 +327,7 @@ class EagerSimulation:
     def run(self):
         while self.step():
             pass
-        return SimReport(packets=list(self._packets),
+        return EagerReport(packets=list(self._packets),
                          notifications=self._notifications,
                          duplicate_notifications=self._duplicates,
                          session_breaks=self._breaks, sessions=dict(self.sessions),

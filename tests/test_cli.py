@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import operator
 import os
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcrsim.cli
+import dcrsim.simulator
 from dcrsim import (ConfigError, ParseError, ScenarioError, Simulation, build_overlay,
                     generate_random_topology, load_topology, overlay_metrics,
                     parse_overlay, parse_scenario, parse_topology)
@@ -192,6 +194,23 @@ def test_run_writes_report_and_trace(tmp_path, capsys):
     assert trace.count("PKT ") == 2
 
 
+def test_run_formats_pkt_lines_only_for_a_trace(tmp_path, capsys, monkeypatch):
+    calls = []
+    formatter = dcrsim.simulator.format_trace_line
+
+    def counting(time, route):
+        calls.append(time)
+        return formatter(time, route)
+    monkeypatch.setattr(dcrsim.simulator, "format_trace_line", counting)
+    argv = ["run", example_path("square.top"), example_path("stretch.scn"),
+            "--out", str(tmp_path / "r.csv")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert calls == []
+    assert run_cli(argv + ["--trace", str(tmp_path / "r.trace")], capsys)[0] == 0
+    packets = len((tmp_path / "r.csv").read_text().splitlines()) - 2
+    assert packets > 0 and len(calls) == packets
+
+
 def test_run_accepts_prebuilt_overlay(tmp_path, capsys):
     ovl = tmp_path / "o.ovl"
     code, _, _ = run_cli(["build-overlay", example_path("square.top"),
@@ -288,6 +307,38 @@ def test_user_whose_distance_overflows_fails_before_running(tmp_path, capsys):
     code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: line 2: user u1 ")
+
+
+def test_packet_whose_delay_sum_overflows_fails_before_running(tmp_path, capsys):
+    # Each hop is finite, but user to DCR 1 and on to DCR 2 is not.
+    top = tmp_path / "wide.top"
+    top.write_text("dcr 1 0 0\ndcr 2 1.7e308 0\n")
+    scn = tmp_path / "far.scn"
+    scn.write_text("0 user u1 8.5e307 0\n0 create vm1 2 anycast-migrate\n1 send u1 vm1\n")
+    code, out, err = run_cli(["run", str(top), str(scn)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflow" in err
+    # Over a narrow map, the user line itself is named.
+    text = "0 create vm1 1 anycast-migrate\n0 user u1 9e307 0\n1 send u1 vm1\n"
+    t = load_topology(example_path("square.top"))
+    with pytest.raises(ScenarioError, match="^line 2: user u1 .* distance overflows"):
+        Simulation(t, build_overlay(t, 3), parse_scenario(text))
+
+
+def test_overlay_whose_delay_sums_overflow_fails(tmp_path, capsys):
+    corners = "dcr 1 0 0\ndcr 2 1e308 0\ndcr 3 0 1e308\ndcr 4 1e308 1e308\ndcr 5 5e307 5e307\n"
+    top = tmp_path / "square.top"
+    top.write_text(corners)
+    code, out, err = run_cli(["build-overlay", str(top), "--alg", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: overlay link costs sum to inf")
+    # The alg-1 overlay of that map, as a build used to write it.
+    cost = f"{math.hypot(5e307, 5e307):.6f}"
+    ovl = tmp_path / "square.ovl"
+    ovl.write_text("root 5\n" + "".join(f"edge {i} 5 {cost}\n" for i in range(1, 5)))
+    code, out, err = run_cli(["eval-overlay", str(ovl)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: overlay link costs sum to inf")
 
 
 def test_topology_whose_distances_overflow_fails_at_parse_time(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """The simulator against the eager oracle in `oracles.py`.
 
 The oracle writes every DCR's table on every flood; the simulator evaluates
-a table only when a packet reads it. Both must give the same report and trace
-bytes, and the same tables and in-flight counts wherever the run is paused.
+a table only when a packet reads it. The oracle also routes, formats and
+reports each packet with its own code, while the simulator records each
+delivery once and renders the report from the records. Both must give the
+same report and trace bytes, the same packet records, and the same tables
+and in-flight counts wherever the run is paused.
 """
 
 import pytest
@@ -12,7 +15,7 @@ from dcrsim import (EventKind, Point, ScenarioEvent, Simulation, VmMode,
                     load_topology, run_scenario)
 
 import scenariogen
-from conftest import example_path
+from conftest import example_path, golden_path
 from oracles import EagerSimulation
 
 SCENARIOS = ("migration", "replication", "destruction", "stretch")
@@ -30,6 +33,29 @@ def test_golden_scenarios_match_the_eager_engine(name):
     t = load_topology(example_path("square.top"))
     events = load_scenario(example_path(f"{name}.scn"))
     assert_same_output(t, build_overlay(t, 3), events, name)
+
+
+def differential_runs():
+    """(label, topology, overlay, events) for the goldens, the generated
+    corpus and the hot VM."""
+    t = load_topology(example_path("square.top"))
+    for name in SCENARIOS:
+        yield name, t, build_overlay(t, 3), load_scenario(example_path(f"{name}.scn"))
+    for seed in range(200):
+        gen = scenariogen.generate(seed)
+        yield f"seed {seed}", gen.topology, gen.overlay, gen.events
+    yield ("hot vm", *hot_vm_scenario())
+
+
+def test_packet_records_match_the_eager_engine():
+    # repr tells every two floats apart, so the records match bit for bit.
+    for label, topology, overlay, events in differential_runs():
+        lazy = run_scenario(topology, overlay, events)
+        eager = EagerSimulation(topology, overlay, events).run()
+        assert len(lazy.packets) == len(eager.packets), label
+        for mine, theirs in zip(lazy.packets, eager.packets):
+            assert repr(mine) == repr(theirs), label
+        assert (lazy.delivered, lazy.missed) == (eager.delivered, eager.missed), label
 
 
 def test_scenario_corpus_matches_the_eager_engine():
@@ -80,6 +106,15 @@ def test_hot_vm_matches_the_eager_engine():
     t, overlay, events = hot_vm_scenario()
     assert sum(e.kind is EventKind.MIGRATE_VM for e in events) >= 50
     assert_same_output(t, overlay, events, "hot vm")
+
+
+def test_hot_vm_reproduces_its_golden_report_and_trace():
+    # Written before deliveries became records.
+    report = run_scenario(*hot_vm_scenario())
+    with open(golden_path("hotvm.report.csv"), encoding="utf-8") as f:
+        assert report.to_csv() == f.read()
+    with open(golden_path("hotvm.trace.txt"), encoding="utf-8") as f:
+        assert "\n".join(report.trace_lines) + "\n" == f.read()
 
 
 def test_hot_vm_tables_match_the_eager_engine_wherever_paused():

@@ -209,9 +209,9 @@ def test_step_replays_one_change_or_delivery_at_a_time():
 def test_track_session_returns_state_and_break_flag():
     sim = sim_for(list(BASE))
     sim.run()
-    trace_hit = sim_for(BASE + [ev(1, EventKind.SEND_PACKET, user="u1",
-                                   vm="vm1")]).run().packets[0].trace
-    st, broke = sim.track_session("s9", "u1", "vm1", trace_hit)
+    hit = sim_for(BASE + [ev(1, EventKind.SEND_PACKET, user="u1",
+                             vm="vm1")]).run().packets[0].trace.delivered_at
+    st, broke = sim.track_session("s9", "u1", "vm1", hit)
     assert st.pinned_location == 1 and not broke and st.open
 
 
@@ -488,6 +488,19 @@ def test_stretch_is_at_least_one_for_delivered_anycast():
             assert not p.reply.tunneled
             assert p.trace.total_delay == pytest.approx(
                 p.reply.total_delay * p.stretch)
+
+
+def test_mean_delay_of_far_packets_does_not_overflow():
+    # Each delay is finite, but four of them sum past the largest float.
+    t = Topology(((1, Point(0.0, 0.0)), (2, Point(1e307, 0.0))))
+    events = [ev(0, EventKind.PLACE_USER, user="u1", x=-4e307, y=0.0),
+              ev(0, EventKind.CREATE_VM, vm="vm1", dc=2, mode=VmMode.ANYCAST_MIGRATABLE)]
+    events += [ev(k, EventKind.SEND_PACKET, user="u1", vm="vm1") for k in range(1, 5)]
+    report = run_scenario(t, build_overlay(t, 1), events)
+    assert report.delivered == 4
+    summary = report.to_csv().splitlines()[-1]
+    total = 4e307 + 1e307
+    assert f"mean_delay={total:.6f} max_delay={total:.6f} " in summary
 
 
 def test_run_scenario_matches_simulation_run():
