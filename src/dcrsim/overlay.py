@@ -35,7 +35,8 @@ class Overlay:
 
     parents and insertion_order describe the spanning-tree skeleton and are
     only populated by build_tree (and preserved by the later stages); parsed
-    overlays leave them empty. Treat instances as immutable: the delay
+    overlays leave them empty. The delay kernel visits the nodes in the
+    skeleton's preorder when it spans the overlay. Treat instances as immutable: the delay
     matrix is computed once per instance, on first use, and cached.
     """
 
@@ -47,12 +48,13 @@ class Overlay:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-        if self.root not in self.nodes:
+        nodes = set(self.nodes)
+        if self.root not in nodes:
             raise ConfigError(f"root {self.root} is not an overlay node")
         for (a, b), cost in self.edges.items():
             if a >= b:
                 raise ConfigError(f"edge key ({a}, {b}) must be ordered a < b")
-            if a not in self.nodes or b not in self.nodes:
+            if a not in nodes or b not in nodes:
                 raise ConfigError(f"edge ({a}, {b}) references a missing node")
             if not (math.isfinite(cost) and cost > 0):
                 raise ConfigError(f"edge ({a}, {b}) has non-positive cost {cost}")
@@ -205,13 +207,14 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     """All-pairs flood delays, read-only: entry [s, w] is the delay from s to w.
 
     A visit to node w relaxes the delays from every source to w at once, from
-    the rows of w's neighbours. Sweeps visit the nodes in hop order from the
-    root, reversed then forward, skipping those whose neighbours have not
-    improved since their last visit, until nothing improves. Each delay is
-    then a sum of link costs added from the source outward; float addition is
-    monotone and costs are positive, so it equals a single-source Dijkstra's
-    bit for bit, whatever the visit order. Summing path segments in another
-    order (Floyd-Warshall, min-plus squaring) would not.
+    the rows of w's neighbours. Sweeps visit the nodes in the depth-first
+    preorder of a spanning tree, reversed then forward, skipping those whose
+    neighbours have not improved since their last visit, until nothing
+    improves. Each delay is then a sum of link costs added from the source
+    outward; float addition is monotone and costs are positive, so it equals a
+    single-source Dijkstra's bit for bit, whatever the visit order. Summing
+    path segments in another order (Floyd-Warshall, min-plus squaring) would
+    not.
 
     Warm start: connect_leaves and add_wraparound only add links, and when
     their input's matrix was already computed they hand it on. The sweeps
@@ -230,23 +233,7 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
         for u, w in ((index[a], index[b]), (index[b], index[a])):
             nbrs[u].append(w)
             costs[u].append(cost)
-
-    def hop_order(start: int) -> list[int]:
-        order, seen = [start], {start}
-        for w in order:
-            for u in nbrs[w]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-        return order
-
-    order = hop_order(index[o.root])
-    if len(order) < n:
-        reached = set(hop_order(0))
-        missing = [v for i, v in enumerate(o.nodes) if i not in reached]
-        raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
-    rows = [np.array(ns, dtype=np.intp) for ns in nbrs]
-    cols = [np.array(cs)[:, None] for cs in costs]
+    order = _visit_order(o, index, nbrs)
     # dt[w, s] is the delay from s to w: one contiguous row per destination.
     if warm is None:
         dt = np.full((n, n), math.inf)
@@ -256,21 +243,69 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
         base, ends = warm
         dt = base.T.copy()
         dirty = [v in ends for v in o.nodes]
+    rows = list(dt)
+    # Per node: its first neighbour's row and link cost, then the others'.
+    heads = [(rows[ns[0]], cs[0]) if ns else None for ns, cs in zip(nbrs, costs)]
+    tails = [[(rows[u], c) for u, c in zip(ns[1:], cs[1:])] for ns, cs in zip(nbrs, costs)]
+    cand, scratch, less = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     improved = True
     while improved:
         improved = False
         for w in order[::-1] + order:
             if dirty[w]:
                 dirty[w] = False
-                cand = (dt[rows[w]] + cols[w]).min(axis=0)
-                if (cand < dt[w]).any():
-                    np.minimum(dt[w], cand, out=dt[w])
+                np.add(*heads[w], out=cand)
+                for row, c in tails[w]:
+                    np.minimum(cand, np.add(row, c, out=scratch), out=cand)
+                row = rows[w]
+                if np.less(cand, row, out=less).any():
+                    np.minimum(row, cand, out=row)
                     improved = True
                     for u in nbrs[w]:
                         dirty[u] = True
     mat = dt.T
     mat.flags.writeable = False
     return mat
+
+
+def _visit_order(o: Overlay, index: dict[DcrId, int], nbrs: list[list[int]]) -> list[int]:
+    """The node indices in the depth-first preorder, children in id order, of
+    o's spanning-tree skeleton if it spans o, else of o's hop-BFS tree from
+    the root. Raises OverlayError if o is disconnected."""
+
+    def preorder(children: list[list[int]], start: int) -> list[int]:
+        order, stack = [], [start]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(children[v]))
+        return order
+
+    def hop_tree(start: int) -> list[list[int]]:
+        children: list[list[int]] = [[] for _ in nbrs]
+        seen, frontier = {start}, [start]
+        for w in frontier:
+            for u in nbrs[w]:  # in id order, as the edges were sorted
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+                    children[w].append(u)
+        return children
+
+    root = index[o.root]
+    order = preorder(hop_tree(root), root)
+    if len(order) < len(nbrs):
+        reached = set(preorder(hop_tree(0), 0))
+        missing = [v for i, v in enumerate(o.nodes) if i not in reached]
+        raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
+    # Each node has one parent and the root none, so no walk from the root
+    # repeats a node; a skeleton with a cycle or a stray node spans less.
+    skeleton: list[list[int]] = [[] for _ in nbrs]
+    for child, parent in sorted(o.parents.items()):
+        if child != o.root and child in index and parent in index:
+            skeleton[index[parent]].append(index[child])
+    tree_order = preorder(skeleton, root)
+    return tree_order if len(tree_order) == len(nbrs) else order
 
 
 def all_pairs_delay(o: Overlay) -> np.ndarray:

@@ -28,7 +28,7 @@ from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTr
                        Route, VmMode, VmRecord, apply_notification,
                        format_notification_line, format_trace_line, join_tables,
                        notification_origin, route_user_packet)
-from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, box_fits,
+from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, box_reach,
                        distance, nearest_dcr)
 
 TUNNEL_HEADER_BYTES = 20
@@ -375,21 +375,30 @@ class Simulation:
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         plan = AddressPlan(self.topology.n)
         seqs = itertools.count()
+        # No flood delay exceeds the overlay's total link cost.
+        flood_reach = sum(self.overlay.edges.values())
         placed: dict[str, int] = {}  # each user's latest placement
+        # Per placement: two diagonals of the box around the DCRs and the
+        # user, which bound a packet's two hops (user to ingress, then on).
+        packet_reach: dict[int, float] = {}
         for i, ev in enumerate(self._events):
             if ev.kind is EventKind.SEND_PACKET:
                 if ev.user not in placed:
                     raise ScenarioError(f"{_where(ev)}unknown user {ev.user}")
                 if ev.vm not in self._records:
                     raise ScenarioError(f"{_where(ev)}unknown vm {ev.vm}")
+                if not math.isfinite(ev.time + packet_reach[placed[ev.user]]):
+                    raise ScenarioError(f"{_where(ev)}send at {ev.time!r} is too late: "
+                                        "its packet's arrival time overflows")
                 self._placed[i] = placed[ev.user]
                 continue
             if ev.kind is EventKind.PLACE_USER:
-                # A packet takes at most two hops: user to ingress, then on.
-                if not box_fits(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2):
+                reach = box_reach(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2)
+                if not math.isfinite(reach):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "
                                         "is too far from the DCRs: a packet's distance overflows")
                 placed[ev.user] = i
+                packet_reach[i] = reach
                 continue
             # The DC ids the line names, which its notification carries too.
             dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is EventKind.REPLICATE_VM else (ev.dc,)
@@ -430,8 +439,12 @@ class Simulation:
                 vm.locations.discard(ev.dc)
                 kind = NotificationKind.DESTRUCTION
             # Creations and unicast changes flood nothing: no table holds them.
+            floods = kind is not None and vm.mode is not VmMode.UNICAST
+            if floods and not math.isfinite(ev.time + flood_reach):
+                raise ScenarioError(f"{_where(ev)}{ev.kind.value} at {ev.time!r} is too late: "
+                                    "its flood's arrival times overflow")
             self._changes[i] = frozenset(vm.locations), (
-                None if kind is None or vm.mode is VmMode.UNICAST else (kind, dc_ids, next(seqs)))
+                (kind, dc_ids, next(seqs)) if floods else None)
 
     @functools.cached_property
     def _placements(self) -> dict[int, tuple[Point, DcrId]]:

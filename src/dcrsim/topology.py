@@ -95,11 +95,11 @@ def nearest_dcr(p: Point, t: Topology) -> DcrId:
     return nearest_among(p, t._ids, t._xs, t._ys, t)  # type: ignore[attr-defined]
 
 
-def box_fits(x0: float, x1: float, y0: float, y1: float, hops: int = 1) -> bool:
-    """True iff a path of `hops` straight hops between points of the box
-    [x0, x1] x [y0, y1] cannot be infinitely long: no hop is longer than the
-    box's diagonal, so `hops` diagonals bound the path."""
-    return math.isfinite(hops * math.hypot(x1 - x0, y1 - y0))
+def box_reach(x0: float, x1: float, y0: float, y1: float, hops: int = 1) -> float:
+    """A bound on the length of a path of `hops` straight hops between points
+    of the box [x0, x1] x [y0, y1]: no hop is longer than the box's diagonal,
+    so `hops` diagonals. inf if that sum overflows."""
+    return hops * math.hypot(x1 - x0, y1 - y0)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def parse_topology(text: str) -> Topology:
         if i in seen:
             raise ParseError(f"line {lineno}: duplicate DCR id {i}")
         box = [min(box[0], x), max(box[1], x), min(box[2], y), max(box[3], y)]
-        if not box_fits(*box):
+        if not math.isfinite(box_reach(*box)):
             raise ParseError(f"line {lineno}: DCR {i} at ({x!r}, {y!r}) is too far "
                              "from the others: their distance overflows")
         seen.add(i)

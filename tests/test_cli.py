@@ -341,6 +341,37 @@ def test_overlay_whose_delay_sums_overflow_fails(tmp_path, capsys):
     assert err.startswith("error: overlay link costs sum to inf")
 
 
+def test_send_whose_arrival_time_overflows_fails_before_running(tmp_path, capsys):
+    scn = tmp_path / "late.scn"
+    scn.write_text("0 user u1 1e306 0\n0 create vm1 2 anycast-migrate\n"
+                   "1.797e308 migrate vm1 3\n1.797e308 send u1 vm1\n")
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 4: send at 1.797e+308 ")
+    # Near the map, the same times round to the largest finite float.
+    top = 1.7976931348623157e308
+    scn.write_text(f"0 user u1 5 5\n0 create vm1 2 anycast-migrate\n"
+                   f"{top!r} migrate vm1 3\n{top!r} send u1 vm1\n")
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
+    assert code == 0 and err == ""
+    assert "delivered=1 miss=0" in out
+
+
+def test_flood_whose_arrival_times_overflow_fails_before_running(tmp_path, capsys):
+    # The link costs 1e300, more than half an ulp of the largest float.
+    top = tmp_path / "wide.top"
+    top.write_text("dcr 1 0 0\ndcr 2 1e300 0\n")
+    scn = tmp_path / "late.scn"
+    scn.write_text("0 create vm1 1 anycast-migrate\n1.7976931348623157e308 migrate vm1 2\n")
+    code, out, err = run_cli(["run", str(top), str(scn)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: migrate at 1.7976931348623157e+308 ")
+    # A unicast change floods nothing, so it may come that late.
+    scn.write_text("0 create vm1 1 unicast\n1.7976931348623157e308 destroy vm1 1\n")
+    code, out, err = run_cli(["run", str(top), str(scn)], capsys)
+    assert code == 0 and err == ""
+
+
 def test_topology_whose_distances_overflow_fails_at_parse_time(tmp_path, capsys):
     top = tmp_path / "wide.top"
     top.write_text("dcr 1 0 0\ndcr 2 1.7e308 0\ndcr 3 -1.7e308 1\ndcr 4 5 5\n")

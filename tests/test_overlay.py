@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -459,3 +460,44 @@ def test_extending_an_uncomputed_overlay_starts_cold():
     assert o3 is not o2
     assert "_warm" not in vars(o2) and "_warm" not in vars(o3)
     assert_same_as_dijkstra(o3)
+
+
+def unusable_skeletons(o):
+    """Skeletons whose preorder from the root misses nodes, so the kernel
+    visits o's hop-BFS tree instead, and one with a cycle through the root,
+    whose preorder still spans o."""
+    first, second = o.insertion_order[:2]
+    yield {}
+    yield {c: p for c, p in o.parents.items() if c != first}
+    yield {**o.parents, first: second, second: first}
+    yield {**o.parents, o.root: o.insertion_order[-1]}
+
+
+def restaged(t, parents):
+    """The three stages as `staged` builds them, with another skeleton."""
+    tree = build_tree(t)
+    o = replace(tree, parents=parents)
+    overlay_metrics(o)
+    yield o
+    for alg in (2, 3):
+        full = build_overlay(t, alg)
+        o = dcrsim.overlay._extend(o, {e: c for e, c in full.edges.items() if e not in o.edges})
+        overlay_metrics(o)
+        yield o
+
+
+@pytest.mark.parametrize("n", (40, 400))
+def test_visit_order_changes_no_bits(n):
+    t = generate_random_topology(9, n)
+    overlays = [build_overlay(t, alg) for alg in (1, 2, 3)]
+    wanted = []
+    for o in overlays:
+        oracle = np.array(dijkstra_matrix(list(o.nodes), dict(o.edges)))
+        assert np.array_equal(all_pairs_delay(o), oracle)
+        wanted.append(oracle)
+    for parents in unusable_skeletons(overlays[0]):
+        for o, oracle in zip(overlays, wanted):  # cold
+            assert np.array_equal(all_pairs_delay(replace(o, parents=parents)), oracle)
+        for o, oracle in zip(restaged(t, parents), wanted):  # warm-started
+            assert o.parents == parents
+            assert np.array_equal(all_pairs_delay(o), oracle)
