@@ -50,8 +50,7 @@ class EventKind(enum.Enum):
 _MODES = {m.value: m for m in VmMode}
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class _EventFields(NamedTuple):
     time: float
     kind: EventKind
     vm: str | None = None
@@ -65,72 +64,99 @@ class ScenarioEvent:
     session: str | None = None
     line: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ScenarioError(f"event time must be >= 0, got {self.time}")
+
+class ScenarioEvent(_EventFields):
+    """One scenario line, as an immutable named tuple. Every way of building
+    one (the constructor, `_make`, `_replace`) rejects a non-finite or
+    negative time, and non-finite coordinates on a `user` event."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScenarioEvent:
+        ev = super().__new__(cls, *args, **kwargs)
+        if not math.isfinite(ev.time):
+            raise ScenarioError(f"event time must be finite, got {ev.time}")
+        if ev.time < 0:
+            raise ScenarioError(f"event time must be >= 0, got {ev.time}")
+        if ev.kind is EventKind.PLACE_USER and not (math.isfinite(ev.x)
+                                                    and math.isfinite(ev.y)):
+            raise ScenarioError(f"user {ev.user} at ({ev.x}, {ev.y}): "
+                                "coordinates must be finite")
+        return ev
+
+    @classmethod
+    def _make(cls, iterable) -> ScenarioEvent:  # also what _replace builds with
+        return cls(*iterable)
 
 
-def _name_ok(name: str) -> bool:
-    return bool(name) and "," not in name
+_new_event = tuple.__new__  # skips ScenarioEvent's checks: for lines already checked
+_SEND = EventKind.SEND_PACKET
 
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
     """Parse a scenario file; events stay in file order (the engine sorts
     stably by time). Blank lines and `#` comments are ignored."""
     events: list[ScenarioEvent] = []
+    append = events.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if len(parts) < 2:
+        n = len(parts)
+        if n < 2:
             raise ParseError(f"line {lineno}: incomplete event {raw!r}")
         try:
             time = float(parts[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad time {parts[0]!r}") from None
-        if not math.isfinite(time):
-            raise ParseError(f"line {lineno}: non-finite time {parts[0]!r}")
-        if time < 0:
+        if not 0.0 <= time < math.inf:
+            if not math.isfinite(time):
+                raise ParseError(f"line {lineno}: non-finite time {parts[0]!r}")
             raise ParseError(f"line {lineno}: negative time {parts[0]!r}")
         word = parts[1]
-        try:
-            if word == "create" and len(parts) == 5 and parts[4] in _MODES:
-                ev = ScenarioEvent(time, EventKind.CREATE_VM, vm=parts[2],
-                                   dc=int(parts[3]), mode=_MODES[parts[4]], line=lineno)
-            elif word == "migrate" and len(parts) == 4:
-                ev = ScenarioEvent(time, EventKind.MIGRATE_VM, vm=parts[2],
-                                   dc=int(parts[3]), line=lineno)
-            elif word == "replicate" and len(parts) == 5:
-                ev = ScenarioEvent(time, EventKind.REPLICATE_VM, vm=parts[2],
-                                   src_dc=int(parts[3]), dst_dc=int(parts[4]), line=lineno)
-            elif word == "destroy" and len(parts) == 4:
-                ev = ScenarioEvent(time, EventKind.DESTROY_VM_AT, vm=parts[2],
-                                   dc=int(parts[3]), line=lineno)
-            elif word == "user" and len(parts) == 5:
-                x, y = float(parts[3]), float(parts[4])
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
-                ev = ScenarioEvent(time, EventKind.PLACE_USER, user=parts[2],
-                                   x=x, y=y, line=lineno)
-            elif word == "send" and len(parts) in (4, 6):
-                session = None
-                if len(parts) == 6:
-                    if parts[4] != "session":
-                        raise ParseError(f"line {lineno}: expected `session <id>` in {raw!r}")
-                    session = parts[5]
-                ev = ScenarioEvent(time, EventKind.SEND_PACKET, user=parts[2],
-                                   vm=parts[3], session=session, line=lineno)
-            else:
-                raise ParseError(f"line {lineno}: unrecognized event {raw!r}")
-        except (ParseError, ScenarioError):
-            raise
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
-        for name in (ev.vm, ev.user, ev.session):
-            if name is not None and not _name_ok(name):
-                raise ParseError(f"line {lineno}: bad identifier {name!r}")
-        events.append(ev)
+        if word == "send" and (n == 4 or n == 6):
+            # Most lines are sends, so they are built here, directly: the time
+            # is checked above, and a send has no other number to check.
+            session = None
+            if n == 6:
+                if parts[4] != "session":
+                    raise ParseError(f"line {lineno}: expected `session <id>` in {raw!r}")
+                session = parts[5]
+            ev = _new_event(ScenarioEvent, (time, _SEND, parts[3], None, None, None, None,
+                                            parts[2], None, None, session, lineno))
+        else:
+            try:
+                if word == "create" and n == 5 and parts[4] in _MODES:
+                    ev = ScenarioEvent(time, EventKind.CREATE_VM, vm=parts[2],
+                                       dc=int(parts[3]), mode=_MODES[parts[4]], line=lineno)
+                elif word == "migrate" and n == 4:
+                    ev = ScenarioEvent(time, EventKind.MIGRATE_VM, vm=parts[2],
+                                       dc=int(parts[3]), line=lineno)
+                elif word == "replicate" and n == 5:
+                    ev = ScenarioEvent(time, EventKind.REPLICATE_VM, vm=parts[2],
+                                       src_dc=int(parts[3]), dst_dc=int(parts[4]),
+                                       line=lineno)
+                elif word == "destroy" and n == 4:
+                    ev = ScenarioEvent(time, EventKind.DESTROY_VM_AT, vm=parts[2],
+                                       dc=int(parts[3]), line=lineno)
+                elif word == "user" and n == 5:
+                    x, y = float(parts[3]), float(parts[4])
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
+                    ev = ScenarioEvent(time, EventKind.PLACE_USER, user=parts[2],
+                                       x=x, y=y, line=lineno)
+                else:
+                    raise ParseError(f"line {lineno}: unrecognized event {raw!r}")
+            except (ParseError, ScenarioError):
+                raise
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
+        # Split never yields an empty name, so a name is bad iff it has a comma.
+        if "," in raw:
+            for name in (ev.vm, ev.user, ev.session):
+                if name is not None and "," in name:
+                    raise ParseError(f"line {lineno}: bad identifier {name!r}")
+        append(ev)
     return events
 
 

@@ -157,11 +157,16 @@ class AddressPlan:
         return UnicastAddress(dc=dc, host=host)
 
 
+MAX_REDRAWS = 1000  # consecutive position redraws for one DCR
+
+
 def generate_random_topology(seed: int, n: int, extent: float = 100.0) -> Topology:
     """n DCRs placed uniformly at random on [0, extent]^2, reproducibly.
 
     Positions that collide with an earlier draw are resampled so the result
-    is always a valid topology.
+    is always a valid topology. After MAX_REDRAWS collisions in a row for
+    one DCR, the extent is taken to hold too few distinct points, and the
+    call fails.
     """
     if n < 2:
         raise ConfigError("a topology needs at least 2 DCRs")
@@ -171,10 +176,13 @@ def generate_random_topology(seed: int, n: int, extent: float = 100.0) -> Topolo
     taken: set[tuple[float, float]] = set()
     dcrs = []
     for i in range(1, n + 1):
-        while True:
+        for _ in range(MAX_REDRAWS + 1):
             xy = (rng.uniform(0.0, extent), rng.uniform(0.0, extent))
             if xy not in taken:
                 break
+        else:
+            raise ConfigError(f"cannot place DCR {i} of {n}: {MAX_REDRAWS} redraws in a row "
+                              f"hit taken positions, so extent {extent!r} is too small")
         taken.add(xy)
         dcrs.append((i, Point(*xy)))
     return Topology(tuple(dcrs))

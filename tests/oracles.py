@@ -10,19 +10,22 @@ DCR's table on every flood, against which the lazy table views are checked.
 It routes, formats and reports each packet with its own copies of the
 library's per-packet code as it stood before deliveries became records, so
 the report and trace bytes are checked against an independent formatter.
+`ScenarioEvent` and `parse_scenario` are the frozen dataclass and the parser
+as they stood before events became named tuples and sends took a fast path.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
-from dcrsim import (AddressPlan, AnycastAddress, EventKind, ForwardingTable,
+from dcrsim import (AddressPlan, AnycastAddress, DcrId, EventKind, ForwardingTable,
                     Notification, NotificationKind, Overlay, OverlayMetrics,
-                    PacketRecord, PacketTrace, Point, SessionState,
-                    UnicastAddress, VmMode, VmRecord, apply_notification, distance,
-                    flood_duplicate_count, format_notification_line,
+                    PacketRecord, PacketTrace, ParseError, Point, ScenarioError,
+                    SessionState, UnicastAddress, VmMode, VmRecord, apply_notification,
+                    distance, flood_duplicate_count, format_notification_line,
                     notification_origin, overlay_metrics)
 
 INF = float("inf")
@@ -418,3 +421,90 @@ class EagerSimulation:
                 self._breaks += 1
             else:
                 st.pinned_location = delivered_at
+
+
+_MODES = {m.value: m for m in VmMode}
+
+
+@dataclass(frozen=True)
+class ScenarioEvent:
+    time: float
+    kind: EventKind
+    vm: str | None = None
+    mode: VmMode | None = None
+    dc: DcrId | None = None
+    src_dc: DcrId | None = None
+    dst_dc: DcrId | None = None
+    user: str | None = None
+    x: float | None = None
+    y: float | None = None
+    session: str | None = None
+    line: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ScenarioError(f"event time must be >= 0, got {self.time}")
+
+
+def _name_ok(name: str) -> bool:
+    return bool(name) and "," not in name
+
+
+def parse_scenario(text: str) -> list[ScenarioEvent]:
+    """Parse a scenario file; events stay in file order (the engine sorts
+    stably by time). Blank lines and `#` comments are ignored."""
+    events: list[ScenarioEvent] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise ParseError(f"line {lineno}: incomplete event {raw!r}")
+        try:
+            time = float(parts[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad time {parts[0]!r}") from None
+        if not math.isfinite(time):
+            raise ParseError(f"line {lineno}: non-finite time {parts[0]!r}")
+        if time < 0:
+            raise ParseError(f"line {lineno}: negative time {parts[0]!r}")
+        word = parts[1]
+        try:
+            if word == "create" and len(parts) == 5 and parts[4] in _MODES:
+                ev = ScenarioEvent(time, EventKind.CREATE_VM, vm=parts[2],
+                                   dc=int(parts[3]), mode=_MODES[parts[4]], line=lineno)
+            elif word == "migrate" and len(parts) == 4:
+                ev = ScenarioEvent(time, EventKind.MIGRATE_VM, vm=parts[2],
+                                   dc=int(parts[3]), line=lineno)
+            elif word == "replicate" and len(parts) == 5:
+                ev = ScenarioEvent(time, EventKind.REPLICATE_VM, vm=parts[2],
+                                   src_dc=int(parts[3]), dst_dc=int(parts[4]), line=lineno)
+            elif word == "destroy" and len(parts) == 4:
+                ev = ScenarioEvent(time, EventKind.DESTROY_VM_AT, vm=parts[2],
+                                   dc=int(parts[3]), line=lineno)
+            elif word == "user" and len(parts) == 5:
+                x, y = float(parts[3]), float(parts[4])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
+                ev = ScenarioEvent(time, EventKind.PLACE_USER, user=parts[2],
+                                   x=x, y=y, line=lineno)
+            elif word == "send" and len(parts) in (4, 6):
+                session = None
+                if len(parts) == 6:
+                    if parts[4] != "session":
+                        raise ParseError(f"line {lineno}: expected `session <id>` in {raw!r}")
+                    session = parts[5]
+                ev = ScenarioEvent(time, EventKind.SEND_PACKET, user=parts[2],
+                                   vm=parts[3], session=session, line=lineno)
+            else:
+                raise ParseError(f"line {lineno}: unrecognized event {raw!r}")
+        except (ParseError, ScenarioError):
+            raise
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
+        for name in (ev.vm, ev.user, ev.session):
+            if name is not None and not _name_ok(name):
+                raise ParseError(f"line {lineno}: bad identifier {name!r}")
+        events.append(ev)
+    return events

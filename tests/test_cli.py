@@ -456,3 +456,10 @@ def test_run_config_validates_alg():
     with pytest.raises(ConfigError):
         RunConfig(subcommand="run", alg=4)
     assert RunConfig(subcommand="compare", n_range="5..9").count == 10
+
+
+def test_gen_topology_with_too_few_points_in_its_extent_exits_2(capsys):
+    # [0, 5e-324]^2 holds 4 distinct points, so a fifth DCR has nowhere to go.
+    code, out, err = run_cli(["gen-topology", "--n", "5", "--extent", "5e-324"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot place DCR 5 of 5")

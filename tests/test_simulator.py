@@ -7,6 +7,8 @@ from dcrsim import (ConfigError, EventKind, ModeConflict, ParseError, Point,
                     ScenarioError, ScenarioEvent, Simulation, Topology, VmMode,
                     build_overlay, format_scenario, parse_scenario, run_scenario)
 
+import oracles
+
 
 def square() -> Topology:
     return Topology(((1, Point(0.0, 10.0)), (2, Point(10.0, 10.0)),
@@ -509,3 +511,42 @@ def test_run_scenario_matches_simulation_run():
     a = run_scenario(t, build_overlay(t, 3), events).to_csv()
     b = Simulation(t, build_overlay(t, 3), events).run().to_csv()
     assert a == b
+
+
+def test_scenario_event_is_an_immutable_named_tuple():
+    kw = dict(vm="vm1", dc=2, mode=VmMode.ANYCAST_MIGRATABLE, line=3)
+    e = ScenarioEvent(1.5, EventKind.CREATE_VM, **kw)
+    # Same fields, order, defaults and repr as the dataclass it replaced.
+    old = oracles.ScenarioEvent(1.5, EventKind.CREATE_VM, **kw)
+    assert ScenarioEvent._fields == tuple(f for f in vars(old))
+    assert tuple(e) == tuple(vars(old).values())
+    assert repr(e) == repr(old)
+    same = ScenarioEvent(time=1.5, kind=EventKind.CREATE_VM, **kw)
+    assert e == same and hash(e) == hash(same) and len({e, same}) == 1
+    assert e != same._replace(line=4) and e._replace(line=4).line == 4
+    assert ScenarioEvent._make(tuple(e)) == e
+    with pytest.raises(AttributeError):
+        e.time = 2.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["time", "x", "y"])
+def test_scenario_events_reject_non_finite_values_however_built(field, value):
+    user = dict(time=0.0, kind=EventKind.PLACE_USER, user="u1", x=1.0, y=1.0)
+    with pytest.raises(ScenarioError, match="finite"):
+        ScenarioEvent(**{**user, field: value})
+    good = ScenarioEvent(**user)
+    with pytest.raises(ScenarioError, match="finite"):
+        good._replace(**{field: value})
+    with pytest.raises(ScenarioError, match="finite"):
+        ScenarioEvent._make(value if f == field else v for f, v in zip(good._fields, good))
+    with pytest.raises(ScenarioError, match=">= 0"):
+        good._replace(time=-1.0)
+
+
+def test_an_event_at_nan_no_longer_runs():
+    # It used to be accepted, and the send at 1.0 after it was delivered.
+    with pytest.raises(ScenarioError, match="event time must be finite, got nan"):
+        sim_for([BASE[0], ev(math.nan, EventKind.CREATE_VM, vm="vm2", dc=1,
+                                mode=VmMode.ANYCAST_MIGRATABLE),
+                 ev(1.0, EventKind.SEND_PACKET, user="u1", vm="vm2")])

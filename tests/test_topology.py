@@ -184,3 +184,31 @@ def test_parse_topology_rejects_distances_that_overflow(text, line):
 def test_parse_topology_accepts_the_largest_finite_distances():
     t = parse_topology("dcr 1 0 0\ndcr 2 1e308 1e308\ndcr 3 0 1e308\n")
     assert all(math.isfinite(distance(p, q)) for _, p in t.dcrs for _, q in t.dcrs)
+
+
+def unbounded_random_topology(seed, n, extent):
+    """generate_random_topology's draws with no bound on the redraws."""
+    rng = random.Random(seed)
+    taken, dcrs = set(), []
+    for i in range(1, n + 1):
+        while True:
+            xy = (rng.uniform(0.0, extent), rng.uniform(0.0, extent))
+            if xy not in taken:
+                break
+        taken.add(xy)
+        dcrs.append((i, Point(*xy)))
+    return Topology(tuple(dcrs))
+
+
+@pytest.mark.parametrize("n, extent", [(4, 5e-324), (9, 1e-323), (50, 1e-320), (60, 100.0)])
+def test_generate_random_topology_keeps_every_placement_that_finishes(n, extent):
+    # 5e-324 is the least subnormal: [0, 5e-324] holds 2 values per axis,
+    # [0, 1e-323] 3, so these extents are just big enough for n DCRs.
+    for seed in range(20):
+        assert generate_random_topology(seed, n, extent) == \
+            unbounded_random_topology(seed, n, extent)
+
+
+def test_generate_random_topology_fails_when_the_extent_has_too_few_points():
+    with pytest.raises(ConfigError, match="cannot place DCR 5 of 5: 1000 redraws"):
+        generate_random_topology(0, 5, extent=5e-324)
