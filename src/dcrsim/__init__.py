@@ -9,7 +9,7 @@ from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       leaf_set, load_overlay, overlay_metrics, parse_overlay,
                       save_overlay)
 from .protocol import (ForwardingTable, Notification, NotificationKind,
-                       PacketTrace, Route, VmMode, VmRecord, apply_notification,
+                       PacketTrace, Route, VmMode, VmRecord, VmRegister, apply_notification,
                        format_notification_line, format_trace_line,
                        join_tables, lookup, notification_origin, route_reply,
                        route_user_packet)
@@ -29,7 +29,7 @@ __all__ = [
     "Overlay", "OverlayError", "OverlayMetrics", "PacketRecord", "PacketTrace",
     "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent", "SessionState",
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
-    "VmRecord", "add_wraparound", "all_pairs_delay", "apply_notification",
+    "VmRecord", "VmRegister", "add_wraparound", "all_pairs_delay", "apply_notification",
     "build_overlay", "build_tree", "connect_leaves", "distance",
     "flood_duplicate_count", "flood_schedule", "format_notification_line",
     "format_overlay", "format_scenario", "format_topology", "format_trace_line",

@@ -12,7 +12,7 @@ final table.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .errors import ConfigError
@@ -73,82 +73,85 @@ def format_notification_line(n: Notification) -> str:
     return f"NOTIFY {n.seq} {n.kind.value} {n.vm} {addrs}"
 
 
-@dataclass(frozen=True)
-class ForwardingTable:
-    """Anycast entries of one DCR, merged from flooded notifications.
+@dataclass(slots=True)
+class VmRegister:
+    """One VM's entry in a forwarding table, merged from flooded notifications.
 
-    Internally three seq-stamped registers per address: replica additions,
-    removals (kept as tombstones), and the latest migration. Two tables that
-    saw the same set of notifications compare equal regardless of order.
-    """
+    The latest migration as (seq, destination), and the replica additions
+    and removals (tombstones) as {DCR: seq}. apply() merges one notification
+    in place, last writer wins per slot, so registers that saw the same
+    notifications in any order compare equal. It also drops the cached live
+    hosts, and the nearest host per reading DCR that lookup() keeps."""
 
-    _adds: dict[AnycastAddress, dict[DcrId, int]] = field(default_factory=dict)
-    _removes: dict[AnycastAddress, dict[DcrId, int]] = field(default_factory=dict)
-    _migrations: dict[AnycastAddress, tuple[int, DcrId]] = field(default_factory=dict)
+    migration: tuple[int, DcrId] | None = None
+    adds: dict[DcrId, int] = field(default_factory=dict)
+    removes: dict[DcrId, int] = field(default_factory=dict)
+    _hosts: frozenset[DcrId] | None = field(default=None, init=False, repr=False, compare=False)
+    _nearest: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _live(self, vm: AnycastAddress) -> frozenset[DcrId]:
-        removed = self._removes.get(vm, {})
-        mig = self._migrations.get(vm)
-        if mig is not None:
-            seq, dst = mig
-            return frozenset() if removed.get(dst, -1) > seq else frozenset((dst,))
-        adds = self._adds.get(vm, {})
-        return frozenset(d for d, s in adds.items() if s > removed.get(d, -1))
+    def copy(self) -> VmRegister:
+        return VmRegister(self.migration, dict(self.adds), dict(self.removes))
+
+    def apply(self, n: Notification) -> None:
+        """Merge one notification about this VM, in place."""
+        if n.kind is NotificationKind.MIGRATION:
+            if self.migration is not None and self.migration[0] >= n.seq:
+                return
+            self.migration = (n.seq, n.dcr_addrs[0])
+        else:
+            slot = self.adds if n.kind is NotificationKind.REPLICATION else self.removes
+            for d in n.dcr_addrs:
+                if slot.get(d, -1) < n.seq:
+                    slot[d] = n.seq
+        self._hosts = None
+        self._nearest = {}
+
+    def hosts(self) -> frozenset[DcrId]:
+        """Hosting DCRs this router believes in; empty if no live entry."""
+        if self._hosts is None:
+            removed = self.removes
+            if self.migration is not None:
+                seq, dst = self.migration
+                self._hosts = frozenset(() if removed.get(dst, -1) > seq else (dst,))
+            else:
+                self._hosts = frozenset(d for d, s in self.adds.items()
+                                        if s > removed.get(d, -1))
+        return self._hosts
+
+
+class ForwardingTable(dict):
+    """One DCR's anycast entries: VM address -> VmRegister, for each address
+    with any stamp. The functions below share unchanged registers between
+    tables, so a table's registers are read, never applied to."""
 
     def entry(self, vm: AnycastAddress) -> frozenset[DcrId]:
-        """Hosting DCRs this router believes in; empty if no live entry."""
-        return self._live(vm)
+        """Hosting DCRs this router believes in for vm; empty if none."""
+        return self[vm].hosts() if vm in self else frozenset()
 
     def entries(self) -> dict[AnycastAddress, frozenset[DcrId]]:
         """All addresses with a live entry, for inspection and tests."""
-        out = {}
-        for vm in set(self._adds) | set(self._migrations):
-            live = self._live(vm)
-            if live:
-                out[vm] = live
-        return out
+        return {vm: reg.hosts() for vm, reg in self.items() if reg.hosts()}
 
 
 def apply_notification(table: ForwardingTable, n: Notification) -> ForwardingTable:
     """Merge one notification; pure, returns the updated table."""
-    if n.kind is NotificationKind.MIGRATION:
-        cur = table._migrations.get(n.vm)
-        if cur is not None and cur[0] >= n.seq:
-            return table
-        migrations = dict(table._migrations)
-        migrations[n.vm] = (n.seq, n.dcr_addrs[0])
-        return replace(table, _migrations=migrations)
-    if n.kind is NotificationKind.REPLICATION:
-        adds = dict(table._adds)
-        slot = dict(adds.get(n.vm, {}))
-        for d in n.dcr_addrs:
-            slot[d] = max(slot.get(d, -1), n.seq)
-        adds[n.vm] = slot
-        return replace(table, _adds=adds)
-    removes = dict(table._removes)
-    slot = dict(removes.get(n.vm, {}))
-    d = n.dcr_addrs[0]
-    slot[d] = max(slot.get(d, -1), n.seq)
-    removes[n.vm] = slot
-    return replace(table, _removes=removes)
+    reg = table[n.vm].copy() if n.vm in table else VmRegister()
+    reg.apply(n)
+    return ForwardingTable({**table, n.vm: reg})
 
 
 def join_tables(a: ForwardingTable, b: ForwardingTable) -> ForwardingTable:
-    """State-based merge of two tables: every register keeps its higher
-    stamp, so the result equals applying both tables' notifications."""
-    def slots(x: dict, y: dict) -> dict:
-        out = {vm: dict(slot) for vm, slot in x.items()}
-        for vm, slot in y.items():
-            mine = out.setdefault(vm, {})
-            for d, seq in slot.items():
-                mine[d] = max(mine.get(d, -1), seq)
-        return out
-    migrations = dict(a._migrations)
-    for vm, reg in b._migrations.items():
-        if vm not in migrations or reg[0] > migrations[vm][0]:
-            migrations[vm] = reg
-    return ForwardingTable(slots(a._adds, b._adds), slots(a._removes, b._removes),
-                           migrations)
+    """State-based merge of two tables: per address, every slot of the two
+    registers keeps its higher stamp, as if both streams were applied."""
+    out = ForwardingTable(a)
+    for vm, theirs in b.items():
+        mine = out[vm] = out[vm].copy() if vm in out else VmRegister()
+        mine.migration = max(mine.migration, theirs.migration, key=lambda m: m or (-1,))
+        for slot, other in ((mine.adds, theirs.adds), (mine.removes, theirs.removes)):
+            for d, seq in other.items():
+                slot[d] = max(slot.get(d, -1), seq)
+    return out
 
 
 @dataclass
@@ -225,35 +228,43 @@ class Route(NamedTuple):
         return PacketTrace(self.hops, self.tunneled, self.delivered_at)
 
 
-def lookup(table: ForwardingTable, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
-    """Where router `at` forwards a packet for vm: the nearest DCR among the
-    table entry (ties to the lowest id), or the address's own subblock DCR
-    when the table has no entry (packets then fall back to the birth DC)."""
-    members = table.entry(vm)
-    if len(members) < 2:
-        return next(iter(members), vm.subblock)
-    ap = t.position(at)
-    return min(members, key=lambda d: (distance(ap, t.position(d)), d))
+def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
+    """Where router `at` forwards a packet for vm, given vm's register `entry`:
+    the nearest live host (ties to the lowest id), or the address's own
+    subblock DCR when there is none (packets then fall back to the birth DC).
+    The nearest of several hosts is remembered in `entry` until it changes."""
+    hosts = entry.hosts()
+    if len(hosts) < 2:
+        return next(iter(hosts), vm.subblock)
+    if entry._topology is not t:
+        entry._topology, entry._nearest = t, {}
+    best = entry._nearest.get(at)
+    if best is None:
+        ap = t.position(at)
+        best = entry._nearest[at] = min(hosts, key=lambda d: (distance(ap, t.position(d)), d))
+    return best
 
 
-def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord,
-                      table: ForwardingTable | None, t: Topology) -> Route:
+def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord, entry: VmRegister | None,
+                      t: Topology, first: float | None = None) -> Route:
     """Route one user packet and report the path it took.
 
     Unicast goes straight to the address's DC, no tunnel, and reads no table
     (pass None). Anycast enters the network at `ingress`, the DCR the user
-    attached to, which consults `table`, its forwarding table, and tunnels
-    the packet to the chosen DCR. Delivery succeeds only if the VM truly
-    hosts there; otherwise the route records a miss.
+    attached to, which consults `entry`, the VM's register in its forwarding
+    table, and tunnels the packet to the chosen DCR. Delivery succeeds only
+    if the VM truly hosts there; otherwise the route records a miss. `first`
+    is the first hop's delay, if the caller has it already.
     """
     if vm.mode is VmMode.UNICAST:
         dc = vm.address.dc
-        delay = distance(user, t.position(dc))
+        delay = distance(user, t.position(dc)) if first is None else first
         return Route(user, None, dc, dc if dc in vm.locations else None, (delay,), delay)
-    target = lookup(table, vm.address, ingress, t)
+    target = lookup(entry, vm.address, ingress, t)
     ip, tp = t.position(ingress), t.position(target)
     return Route(user, ingress, target, target if target in vm.locations else None,
-                 (distance(user, ip), distance(ip, tp)), distance(user, tp))
+                 (distance(user, ip) if first is None else first, distance(ip, tp)),
+                 distance(user, tp))
 
 
 def route_reply(vm_location: DcrId, user: Point, t: Topology) -> PacketTrace:

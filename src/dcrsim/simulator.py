@@ -6,9 +6,9 @@ fails with its number before anything runs. The replay walks one sorted list
 of entries: a lifecycle change starts a flood, which reaches each DCR after
 its overlay delay from the origin, and a packet is delivered at its first
 DCR against that router's table at that moment, so packets genuinely race
-floods. Tables are not written per DCR: a DCR's table is evaluated from the
-VM's notification log when a packet reads it. There is no randomness, so the
-same inputs always reproduce the same report byte for byte.
+floods. Tables are not written per DCR: a packet reads its VM's register,
+plus the VM's floods in flight that have reached the DCR. There is no
+randomness, so the same inputs always reproduce the same report byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import enum
 import functools
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -25,17 +24,17 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, flood_schedule, overlay_metrics
 from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTrace,
-                       Route, VmMode, VmRecord, apply_notification,
-                       format_notification_line, format_trace_line, join_tables,
-                       notification_origin, route_user_packet)
-from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology, box_reach,
-                       distance, nearest_dcr)
+                       Route, VmMode, VmRecord, VmRegister, format_notification_line,
+                       format_trace_line, notification_origin, route_user_packet)
+from .topology import (AddressPlan, DcrId, Point, Topology, box_reach, distance,
+                       nearest_dcr)
 
 TUNNEL_HEADER_BYTES = 20
 
-Flood = tuple[NotificationKind, tuple[DcrId, ...], int]  # kind, DCR ids, seq
+Flood = tuple[NotificationKind, tuple[DcrId, ...], int, int]  # kind, DCR ids, seq, VM number
 # One flooded notification: (emit time, scenario index, origin, notification).
 LogEntry = tuple[float, int, DcrId, Notification]
+Send = tuple[Point, DcrId, float, VmRecord, int]  # user, ingress, first hop, VM, number
 
 
 class EventKind(enum.Enum):
@@ -68,7 +67,8 @@ class _EventFields(NamedTuple):
 class ScenarioEvent(_EventFields):
     """One scenario line, as an immutable named tuple. Every way of building
     one (the constructor, `_make`, `_replace`) rejects a non-finite or
-    negative time, and non-finite coordinates on a `user` event."""
+    negative time, and non-finite coordinates on a `user` event. A field its
+    kind needs but lacks fails when a Simulation compiles it."""
 
     __slots__ = ()
 
@@ -78,8 +78,8 @@ class ScenarioEvent(_EventFields):
             raise ScenarioError(f"event time must be finite, got {ev.time}")
         if ev.time < 0:
             raise ScenarioError(f"event time must be >= 0, got {ev.time}")
-        if ev.kind is EventKind.PLACE_USER and not (math.isfinite(ev.x)
-                                                    and math.isfinite(ev.y)):
+        if ev.kind is EventKind.PLACE_USER and None not in (ev.x, ev.y) and not (
+                math.isfinite(ev.x) and math.isfinite(ev.y)):
             raise ScenarioError(f"user {ev.user} at ({ev.x}, {ev.y}): "
                                 "coordinates must be finite")
         return ev
@@ -91,6 +91,11 @@ class ScenarioEvent(_EventFields):
 
 _new_event = tuple.__new__  # skips ScenarioEvent's checks: for lines already checked
 _SEND = EventKind.SEND_PACKET
+# The fields each kind but a send needs besides its time, for the error that
+# names those it lacks. A send needs a placed user and a created VM.
+_NEEDS = {EventKind.CREATE_VM: ("vm", "dc", "mode"), EventKind.MIGRATE_VM: ("vm", "dc"),
+          EventKind.REPLICATE_VM: ("vm", "src_dc", "dst_dc"),
+          EventKind.DESTROY_VM_AT: ("vm", "dc"), EventKind.PLACE_USER: ("user", "x", "y")}
 
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
@@ -184,6 +189,12 @@ def format_scenario(events: list[ScenarioEvent]) -> str:
 def _where(ev: ScenarioEvent) -> str:
     """The prefix that names ev's line in an error about it."""
     return f"line {ev.line}: " if ev.line is not None else ""
+
+
+def _lacking(ev: ScenarioEvent) -> ScenarioError:
+    """The error for ev, which lacks a field its kind needs."""
+    lacks = ", ".join(f for f in _NEEDS[ev.kind] if getattr(ev, f) is None)
+    return ScenarioError(f"{_where(ev)}{ev.kind.value} event lacks its {lacks}")
 
 
 def load_scenario(path: str) -> list[ScenarioEvent]:
@@ -367,22 +378,22 @@ class Simulation:
         self.vms: dict[str, VmRecord] = {}
         self.sessions: dict[str, SessionState] = {}
         self._events = sorted(events, key=lambda e: e.time)
-        # Every VM the scenario creates, by name. Compiling leaves each at its
-        # final hosts; the replay sets them change by change.
+        # Every VM the scenario creates, by name, in order of creation (its
+        # number). Compiling leaves each at its final hosts; the replay sets
+        # them change by change.
         self._records: dict[str, VmRecord] = {}
         # By scenario index: each lifecycle change's hosts afterwards and what
-        # it floods, and each send's user placement.
+        # it floods, and each send's user placement and VM number.
         self._changes: dict[int, tuple[frozenset[DcrId], Flood | None]] = {}
-        self._placed: dict[int, int] = {}
+        self._placed: dict[int, tuple[int, int]] = {}
         self._compile()
         self._next = 0  # position in _queue of the next entry to replay
         # Per origin: each DCR's flood delay, and the largest one.
         self._schedules: dict[DcrId, tuple[dict[DcrId, float], float]] = {}
-        # Per VM address: the merge of the notifications that have reached
+        # By VM number: the register of the notifications that have reached
         # every DCR, and the log of those that may still be in flight.
-        self._settled: defaultdict[AnycastAddress, ForwardingTable] = \
-            defaultdict(ForwardingTable)
-        self._logs: defaultdict[AnycastAddress, list[LogEntry]] = defaultdict(list)
+        self._settled = [VmRegister() for _ in self._records]
+        self._logs: list[list[LogEntry]] = [[] for _ in self._records]
         self._tunnel_bytes_per_packet = tunnel_header_bytes
         # Every flooded notification and packet delivery, in replay order.
         self._stream: list[Notification | Delivery] = []
@@ -403,31 +414,42 @@ class Simulation:
         seqs = itertools.count()
         # No flood delay exceeds the overlay's total link cost.
         flood_reach = sum(self.overlay.edges.values())
-        placed: dict[str, int] = {}  # each user's latest placement
-        # Per placement: two diagonals of the box around the DCRs and the
-        # user, which bound a packet's two hops (user to ingress, then on).
-        packet_reach: dict[int, float] = {}
+        # Each user's latest placement, with two diagonals of the box around
+        # the DCRs and the user, which bound a packet's two hops (user to
+        # ingress, then on).
+        placed: dict[str, tuple[int, float]] = {}
+        numbers: dict[str, int] = {}  # each VM's number
+        sends, isfinite = self._placed, math.isfinite
         for i, ev in enumerate(self._events):
-            if ev.kind is EventKind.SEND_PACKET:
-                if ev.user not in placed:
+            if ev.kind is _SEND:
+                user, k = placed.get(ev.user), numbers.get(ev.vm)
+                if user is None:
                     raise ScenarioError(f"{_where(ev)}unknown user {ev.user}")
-                if ev.vm not in self._records:
+                if k is None:
                     raise ScenarioError(f"{_where(ev)}unknown vm {ev.vm}")
-                if not math.isfinite(ev.time + packet_reach[placed[ev.user]]):
+                if not isfinite(ev.time + user[1]):
                     raise ScenarioError(f"{_where(ev)}send at {ev.time!r} is too late: "
                                         "its packet's arrival time overflows")
-                self._placed[i] = placed[ev.user]
+                if ev.session is not None and "," in str(ev.session):
+                    raise ScenarioError(f"{_where(ev)}bad identifier {ev.session!r}")
+                sends[i] = user[0], k
                 continue
             if ev.kind is EventKind.PLACE_USER:
+                if None in (ev.user, ev.x, ev.y):
+                    raise _lacking(ev)
+                if "," in str(ev.user):
+                    raise ScenarioError(f"{_where(ev)}bad identifier {ev.user!r}")
                 reach = box_reach(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2)
                 if not math.isfinite(reach):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "
                                         "is too far from the DCRs: a packet's distance overflows")
-                placed[ev.user] = i
-                packet_reach[i] = reach
+                placed[ev.user] = i, reach
                 continue
             # The DC ids the line names, which its notification carries too.
             dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is EventKind.REPLICATE_VM else (ev.dc,)
+            if ev.vm is None or None in dc_ids or (ev.kind is EventKind.CREATE_VM
+                                                   and ev.mode is None):
+                raise _lacking(ev)
             for dc in dc_ids:
                 if dc not in known:
                     raise ScenarioError(f"{_where(ev)}unknown DCR id {dc}")
@@ -436,8 +458,11 @@ class Simulation:
             if ev.kind is EventKind.CREATE_VM:
                 if vm is not None:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} already exists")
+                if "," in str(ev.vm):
+                    raise ScenarioError(f"{_where(ev)}bad identifier {ev.vm!r}")
                 allocate = (plan.allocate_unicast if ev.mode is VmMode.UNICAST
                             else plan.allocate_anycast)
+                numbers[ev.vm] = len(numbers)
                 vm = self._records[ev.vm] = VmRecord(address=allocate(ev.dc), mode=ev.mode,
                                                      locations={ev.dc})
             elif vm is None:
@@ -470,26 +495,31 @@ class Simulation:
                 raise ScenarioError(f"{_where(ev)}{ev.kind.value} at {ev.time!r} is too late: "
                                     "its flood's arrival times overflow")
             self._changes[i] = frozenset(vm.locations), (
-                (kind, dc_ids, next(seqs)) if floods else None)
+                (kind, dc_ids, next(seqs), numbers[ev.vm]) if floods else None)
 
     @functools.cached_property
-    def _placements(self) -> dict[int, tuple[Point, DcrId]]:
-        """Per user placement, by scenario index: the user's position and ingress."""
+    def _sends(self) -> dict[int, Send]:
+        """Per send, by scenario index: what its delivery needs. The packet
+        carries where the user was and the ingress chosen there, so a user
+        who moves while it is in flight does not reroute it."""
         users = {i: Point(ev.x, ev.y) for i, ev in enumerate(self._events)
                  if ev.kind is EventKind.PLACE_USER}
-        return {i: (user, nearest_dcr(user, self.topology)) for i, user in users.items()}
+        placements = {i: (user, nearest_dcr(user, self.topology)) for i, user in users.items()}
+        records, out = list(self._records.values()), {}
+        for j, (p, k) in self._placed.items():
+            user, ingress = placements[p]
+            vm = records[k]
+            first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
+            out[j] = user, ingress, distance(user, self.topology.position(first_dcr)), vm, k
+        return out
 
     @functools.cached_property
     def _queue(self) -> list[tuple[float, int, int]]:
         """Replay order: (time, 0, index) per lifecycle change and (arrival at
         the first DCR, 1, index) per send, so changes go first at equal times."""
-        queue = [(self._events[i].time, 0, i) for i in self._changes]
-        for j, p in self._placed.items():
-            ev = self._events[j]
-            user, ingress = self._placements[p]
-            vm = self._records[ev.vm]
-            first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
-            queue.append((ev.time + distance(user, self.topology.position(first_dcr)), 1, j))
+        events = self._events
+        queue = [(events[i].time, 0, i) for i in self._changes]
+        queue += [(events[j].time + send[2], 1, j) for j, send in self._sends.items()]
         queue.sort()
         return queue
 
@@ -500,10 +530,10 @@ class Simulation:
         vm = self.vms[name] = self._records[name]
         vm.locations = set(hosts)
         if flood is not None:
-            kind, addrs, seq = flood
-            self._flood(Notification(kind, vm.address, addrs, seq), i)
+            kind, addrs, seq, k = flood
+            self._flood(Notification(kind, vm.address, addrs, seq), i, k)
 
-    def _flood(self, n: Notification, index: int) -> None:
+    def _flood(self, n: Notification, index: int, k: int) -> None:
         origin = notification_origin(n)
         self._notifications += 1
         self._duplicates += flood_duplicate_count(self.overlay)
@@ -513,47 +543,44 @@ class Simulation:
             self._schedules[origin] = delays, max(delays.values())
         # The flood is logged under its change's scenario index, which
         # breaks ties with deliveries that reach a DCR when it does.
-        self._in_flight(n.vm).append((self.now, index, origin, n))
+        self._in_flight(k).append((self.now, index, origin, n))
 
-    def _in_flight(self, vm: AnycastAddress) -> list[LogEntry]:
-        """Fold vm's notifications that reached every DCR before `now` into
-        its settled table, and return the log of the rest."""
-        table, flying = self._settled[vm], []
-        for entry in self._logs[vm]:
+    def _in_flight(self, k: int) -> list[LogEntry]:
+        """Fold VM k's notifications that reached every DCR before `now` into
+        its settled register, in place, and return the log of the rest."""
+        register, flying = self._settled[k], []
+        for entry in self._logs[k]:
             emit, _, origin, n = entry
             if emit + self._schedules[origin][1] < self.now:
-                table = apply_notification(table, n)
+                register.apply(n)
             else:
                 flying.append(entry)
-        self._settled[vm] = table
-        self._logs[vm] = flying
+        self._logs[k] = flying
         return flying
 
-    def _read_table(self, dcr: DcrId, vm: AnycastAddress, index: int) -> ForwardingTable:
-        """vm's entry in dcr's table as the packet of send `index`, arriving
+    def _read_table(self, dcr: DcrId, k: int, index: int) -> VmRegister:
+        """VM k's entry in dcr's table as the packet of send `index`, arriving
         now, reads it: the notifications whose (arrival at dcr, scenario index
-        of their change) is below (now, index)."""
-        if not self._logs[vm]:
-            return self._settled[vm]
-        flying = self._in_flight(vm)
-        table = self._settled[vm]
-        for emit, i, origin, n in flying:
-            if (emit + self._schedules[origin][0][dcr], i) < (self.now, index):
-                table = apply_notification(table, n)
-        return table
+        of their change) is below (now, index). The settled register itself
+        unless one still in flight has reached dcr, then a copy."""
+        register = self._settled[k]
+        if self._logs[k]:
+            for emit, i, origin, n in self._in_flight(k):
+                if (emit + self._schedules[origin][0][dcr], i) < (self.now, index):
+                    if register is self._settled[k]:
+                        register = register.copy()
+                    register.apply(n)
+        return register
 
     def _deliver(self, j: int) -> None:
-        ev = self._events[j]
-        # The packet carries where the user was and the ingress chosen there,
-        # so a user who moves while it is in flight does not reroute it.
-        user, ingress = self._placements[self._placed[j]]
-        vm = self.vms[ev.vm]
-        table = None
+        user, ingress, first, vm, k = self._sends[j]
+        entry = None
         if vm.mode is not VmMode.UNICAST:
-            table = self._read_table(ingress, vm.address, j)
+            entry = self._read_table(ingress, k, j)
             self._tunnel_bytes += self._tunnel_bytes_per_packet
-        route = route_user_packet(user, ingress, vm, table, self.topology)
+        route = route_user_packet(user, ingress, vm, entry, self.topology, first)
         self._stream.append(Delivery(j, route))
+        ev = self._events[j]
         if ev.session is not None:
             self.track_session(ev.session, ev.user, ev.vm, route.delivered_at)
 
@@ -608,20 +635,21 @@ class Simulation:
     def tables(self) -> Mapping[DcrId, ForwardingTable]:
         """Every DCR's forwarding table at `now`, as a read-only snapshot: the
         merge of the notifications whose flood has reached it by `now`."""
-        settled = functools.reduce(join_tables, self._settled.values(), ForwardingTable())
         out = {}
         for d in self.topology.ids():
-            table = settled
-            for log in self._logs.values():
+            table = out[d] = ForwardingTable()
+            for vm, settled, log in zip(self._records.values(), self._settled, self._logs):
+                register = settled.copy()
                 for emit, _, origin, n in log:
                     if emit + self._schedules[origin][0][d] <= self.now:
-                        table = apply_notification(table, n)
-            out[d] = table
+                        register.apply(n)
+                if register != VmRegister():
+                    table[vm.address] = register
         return MappingProxyType(out)
 
     def pending_floods(self) -> int:
         """(notification, DCR) arrivals still ahead of `now`."""
-        return sum(1 for log in self._logs.values() for emit, _, origin, _ in log
+        return sum(1 for log in self._logs for emit, _, origin, _ in log
                    for delay in self._schedules[origin][0].values()
                    if emit + delay > self.now)
 

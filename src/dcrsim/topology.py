@@ -83,10 +83,12 @@ def nearest_among(p: Point, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     np.hypot shortlists the DCRs within a relative 1e-9 of the nearest (plus
     an absolute 1e-300, for subnormal distances). np.hypot and math.hypot may
     differ in the last ulp, so only the shortlist is ranked by the exact key,
-    which always holds the exact winner.
+    which always holds the exact winner. No term of the shortlist test
+    exceeds the nearest distance, so it cannot overflow.
     """
     d = np.hypot(xs - p.x, ys - p.y)
-    close = ids[d <= d.min() * (1.0 + 1e-9) + 1e-300]
+    m = d.min()
+    close = ids[d - m <= m * 1e-9 + 1e-300]
     return min(close.tolist(), key=lambda i: (distance(p, t.position(i)), i))
 
 

@@ -12,6 +12,9 @@ library's per-packet code as it stood before deliveries became records, so
 the report and trace bytes are checked against an independent formatter.
 `ScenarioEvent` and `parse_scenario` are the frozen dataclass and the parser
 as they stood before events became named tuples and sends took a fast path.
+`ForwardingTable` and `apply_notification` are the address-keyed table and
+its copying merge as they stood before each VM's entry became one in-place
+register; the eager loop writes its tables with them.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from dcrsim import (AddressPlan, AnycastAddress, DcrId, EventKind, ForwardingTable,
-                    Notification, NotificationKind, Overlay, OverlayMetrics,
-                    PacketRecord, PacketTrace, ParseError, Point, ScenarioError,
-                    SessionState, UnicastAddress, VmMode, VmRecord, apply_notification,
-                    distance, flood_duplicate_count, format_notification_line,
+import dcrsim
+from dcrsim import (AddressPlan, AnycastAddress, DcrId, EventKind, Notification,
+                    NotificationKind, Overlay, OverlayMetrics, PacketRecord, PacketTrace,
+                    ParseError, Point, ScenarioError, SessionState, UnicastAddress, VmMode,
+                    VmRecord, distance, flood_duplicate_count, format_notification_line,
                     notification_origin, overlay_metrics)
 
 INF = float("inf")
@@ -137,6 +140,75 @@ def scalar_build_tree(t, root=None):
         in_tree.append(j)
     return Overlay(nodes=tuple(t.ids()), edges=edges, root=root,
                    parents=parents, insertion_order=tuple(pending))
+
+
+@dataclass(frozen=True)
+class ForwardingTable:
+    """Anycast entries of one DCR, merged from flooded notifications.
+
+    Internally three seq-stamped registers per address: replica additions,
+    removals (kept as tombstones), and the latest migration. Two tables that
+    saw the same set of notifications compare equal regardless of order.
+    """
+
+    _adds: dict[AnycastAddress, dict[DcrId, int]] = field(default_factory=dict)
+    _removes: dict[AnycastAddress, dict[DcrId, int]] = field(default_factory=dict)
+    _migrations: dict[AnycastAddress, tuple[int, DcrId]] = field(default_factory=dict)
+
+    def _live(self, vm: AnycastAddress) -> frozenset[DcrId]:
+        removed = self._removes.get(vm, {})
+        mig = self._migrations.get(vm)
+        if mig is not None:
+            seq, dst = mig
+            return frozenset() if removed.get(dst, -1) > seq else frozenset((dst,))
+        adds = self._adds.get(vm, {})
+        return frozenset(d for d, s in adds.items() if s > removed.get(d, -1))
+
+    def entry(self, vm: AnycastAddress) -> frozenset[DcrId]:
+        """Hosting DCRs this router believes in; empty if no live entry."""
+        return self._live(vm)
+
+    def entries(self) -> dict[AnycastAddress, frozenset[DcrId]]:
+        """All addresses with a live entry, for inspection and tests."""
+        out = {}
+        for vm in set(self._adds) | set(self._migrations):
+            live = self._live(vm)
+            if live:
+                out[vm] = live
+        return out
+
+
+def apply_notification(table: ForwardingTable, n: Notification) -> ForwardingTable:
+    """Merge one notification; pure, returns the updated table."""
+    if n.kind is NotificationKind.MIGRATION:
+        cur = table._migrations.get(n.vm)
+        if cur is not None and cur[0] >= n.seq:
+            return table
+        migrations = dict(table._migrations)
+        migrations[n.vm] = (n.seq, n.dcr_addrs[0])
+        return replace(table, _migrations=migrations)
+    if n.kind is NotificationKind.REPLICATION:
+        adds = dict(table._adds)
+        slot = dict(adds.get(n.vm, {}))
+        for d in n.dcr_addrs:
+            slot[d] = max(slot.get(d, -1), n.seq)
+        adds[n.vm] = slot
+        return replace(table, _adds=adds)
+    removes = dict(table._removes)
+    slot = dict(removes.get(n.vm, {}))
+    d = n.dcr_addrs[0]
+    slot[d] = max(slot.get(d, -1), n.seq)
+    removes[n.vm] = slot
+    return replace(table, _removes=removes)
+
+
+def as_library_table(table: ForwardingTable) -> dcrsim.ForwardingTable:
+    """The library's form of an oracle table: one register per address
+    that holds any stamp, with the same stamps."""
+    vms = set(table._adds) | set(table._removes) | set(table._migrations)
+    return dcrsim.ForwardingTable(
+        {vm: dcrsim.VmRegister(table._migrations.get(vm), dict(table._adds.get(vm, {})),
+                               dict(table._removes.get(vm, {}))) for vm in vms})
 
 
 def lookup(table, vm, at, t):
@@ -278,9 +350,9 @@ class EagerSimulation:
     notification into that DCR's own table, so the tables are always
     materialised and a packet reads its ingress table as it stands. Events
     are ordered by (time, push counter), as in the library. Unlike the rest
-    of this module it uses the package's own types: it reuses the table
-    merge but owns its flood delays (by `dijkstra`), its event order, its
-    tables, its ground truth, its routing and its report, which are what it
+    of this module it uses the package's own types, but it owns its table
+    merge, its flood delays (by `dijkstra`), its event order, its tables,
+    its ground truth, its routing and its report, which are what it
     cross-checks. Valid scenarios only: it checks no lifecycle
     legality.
     """

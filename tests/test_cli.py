@@ -5,6 +5,7 @@ import operator
 import os
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -339,6 +340,20 @@ def test_overlay_whose_delay_sums_overflow_fails(tmp_path, capsys):
     code, out, err = run_cli(["eval-overlay", str(ovl)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: overlay link costs sum to inf")
+
+
+@pytest.mark.parametrize("alg", [1, 2, 3])
+def test_build_overlay_at_the_largest_finite_distance_exits_2_without_a_warning(
+        alg, tmp_path, capsys):
+    # The box's diagonal is exactly the largest float, so the map parses, and
+    # building its tree scans for a nearest DCR that far away.
+    top = tmp_path / "tall.top"
+    top.write_text("dcr 1 0.0 0.0\ndcr 2 0.0 1.7976931348623157e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["build-overlay", str(top), "--alg", str(alg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: overlay link costs sum to 1.7976931348623157e+308")
 
 
 def test_send_whose_arrival_time_overflows_fails_before_running(tmp_path, capsys):

@@ -15,7 +15,7 @@ import operator
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcrsim import (ConfigError, OverlayError, ParseError, ScenarioError, ScenarioEvent,
@@ -29,6 +29,12 @@ from conftest import example_path
 from test_differential import hot_vm_scenario
 
 PACKAGE_ERRORS = (ParseError, ConfigError, ScenarioError, OverlayError)
+
+# Inputs at the float extremes, which every profile replays: two DCRs exactly
+# the largest float apart, and a map spanning one subnormal step.
+LARGEST = "1.7976931348623157e308"
+TALL_TOPOLOGY = f"dcr 1 0.0 0.0\ndcr 2 0.0 {LARGEST}\n"
+TINY_TOPOLOGY = "dcr 1 0 0\ndcr 2 5e-324 0\ndcr 3 0 5e-324\n"
 
 
 def outcome(parse, text):
@@ -125,6 +131,8 @@ _SCENARIO_TEXT = _text(
 
 @settings(max_examples=200)
 @given(_SCENARIO_TEXT)
+@example(f"0 user u1 {LARGEST} -{LARGEST}\n0 create vm1 1 anycast-migrate\n1 send u1 vm1\n")
+@example("5e-324 user u1 5e-324 -5e-324\n5e-324 send u1 vm1 session s1\n")
 def test_line_soup_parses_as_before_or_fails_with_a_package_error(text):
     mine = assert_parsers_agree(text)
     assert isinstance(mine, list) or issubclass(mine[0], PACKAGE_ERRORS), mine
@@ -163,6 +171,8 @@ _OVERLAY_TEXT = st.one_of(
 
 @settings(max_examples=200)
 @given(_TOPOLOGY_TEXT)
+@example(TALL_TOPOLOGY)
+@example(TINY_TOPOLOGY)
 def test_parse_topology_returns_a_topology_or_raises_a_package_error(text):
     try:
         parse_topology(text)
@@ -172,6 +182,8 @@ def test_parse_topology_returns_a_topology_or_raises_a_package_error(text):
 
 @settings(max_examples=200)
 @given(_OVERLAY_TEXT)
+@example(f"root 1\nedge 1 2 {LARGEST}\n")
+@example("root 1\nedge 1 2 5e-324\nedge 2 3 5e-324\n")
 def test_parse_overlay_and_its_delays_end_in_a_result_or_a_package_error(text):
     try:
         all_pairs_delay(parse_overlay(text))
@@ -204,6 +216,9 @@ with open(example_path("migration.scn"), encoding="utf-8") as _f:
 
 @settings(max_examples=150, deadline=None)
 @given(_TOPOLOGY_TEXT, st.one_of(st.none(), _OVERLAY_TEXT))
+@example(TALL_TOPOLOGY, None)
+@example(TINY_TOPOLOGY, None)
+@example(TINY_TOPOLOGY, "root 1\nedge 1 2 5e-324\nedge 1 3 5e-324\n")
 def test_run_on_malformed_topology_and_overlay_files_exits_0_or_2(topology, overlay):
     code, err = run_files(topology, MIGRATION, overlay)
     assert code in (0, 2)

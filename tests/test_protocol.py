@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dcrsim import (AnycastAddress, ConfigError, ForwardingTable, Notification,
                     NotificationKind, Point, Topology, UnicastAddress, VmMode,
-                    VmRecord, apply_notification, distance,
+                    VmRecord, VmRegister, apply_notification, distance,
                     format_notification_line, format_trace_line, join_tables,
                     lookup, notification_origin, route_reply, route_user_packet)
 
@@ -158,20 +158,44 @@ def test_join_equals_applying_both_streams(seed, n_events):
 def test_lookup_prefers_nearest_member():
     t = square()
     table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
-    assert lookup(table, VM, 1, t) == 2
-    assert lookup(table, VM, 4, t) == 3
+    assert lookup(table[VM], VM, 1, t) == 2
+    assert lookup(table[VM], VM, 4, t) == 3
 
 
 def test_lookup_distance_tie_goes_to_lowest_id():
     t = square()
     table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 4), 0)])
     # DCRs 2 and 4 are both 10 away from DCR 1.
-    assert lookup(table, VM, 1, t) == 2
+    assert lookup(table[VM], VM, 1, t) == 2
 
 
 def test_lookup_falls_back_to_subblock():
     t = square()
-    assert lookup(ForwardingTable(), AnycastAddress(3, 5), 1, t) == 3
+    assert lookup(VmRegister(), AnycastAddress(3, 5), 1, t) == 3
+
+
+def test_register_forgets_its_nearest_host_on_each_apply_and_topology():
+    t = square()
+    reg = VmRegister()
+    reg.apply(Notification(NotificationKind.REPLICATION, VM, (2, 3), 0))
+    assert lookup(reg, VM, 4, t) == 3 and lookup(reg, VM, 4, t) == 3
+    reg.apply(Notification(NotificationKind.REPLICATION, VM, (2, 4), 1))
+    assert lookup(reg, VM, 4, t) == 4
+    reg.apply(Notification(NotificationKind.DESTRUCTION, VM, (4,), 2))
+    assert lookup(reg, VM, 4, t) == 3
+    # The same ids on another map, where dcr2 is the nearer replica.
+    flipped = Topology(((1, Point(10.0, 0.0)), (2, Point(1.0, 1.0)),
+                        (3, Point(0.0, 10.0)), (4, Point(0.0, 0.0))))
+    assert lookup(reg, VM, 4, flipped) == 2
+    assert lookup(reg, VM, 4, t) == 3
+
+
+def test_a_copy_of_a_register_applies_without_changing_it():
+    reg = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])[VM]
+    copy = reg.copy()
+    copy.apply(Notification(NotificationKind.DESTRUCTION, VM, (3,), 1))
+    assert reg.hosts() == frozenset({2, 3}) and copy.hosts() == frozenset({2})
+    assert reg == VmRegister(None, {2: 0, 3: 0}, {})
 
 
 def test_route_unicast_packet_direct():
@@ -197,7 +221,7 @@ def test_route_anycast_packet_tunnels_via_ingress():
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={2})
     tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), 4, vm, tables[4], t)
+    trace = route_user_packet(Point(1, 1), 4, vm, tables[4][VM], t)
     assert trace.tunneled
     assert [h[1] for h in trace.hops] == [4, 2]
     assert trace.delivered_at == 2
@@ -210,7 +234,7 @@ def test_route_anycast_packet_miss_when_table_is_stale():
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={3})
     tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), 4, vm, tables[4], t)
+    trace = route_user_packet(Point(1, 1), 4, vm, tables[4][VM], t)
     assert trace.delivered_at is None
     assert trace.hops[-1][1] == 2
 
@@ -246,7 +270,7 @@ def test_format_notification_line():
 def test_format_trace_line():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
-    trace = route_user_packet(Point(1, 1), 4, vm, ForwardingTable(), t)
+    trace = route_user_packet(Point(1, 1), 4, vm, VmRegister(), t)
     line = format_trace_line(1.0, trace)
     assert line == ("PKT 1.000000 (1.000000,1.000000)->dcr4:1.414214 "
                     "dcr4->dcr1:10.000000 delay=11.414214 tunneled=1 result=dcr1")
@@ -256,5 +280,5 @@ def test_format_trace_line_miss():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
     vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), 4, vm, ForwardingTable(), t)
+    trace = route_user_packet(Point(1, 1), 4, vm, VmRegister(), t)
     assert format_trace_line(2.0, trace).endswith("result=MISS")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import dcrsim.simulator
-from dcrsim import (ConfigError, EventKind, ModeConflict, ParseError, Point,
+from dcrsim import (ConfigError, Delivery, EventKind, ModeConflict, ParseError, Point,
                     ScenarioError, ScenarioEvent, Simulation, Topology, VmMode,
                     build_overlay, format_scenario, parse_scenario, run_scenario)
 
@@ -177,6 +177,47 @@ def test_bad_lifecycles_fail_before_anything_runs(text, error, message, monkeypa
     assert placed == []
 
 
+@pytest.mark.parametrize("field, line", [("user", 1), ("vm", 2), ("session", 3)])
+def test_names_with_a_comma_fail_before_anything_runs(field, line):
+    # Built in code, past parse_scenario's own check: each would split its
+    # CSV row into 15 fields.
+    name = {"user": "u1", "vm": "vm1", "session": "s1", field: "a,b"}
+    events = [ev(0, EventKind.PLACE_USER, user=name["user"], x=1.0, y=1.0, line=1),
+              ev(0, EventKind.CREATE_VM, vm=name["vm"], dc=1,
+                 mode=VmMode.ANYCAST_MIGRATABLE, line=2),
+              ev(1, EventKind.SEND_PACKET, user=name["user"], vm=name["vm"],
+                 session=name["session"], line=3)]
+    with pytest.raises(ScenarioError, match=f"^line {line}: bad identifier 'a,b'$"):
+        sim_for(events)
+
+
+LACKING = [
+    (dict(kind=EventKind.CREATE_VM, vm="vm2", dc=1), "create event lacks its mode"),
+    (dict(kind=EventKind.CREATE_VM, dc=1, mode=VmMode.UNICAST), "create event lacks its vm"),
+    (dict(kind=EventKind.PLACE_USER, user="u2", y=1.0), "user event lacks its x"),
+    (dict(kind=EventKind.PLACE_USER, x=1.0), "user event lacks its user, y"),
+    (dict(kind=EventKind.MIGRATE_VM, vm="vm1"), "migrate event lacks its dc"),
+    (dict(kind=EventKind.REPLICATE_VM, vm="vm1", src_dc=1), "replicate event lacks its dst_dc"),
+    (dict(kind=EventKind.DESTROY_VM_AT, dc=1), "destroy event lacks its vm"),
+]
+
+
+@pytest.mark.parametrize("fields, message", LACKING, ids=[
+    "create-mode", "create-vm", "user-x", "user-name-y", "migrate-dc", "replicate-dst",
+    "destroy-vm"])
+def test_events_lacking_a_field_fail_before_anything_runs(fields, message, monkeypatch):
+    # Built in code: parse_scenario never builds such an event. A send and a
+    # placement precede the bad event, which must not get as far as the replay.
+    placed = []
+    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
+                        lambda *args: placed.append(args) or 4)
+    events = BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", line=3),
+                     ScenarioEvent(2, line=4, **fields)]
+    with pytest.raises(ScenarioError, match=f"^line 4: {message}$"):
+        sim_for(events)
+    assert placed == []
+
+
 def test_compiling_places_no_user_and_computes_no_delays(monkeypatch):
     events = parse_scenario("0 user u1 1 1\n0 user u2 9 9\n"
                             "0 create vm1 1 anycast-migrate\n"
@@ -279,10 +320,49 @@ def test_flood_applies_origin_first_then_by_distance():
     assert sim.tables[4].entry(addr) == frozenset({2})
 
 
+def test_one_ingress_reads_a_replicated_vm_across_replicas_coming_and_going():
+    # u1 attaches to dcr4 at (0,0). Each read comes after its flood has
+    # settled, so it reads the VM's settled register, whose nearest host from
+    # dcr4 is remembered until the next notification changes its replicas.
+    report = square_run_replicated(
+        "0 user u1 1 1\n1 send u1 vm1\n"
+        "10 replicate vm1 2 3\n50 send u1 vm1\n55 send u1 vm1\n"
+        "60 replicate vm1 2 4\n100 send u1 vm1\n"
+        "110 destroy vm1 4\n150 send u1 vm1\n160 destroy vm1 3\n200 send u1 vm1\n")
+    assert [p.ingress for p in report.packets] == [4] * 6
+    assert [p.target for p in report.packets] == [2, 3, 3, 4, 3, 2]
+    assert all(p.trace.delivered_at == p.target for p in report.packets)
+
+
+def test_a_read_in_flight_leaves_the_settled_tables_as_the_eager_engine_has_them():
+    # The migration floods from dcr2 at 10 and reaches dcr4 at 30. u2 sits by
+    # dcr2, so its packet reads the new entry there at 10 + sqrt(2), while the
+    # flood is still on its way to the other DCRs.
+    events = parse_scenario("0 user u2 9 9\n0 create vm1 1 anycast-migrate\n"
+                            "10 migrate vm1 2\n10 send u2 vm1\n")
+    sim = sim_for(events)
+    eager = oracles.EagerSimulation(sim.topology, sim.overlay, events)
+    sim.run_until(12.0)
+    eager.run_until(12.0)
+    (delivery,) = [x for x in sim.report().stream if isinstance(x, Delivery)]
+    assert delivery.route.ingress == 2 and delivery.route.delivered_at == 2
+    assert sim.pending_floods() > 0
+    addr = sim.vms["vm1"].address
+    assert sim.tables[2].entry(addr) == frozenset({2})
+    assert sim.tables[4].entry(addr) == frozenset()
+    assert dict(sim.tables) == {d: oracles.as_library_table(table)
+                                for d, table in eager.tables.items()}
+
+
 def square_run(text):
     """Run a scenario on examples/square.top's layout with overlay alg 3, where
     dcr4 at (0,0) is 20 away from dcr2 and 10 away from dcr1 and dcr3."""
     return sim_for(parse_scenario("0 create vm1 1 anycast-migrate\n" + text)).run()
+
+
+def square_run_replicated(text):
+    """square_run's layout, with vm1 created replicated at dcr2."""
+    return sim_for(parse_scenario("0 create vm1 2 anycast-replicate\n" + text)).run()
 
 
 def test_flood_emitted_before_a_send_at_the_same_time_is_seen():

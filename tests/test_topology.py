@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dcrsim import (AddressPlan, AnycastAddress, ConfigError, ParseError, Point,
                     Topology, UnicastAddress, distance, format_topology,
                     generate_random_topology, nearest_dcr, parse_topology)
+from dcrsim.topology import nearest_among
 
 from oracles import scalar_nearest_dcr
 
@@ -184,6 +187,18 @@ def test_parse_topology_rejects_distances_that_overflow(text, line):
 def test_parse_topology_accepts_the_largest_finite_distances():
     t = parse_topology("dcr 1 0 0\ndcr 2 1e308 1e308\ndcr 3 0 1e308\n")
     assert all(math.isfinite(distance(p, q)) for _, p in t.dcrs for _, q in t.dcrs)
+
+
+def test_nearest_among_does_not_overflow_at_the_largest_finite_distance():
+    # The two DCRs are exactly the largest float apart, which parses. Ranking
+    # DCR 2 as DCR 1's nearest must not scale that distance past the float range.
+    top = 1.7976931348623157e308
+    t = parse_topology(f"dcr 1 0.0 0.0\ndcr 2 0.0 {top!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nearest_among(Point(0.0, 0.0), np.array([2]), np.array([0.0]),
+                             np.array([top]), t) == 2
+        assert nearest_dcr(Point(0.0, top), t) == 2
 
 
 def unbounded_random_topology(seed, n, extent):
