@@ -80,15 +80,13 @@ class VmRegister:
     The latest migration as (seq, destination), and the replica additions
     and removals (tombstones) as {DCR: seq}. apply() merges one notification
     in place, last writer wins per slot, so registers that saw the same
-    notifications in any order compare equal. It also drops the cached live
-    hosts, and the nearest host per reading DCR that lookup() keeps."""
+    notifications in any order compare equal. It is the only writer of the
+    stamps, and drops the live hosts that hosts() caches."""
 
     migration: tuple[int, DcrId] | None = None
     adds: dict[DcrId, int] = field(default_factory=dict)
     removes: dict[DcrId, int] = field(default_factory=dict)
     _hosts: frozenset[DcrId] | None = field(default=None, init=False, repr=False, compare=False)
-    _nearest: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _topology: Topology | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> VmRegister:
         return VmRegister(self.migration, dict(self.adds), dict(self.removes))
@@ -105,7 +103,6 @@ class VmRegister:
                 if slot.get(d, -1) < n.seq:
                     slot[d] = n.seq
         self._hosts = None
-        self._nearest = {}
 
     def hosts(self) -> frozenset[DcrId]:
         """Hosting DCRs this router believes in; empty if no live entry."""
@@ -122,8 +119,7 @@ class VmRegister:
 
 class ForwardingTable(dict):
     """One DCR's anycast entries: VM address -> VmRegister, for each address
-    with any stamp. The functions below share unchanged registers between
-    tables, so a table's registers are read, never applied to."""
+    with any stamp."""
 
     def entry(self, vm: AnycastAddress) -> frozenset[DcrId]:
         """Hosting DCRs this router believes in for vm; empty if none."""
@@ -135,18 +131,20 @@ class ForwardingTable(dict):
 
 
 def apply_notification(table: ForwardingTable, n: Notification) -> ForwardingTable:
-    """Merge one notification; pure, returns the updated table."""
-    reg = table[n.vm].copy() if n.vm in table else VmRegister()
-    reg.apply(n)
-    return ForwardingTable({**table, n.vm: reg})
+    """Merge one notification; pure, returns the updated table, whose
+    registers are all new."""
+    out = ForwardingTable({vm: reg.copy() for vm, reg in table.items()})
+    out.setdefault(n.vm, VmRegister()).apply(n)
+    return out
 
 
 def join_tables(a: ForwardingTable, b: ForwardingTable) -> ForwardingTable:
     """State-based merge of two tables: per address, every slot of the two
-    registers keeps its higher stamp, as if both streams were applied."""
-    out = ForwardingTable(a)
+    registers keeps its higher stamp, as if both streams were applied. Pure,
+    like apply_notification."""
+    out = ForwardingTable({vm: reg.copy() for vm, reg in a.items()})
     for vm, theirs in b.items():
-        mine = out[vm] = out[vm].copy() if vm in out else VmRegister()
+        mine = out.setdefault(vm, VmRegister())
         mine.migration = max(mine.migration, theirs.migration, key=lambda m: m or (-1,))
         for slot, other in ((mine.adds, theirs.adds), (mine.removes, theirs.removes)):
             for d, seq in other.items():
@@ -231,39 +229,32 @@ class Route(NamedTuple):
 def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
     """Where router `at` forwards a packet for vm, given vm's register `entry`:
     the nearest live host (ties to the lowest id), or the address's own
-    subblock DCR when there is none (packets then fall back to the birth DC).
-    The nearest of several hosts is remembered in `entry` until it changes."""
+    subblock DCR when there is none (packets then fall back to the birth DC)."""
     hosts = entry.hosts()
     if len(hosts) < 2:
         return next(iter(hosts), vm.subblock)
-    if entry._topology is not t:
-        entry._topology, entry._nearest = t, {}
-    best = entry._nearest.get(at)
-    if best is None:
-        ap = t.position(at)
-        best = entry._nearest[at] = min(hosts, key=lambda d: (distance(ap, t.position(d)), d))
-    return best
+    ap = t.position(at)
+    return min(hosts, key=lambda d: (distance(ap, t.position(d)), d))
 
 
 def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord, entry: VmRegister | None,
-                      t: Topology, first: float | None = None) -> Route:
+                      t: Topology) -> Route:
     """Route one user packet and report the path it took.
 
     Unicast goes straight to the address's DC, no tunnel, and reads no table
     (pass None). Anycast enters the network at `ingress`, the DCR the user
     attached to, which consults `entry`, the VM's register in its forwarding
     table, and tunnels the packet to the chosen DCR. Delivery succeeds only
-    if the VM truly hosts there; otherwise the route records a miss. `first`
-    is the first hop's delay, if the caller has it already.
+    if the VM truly hosts there; otherwise the route records a miss.
     """
     if vm.mode is VmMode.UNICAST:
         dc = vm.address.dc
-        delay = distance(user, t.position(dc)) if first is None else first
+        delay = distance(user, t.position(dc))
         return Route(user, None, dc, dc if dc in vm.locations else None, (delay,), delay)
     target = lookup(entry, vm.address, ingress, t)
     ip, tp = t.position(ingress), t.position(target)
     return Route(user, ingress, target, target if target in vm.locations else None,
-                 (distance(user, ip) if first is None else first, distance(ip, tp)),
+                 (distance(user, ip), distance(ip, tp)),
                  distance(user, tp))
 
 

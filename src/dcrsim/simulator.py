@@ -17,6 +17,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -44,6 +45,8 @@ class EventKind(enum.Enum):
     DESTROY_VM_AT = "destroy"
     PLACE_USER = "user"
     SEND_PACKET = "send"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
 
 
 _MODES = {m.value: m for m in VmMode}
@@ -91,11 +94,12 @@ class ScenarioEvent(_EventFields):
 
 _new_event = tuple.__new__  # skips ScenarioEvent's checks: for lines already checked
 _SEND = EventKind.SEND_PACKET
-# The fields each kind but a send needs besides its time, for the error that
-# names those it lacks. A send needs a placed user and a created VM.
+# The fields each kind but a send needs besides its time, and a getter of
+# them all. A send needs a placed user and a created VM instead.
 _NEEDS = {EventKind.CREATE_VM: ("vm", "dc", "mode"), EventKind.MIGRATE_VM: ("vm", "dc"),
           EventKind.REPLICATE_VM: ("vm", "src_dc", "dst_dc"),
           EventKind.DESTROY_VM_AT: ("vm", "dc"), EventKind.PLACE_USER: ("user", "x", "y")}
+_needed = {kind: operator.attrgetter(*fields) for kind, fields in _NEEDS.items()}
 
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
@@ -434,9 +438,9 @@ class Simulation:
                     raise ScenarioError(f"{_where(ev)}bad identifier {ev.session!r}")
                 sends[i] = user[0], k
                 continue
+            if None in _needed[ev.kind](ev):
+                raise _lacking(ev)
             if ev.kind is EventKind.PLACE_USER:
-                if None in (ev.user, ev.x, ev.y):
-                    raise _lacking(ev)
                 if "," in str(ev.user):
                     raise ScenarioError(f"{_where(ev)}bad identifier {ev.user!r}")
                 reach = box_reach(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2)
@@ -447,9 +451,6 @@ class Simulation:
                 continue
             # The DC ids the line names, which its notification carries too.
             dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is EventKind.REPLICATE_VM else (ev.dc,)
-            if ev.vm is None or None in dc_ids or (ev.kind is EventKind.CREATE_VM
-                                                   and ev.mode is None):
-                raise _lacking(ev)
             for dc in dc_ids:
                 if dc not in known:
                     raise ScenarioError(f"{_where(ev)}unknown DCR id {dc}")
@@ -499,9 +500,10 @@ class Simulation:
 
     @functools.cached_property
     def _sends(self) -> dict[int, Send]:
-        """Per send, by scenario index: what its delivery needs. The packet
-        carries where the user was and the ingress chosen there, so a user
-        who moves while it is in flight does not reroute it."""
+        """Per send, by scenario index: what its delivery needs, and its first
+        hop's delay, which times its arrival. The packet carries where the
+        user was and the ingress chosen there, so a user who moves while it
+        is in flight does not reroute it."""
         users = {i: Point(ev.x, ev.y) for i, ev in enumerate(self._events)
                  if ev.kind is EventKind.PLACE_USER}
         placements = {i: (user, nearest_dcr(user, self.topology)) for i, user in users.items()}
@@ -573,12 +575,12 @@ class Simulation:
         return register
 
     def _deliver(self, j: int) -> None:
-        user, ingress, first, vm, k = self._sends[j]
+        user, ingress, _, vm, k = self._sends[j]
         entry = None
         if vm.mode is not VmMode.UNICAST:
             entry = self._read_table(ingress, k, j)
             self._tunnel_bytes += self._tunnel_bytes_per_packet
-        route = route_user_packet(user, ingress, vm, entry, self.topology, first)
+        route = route_user_packet(user, ingress, vm, entry, self.topology)
         self._stream.append(Delivery(j, route))
         ev = self._events[j]
         if ev.session is not None:

@@ -174,28 +174,26 @@ def test_lookup_falls_back_to_subblock():
     assert lookup(VmRegister(), AnycastAddress(3, 5), 1, t) == 3
 
 
-def test_register_forgets_its_nearest_host_on_each_apply_and_topology():
-    t = square()
-    reg = VmRegister()
-    reg.apply(Notification(NotificationKind.REPLICATION, VM, (2, 3), 0))
-    assert lookup(reg, VM, 4, t) == 3 and lookup(reg, VM, 4, t) == 3
-    reg.apply(Notification(NotificationKind.REPLICATION, VM, (2, 4), 1))
-    assert lookup(reg, VM, 4, t) == 4
-    reg.apply(Notification(NotificationKind.DESTRUCTION, VM, (4,), 2))
-    assert lookup(reg, VM, 4, t) == 3
-    # The same ids on another map, where dcr2 is the nearer replica.
-    flipped = Topology(((1, Point(10.0, 0.0)), (2, Point(1.0, 1.0)),
-                        (3, Point(0.0, 10.0)), (4, Point(0.0, 0.0))))
-    assert lookup(reg, VM, 4, flipped) == 2
-    assert lookup(reg, VM, 4, t) == 3
-
-
 def test_a_copy_of_a_register_applies_without_changing_it():
     reg = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])[VM]
     copy = reg.copy()
     copy.apply(Notification(NotificationKind.DESTRUCTION, VM, (3,), 1))
     assert reg.hosts() == frozenset({2, 3}) and copy.hosts() == frozenset({2})
     assert reg == VmRegister(None, {2: 0, 3: 0}, {})
+
+
+def test_merging_returns_registers_that_apply_without_changing_the_inputs():
+    OTHER = AnycastAddress(2, 0)
+    table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
+    other = apply_all([Notification(NotificationKind.MIGRATION, OTHER, (1,), 1)])
+    before = {vm: reg.copy() for vm, reg in table.items()}
+    gone = Notification(NotificationKind.DESTRUCTION, VM, (3,), 2)
+    moved = Notification(NotificationKind.MIGRATION, OTHER, (4,), 3)
+    apply_notification(table, moved)[VM].apply(gone)
+    join_tables(table, other)[VM].apply(gone)
+    join_tables(other, table)[VM].apply(gone)
+    assert dict(table) == before and table[VM].hosts() == frozenset({2, 3})
+    assert other.entries() == {OTHER: frozenset({1})}
 
 
 def test_route_unicast_packet_direct():

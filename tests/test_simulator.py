@@ -323,7 +323,7 @@ def test_flood_applies_origin_first_then_by_distance():
 def test_one_ingress_reads_a_replicated_vm_across_replicas_coming_and_going():
     # u1 attaches to dcr4 at (0,0). Each read comes after its flood has
     # settled, so it reads the VM's settled register, whose nearest host from
-    # dcr4 is remembered until the next notification changes its replicas.
+    # dcr4 changes as each notification changes its replicas.
     report = square_run_replicated(
         "0 user u1 1 1\n1 send u1 vm1\n"
         "10 replicate vm1 2 3\n50 send u1 vm1\n55 send u1 vm1\n"
