@@ -8,12 +8,10 @@ from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       flood_duplicate_count, flood_schedule, format_overlay,
                       leaf_set, load_overlay, overlay_metrics, parse_overlay,
                       save_overlay)
-from .protocol import (ForwardingTable, Notification, NotificationKind,
-                       PacketTrace, Route, VmMode, VmRecord, VmRegister, apply_notification,
-                       format_notification_line, format_trace_line,
-                       join_tables, lookup, notification_origin, route_reply,
-                       route_user_packet)
-from .simulator import (Delivery, EventKind, PacketRecord, ScenarioEvent, SessionState,
+from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
+                       VmRecord, VmRegister, apply_notification, format_notification_line,
+                       join_tables, lookup, notification_origin, route_user_packet)
+from .simulator import (Delivery, EventKind, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
 from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology,
@@ -26,17 +24,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AddressPlan", "AnycastAddress", "ConfigError", "DcrId", "Delivery", "EventKind",
     "ForwardingTable", "ModeConflict", "Notification", "NotificationKind",
-    "Overlay", "OverlayError", "OverlayMetrics", "PacketRecord", "PacketTrace",
+    "Overlay", "OverlayError", "OverlayMetrics",
     "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent", "SessionState",
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
     "VmRecord", "VmRegister", "add_wraparound", "all_pairs_delay", "apply_notification",
     "build_overlay", "build_tree", "connect_leaves", "distance",
     "flood_duplicate_count", "flood_schedule", "format_notification_line",
-    "format_overlay", "format_scenario", "format_topology", "format_trace_line",
+    "format_overlay", "format_scenario", "format_topology",
     "generate_random_topology", "join_tables", "leaf_set", "load_overlay",
     "load_scenario",
     "load_topology", "lookup", "nearest_dcr",
     "notification_origin", "overlay_metrics", "parse_overlay", "parse_scenario",
-    "parse_topology", "route_reply", "route_user_packet", "run_scenario",
+    "parse_topology", "route_user_packet", "run_scenario",
     "save_overlay", "save_topology",
 ]

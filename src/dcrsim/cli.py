@@ -123,11 +123,10 @@ def cmd_run(cfg: RunConfig) -> int:
         o = load_overlay(cfg.overlay)
     else:
         o = build_overlay(t, cfg.alg)
-    report = Simulation(t, o, events).run()
-    _write(report.to_csv(), cfg.out)
-    if cfg.trace is not None:
-        _write("\n".join(report.trace_lines) + "\n" if report.trace_lines else "",
-               cfg.trace)
+    csv, trace = Simulation(t, o, events).run().render(trace=cfg.trace is not None)
+    _write(csv, cfg.out)
+    if trace is not None:
+        _write("\n".join(trace) + "\n" if trace else "", cfg.trace)
     return 0
 
 

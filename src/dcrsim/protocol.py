@@ -170,25 +170,6 @@ class VmRecord:
             raise ConfigError(f"{self.mode.value} VM must live in exactly one DC")
 
 
-Endpoint = Union[Point, DcrId]
-Hop = tuple[Endpoint, Endpoint, float]
-
-
-@dataclass(frozen=True)
-class PacketTrace:
-    """Path one packet took. delivered_at is the final DCR, or None for a
-    miss (the packet arrived where the VM no longer was); replies terminate
-    at the user's position, also None."""
-
-    hops: tuple[Hop, ...]
-    tunneled: bool
-    delivered_at: DcrId | None
-
-    @property
-    def total_delay(self) -> float:
-        return sum(delay for _, _, delay in self.hops)
-
-
 class Route(NamedTuple):
     """One user packet's path, as compact as the report needs.
 
@@ -212,18 +193,8 @@ class Route(NamedTuple):
 
     @property
     def total_delay(self) -> float:
-        """The hop delays summed in hop order, as PacketTrace sums them."""
+        """The hop delays summed in hop order, from 0."""
         return sum(self.delays)
-
-    @property
-    def hops(self) -> tuple[Hop, ...]:
-        if self.ingress is None:
-            return ((self.user, self.target, self.delays[0]),)
-        return ((self.user, self.ingress, self.delays[0]),
-                (self.ingress, self.target, self.delays[1]))
-
-    def trace(self) -> PacketTrace:
-        return PacketTrace(self.hops, self.tunneled, self.delivered_at)
 
 
 def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
@@ -237,9 +208,10 @@ def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> Dcr
     return min(hosts, key=lambda d: (distance(ap, t.position(d)), d))
 
 
-def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord, entry: VmRegister | None,
-                      t: Topology) -> Route:
-    """Route one user packet and report the path it took.
+def route_user_packet(user: Point, ingress: DcrId, first_hop: float, vm: VmRecord,
+                      entry: VmRegister | None, t: Topology) -> Route:
+    """Route one user packet and report the path it took. first_hop is the
+    user's distance to its first DCR, which timed its arrival there.
 
     Unicast goes straight to the address's DC, no tunnel, and reads no table
     (pass None). Anycast enters the network at `ingress`, the DCR the user
@@ -249,29 +221,10 @@ def route_user_packet(user: Point, ingress: DcrId, vm: VmRecord, entry: VmRegist
     """
     if vm.mode is VmMode.UNICAST:
         dc = vm.address.dc
-        delay = distance(user, t.position(dc))
-        return Route(user, None, dc, dc if dc in vm.locations else None, (delay,), delay)
+        return Route(user, None, dc, dc if dc in vm.locations else None,
+                     (first_hop,), first_hop)
     target = lookup(entry, vm.address, ingress, t)
-    ip, tp = t.position(ingress), t.position(target)
+    positions = t._pos  # type: ignore[attr-defined]
+    tp = positions[target]
     return Route(user, ingress, target, target if target in vm.locations else None,
-                 (distance(user, ip), distance(ip, tp)),
-                 distance(user, tp))
-
-
-def route_reply(vm_location: DcrId, user: Point, t: Topology) -> PacketTrace:
-    """Reply path: straight from the hosting DCR back to the user, no tunnel
-    (the user's address is a plain destination)."""
-    hop = (vm_location, user, distance(t.position(vm_location), user))
-    return PacketTrace(hops=(hop,), tunneled=False, delivered_at=None)
-
-
-def format_trace_line(time: float, route: Route) -> str:
-    user, ingress, target, delivered_at, delays, _ = route
-    if ingress is None:
-        hops = f"({user.x:.6f},{user.y:.6f})->dcr{target}:{delays[0]:.6f}"
-    else:
-        hops = (f"({user.x:.6f},{user.y:.6f})->dcr{ingress}:{delays[0]:.6f} "
-                f"dcr{ingress}->dcr{target}:{delays[1]:.6f}")
-    result = "MISS" if delivered_at is None else f"dcr{delivered_at}"
-    return (f"PKT {time:.6f} {hops} delay={sum(delays):.6f} "
-            f"tunneled={int(ingress is not None)} result={result}")
+                 (first_hop, distance(positions[ingress], tp)), distance(user, tp))

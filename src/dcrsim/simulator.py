@@ -24,9 +24,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, flood_schedule, overlay_metrics
-from .protocol import (ForwardingTable, Notification, NotificationKind, PacketTrace,
-                       Route, VmMode, VmRecord, VmRegister, format_notification_line,
-                       format_trace_line, notification_origin, route_user_packet)
+from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
+                       VmRecord, VmRegister, format_notification_line, notification_origin,
+                       route_user_packet)
 from .topology import (AddressPlan, DcrId, Point, Topology, box_reach, distance,
                        nearest_dcr)
 
@@ -201,6 +201,14 @@ def _lacking(ev: ScenarioEvent) -> ScenarioError:
     return ScenarioError(f"{_where(ev)}{ev.kind.value} event lacks its {lacks}")
 
 
+def _check_name(ev: ScenarioEvent, name: object) -> None:
+    """Reject a name parse_scenario could not read: empty, or with whitespace
+    or a comma, which would break a CSV row or a scenario file."""
+    text = str(name)
+    if text.split() != [text] or "," in text:
+        raise ScenarioError(f"{_where(ev)}bad identifier {name!r}")
+
+
 def load_scenario(path: str) -> list[ScenarioEvent]:
     with open(path, "r", encoding="utf-8") as f:
         return parse_scenario(f.read())
@@ -225,21 +233,6 @@ class SessionState:
     open: bool = True
 
 
-@dataclass
-class PacketRecord:
-    index: int
-    time: float
-    user: str
-    vm: str
-    session: str | None
-    ingress: DcrId | None
-    target: DcrId
-    trace: PacketTrace
-    stretch: float | None
-    penalty: float | None
-    reply: PacketTrace | None
-
-
 class Delivery(NamedTuple):
     """One packet delivery: the scenario index of its send, and its route."""
 
@@ -257,6 +250,14 @@ def _stretch_penalty(total: float, direct: float) -> tuple[float, float]:
     return (1.0 if direct == 0.0 else total / direct), total - direct
 
 
+def _pkt_line(time: str, user_hop: str, route: Route, total: str) -> str:
+    """A PKT line, from its parts that SimReport.render formatted already."""
+    ingress, target, at = route.ingress, route.target, route.delivered_at
+    tunnel = "" if ingress is None else f" dcr{ingress}->dcr{target}:{route.delays[1]:.6f}"
+    return (f"PKT {time} {user_hop}{tunnel} delay={total} tunneled={int(ingress is not None)} "
+            f"result={'MISS' if at is None else f'dcr{at}'}")
+
+
 def _agg(values: list[float]) -> tuple[float, float]:
     if not values:
         return 0.0, 0.0
@@ -269,9 +270,8 @@ def _agg(values: list[float]) -> tuple[float, float]:
 @dataclass
 class SimReport:
     """What a run produced: one stream of its flooded notifications and
-    packet deliveries, in replay order, and its counters. The CSV, the trace
-    lines and the packet records are all rendered from the stream; the trace
-    lines and the records on first read."""
+    packet deliveries, in replay order, and its counters. The CSV and the
+    trace lines are rendered from the stream, in one walk (render)."""
 
     stream: list[Notification | Delivery]
     events: Sequence[ScenarioEvent]  # the scenario sorted by time, as Delivery.send indexes it
@@ -288,23 +288,7 @@ class SimReport:
 
     @functools.cached_property
     def trace_lines(self) -> list[str]:
-        events = self.events
-        return [format_trace_line(events[x.send].time, x.route) if type(x) is Delivery
-                else format_notification_line(x) for x in self.stream]
-
-    @functools.cached_property
-    def packets(self) -> list[PacketRecord]:
-        out = []
-        for k, (send, route) in enumerate(self._deliveries):
-            ev = self.events[send]
-            at = route.delivered_at
-            stretch = penalty = reply = None
-            if at is not None:
-                stretch, penalty = _stretch_penalty(route.total_delay, route.direct)
-                reply = PacketTrace(((at, route.user, route.direct),), False, None)
-            out.append(PacketRecord(k, ev.time, ev.user, ev.vm, ev.session, route.ingress,
-                                    route.target, route.trace(), stretch, penalty, reply))
-        return out
+        return self.render(trace=True)[1]
 
     @property
     def delivered(self) -> int:
@@ -315,25 +299,47 @@ class SimReport:
         return len(self._deliveries) - self.delivered
 
     def to_csv(self) -> str:
-        rows = [_CSV_HEADER]
+        return self.render()[0]
+
+    def render(self, trace: bool = False) -> tuple[str, list[str] | None]:
+        """The CSV report and, if trace, the NOTIFY/PKT lines (else None), in
+        one walk of the stream, which formats each send time and total delay
+        once for both, and each placement's user hop once."""
+        rows, lines = [_CSV_HEADER], [] if trace else None
         events = self.events
+        # Keyed on the identity of the user's Point, which the stream keeps
+        # alive, and not on its value: -0.0 == 0.0, but they print apart.
+        user_hops: dict[tuple[int, DcrId], str] = {}
         delays, stretches, penalties = [], [], []
-        for k, (send, (_, ingress, target, at, hop_delays, direct)) in \
-                enumerate(self._deliveries):
+        for x in self.stream:
+            if type(x) is not Delivery:
+                if trace:
+                    lines.append(format_notification_line(x))
+                continue
+            send, route = x
+            user, ingress, target, at, hop_delays, direct = route
             ev = events[send]
-            total = sum(hop_delays)
-            head = (f"{k},{ev.time:.6f},{ev.user},{ev.vm},{ev.session or ''},"
+            time, total = f"{ev.time:.6f}", sum(hop_delays)
+            total_s = f"{total:.6f}"
+            head = (f"{len(rows) - 1},{time},{ev.user},{ev.vm},{ev.session or ''},"
                     f"{'' if ingress is None else ingress},{target}")
             if at is None:
-                rows.append(f"{head},MISS,{total:.6f},{int(ingress is not None)},,,,")
-                continue
-            # A reply goes straight back from `at`, which is target: `direct` away.
-            stretch, penalty = _stretch_penalty(total, direct)
-            rows.append(f"{head},{at},{total:.6f},{int(ingress is not None)},"
-                        f"{stretch:.6f},{penalty:.6f},{direct:.6f},0")
-            delays.append(total)
-            stretches.append(stretch)
-            penalties.append(penalty)
+                rows.append(f"{head},MISS,{total_s},{int(ingress is not None)},,,,")
+            else:
+                # A reply goes straight back from `at`, which is target: `direct` away.
+                stretch, penalty = _stretch_penalty(total, direct)
+                rows.append(f"{head},{at},{total_s},{int(ingress is not None)},"
+                            f"{stretch:.6f},{penalty:.6f},{direct:.6f},0")
+                delays.append(total)
+                stretches.append(stretch)
+                penalties.append(penalty)
+            if trace:
+                first = target if ingress is None else ingress
+                hop = user_hops.get((id(user), first))
+                if hop is None:
+                    hop = user_hops[id(user), first] = (
+                        f"({user.x:.6f},{user.y:.6f})->dcr{first}:{hop_delays[0]:.6f}")
+                lines.append(_pkt_line(time, hop, route, total_s))
         mean_delay, max_delay = _agg(delays)
         mean_stretch, max_stretch = _agg(stretches)
         mean_penalty, max_penalty = _agg(penalties)
@@ -355,7 +361,7 @@ class SimReport:
             f" overlay_worst={self.overlay.worst_delay:.6f}"
             f" overlay_avg={self.overlay.avg_delay:.6f}"
             f" overlay_overhead={self.overlay.flooding_overhead:.6f}")
-        return "\n".join(rows) + "\n"
+        return "\n".join(rows) + "\n", lines
 
 
 class Simulation:
@@ -434,15 +440,14 @@ class Simulation:
                 if not isfinite(ev.time + user[1]):
                     raise ScenarioError(f"{_where(ev)}send at {ev.time!r} is too late: "
                                         "its packet's arrival time overflows")
-                if ev.session is not None and "," in str(ev.session):
-                    raise ScenarioError(f"{_where(ev)}bad identifier {ev.session!r}")
+                if ev.session is not None:
+                    _check_name(ev, ev.session)
                 sends[i] = user[0], k
                 continue
             if None in _needed[ev.kind](ev):
                 raise _lacking(ev)
             if ev.kind is EventKind.PLACE_USER:
-                if "," in str(ev.user):
-                    raise ScenarioError(f"{_where(ev)}bad identifier {ev.user!r}")
+                _check_name(ev, ev.user)
                 reach = box_reach(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2)
                 if not math.isfinite(reach):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "
@@ -459,8 +464,7 @@ class Simulation:
             if ev.kind is EventKind.CREATE_VM:
                 if vm is not None:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} already exists")
-                if "," in str(ev.vm):
-                    raise ScenarioError(f"{_where(ev)}bad identifier {ev.vm!r}")
+                _check_name(ev, ev.vm)
                 allocate = (plan.allocate_unicast if ev.mode is VmMode.UNICAST
                             else plan.allocate_anycast)
                 numbers[ev.vm] = len(numbers)
@@ -501,18 +505,22 @@ class Simulation:
     @functools.cached_property
     def _sends(self) -> dict[int, Send]:
         """Per send, by scenario index: what its delivery needs, and its first
-        hop's delay, which times its arrival. The packet carries where the
-        user was and the ingress chosen there, so a user who moves while it
-        is in flight does not reroute it."""
+        hop's delay, which times its arrival and which routing reuses. The
+        packet carries where the user was and the ingress chosen there, so a
+        user who moves while it is in flight does not reroute it. The delay is
+        computed once per placement and first DCR."""
         users = {i: Point(ev.x, ev.y) for i, ev in enumerate(self._events)
                  if ev.kind is EventKind.PLACE_USER}
         placements = {i: (user, nearest_dcr(user, self.topology)) for i, user in users.items()}
-        records, out = list(self._records.values()), {}
+        records, out, hops = list(self._records.values()), {}, {}
         for j, (p, k) in self._placed.items():
             user, ingress = placements[p]
             vm = records[k]
-            first_dcr = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
-            out[j] = user, ingress, distance(user, self.topology.position(first_dcr)), vm, k
+            first = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
+            hop = hops.get((p, first))
+            if hop is None:
+                hop = hops[p, first] = distance(user, self.topology.position(first))
+            out[j] = user, ingress, hop, vm, k
         return out
 
     @functools.cached_property
@@ -575,12 +583,12 @@ class Simulation:
         return register
 
     def _deliver(self, j: int) -> None:
-        user, ingress, _, vm, k = self._sends[j]
+        user, ingress, first_hop, vm, k = self._sends[j]
         entry = None
         if vm.mode is not VmMode.UNICAST:
             entry = self._read_table(ingress, k, j)
             self._tunnel_bytes += self._tunnel_bytes_per_packet
-        route = route_user_packet(user, ingress, vm, entry, self.topology)
+        route = route_user_packet(user, ingress, first_hop, vm, entry, self.topology)
         self._stream.append(Delivery(j, route))
         ev = self._events[j]
         if ev.session is not None:

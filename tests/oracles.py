@@ -15,6 +15,9 @@ as they stood before events became named tuples and sends took a fast path.
 `ForwardingTable` and `apply_notification` are the address-keyed table and
 its copying merge as they stood before each VM's entry became one in-place
 register; the eager loop writes its tables with them.
+`PacketTrace` and `PacketRecord` are the per-packet records the library kept
+before it reported from its delivery stream; `packet_records` reads a
+library report as such records, to compare with the eager loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import dcrsim
 from dcrsim import (AddressPlan, AnycastAddress, DcrId, EventKind, Notification,
-                    NotificationKind, Overlay, OverlayMetrics, PacketRecord, PacketTrace,
+                    NotificationKind, Overlay, OverlayMetrics,
                     ParseError, Point, ScenarioError, SessionState, UnicastAddress, VmMode,
                     VmRecord, distance, flood_duplicate_count, format_notification_line,
                     notification_origin, overlay_metrics)
@@ -220,6 +223,59 @@ def lookup(table, vm, at, t):
         return vm.subblock
     ap = t.position(at)
     return min(members, key=lambda d: (distance(ap, t.position(d)), d))
+
+
+@dataclass(frozen=True)
+class PacketTrace:
+    """Path one packet took, as (from, to, delay) hops, where each end is a
+    user's Point or a DCR id. delivered_at is the final DCR, or None for a
+    miss (the packet arrived where the VM no longer was); replies terminate
+    at the user's position, also None."""
+
+    hops: tuple
+    tunneled: bool
+    delivered_at: DcrId | None
+
+    @property
+    def total_delay(self) -> float:
+        return sum(delay for _, _, delay in self.hops)
+
+
+@dataclass
+class PacketRecord:
+    index: int
+    time: float
+    user: str
+    vm: str
+    session: str | None
+    ingress: DcrId | None
+    target: DcrId
+    trace: PacketTrace
+    stretch: float | None
+    penalty: float | None
+    reply: PacketTrace | None
+
+
+def packet_records(report: dcrsim.SimReport) -> list[PacketRecord]:
+    """A library report's deliveries as packet records: each Route as its
+    hops, and a delivered packet's reply straight back from where it was
+    delivered, `direct` away. Stretch and penalty come from the library's own
+    formula, so the records hold the values its report summarises."""
+    out = []
+    deliveries = [x for x in report.stream if type(x) is dcrsim.Delivery]
+    for k, (send, route) in enumerate(deliveries):
+        ev = report.events[send]
+        user, ingress, target, at, delays, direct = route
+        hops = (((user, target, delays[0]),) if ingress is None else
+                ((user, ingress, delays[0]), (ingress, target, delays[1])))
+        stretch = penalty = reply = None
+        if at is not None:
+            stretch, penalty = dcrsim.simulator._stretch_penalty(route.total_delay, direct)
+            reply = PacketTrace(((at, user, direct),), False, None)
+        out.append(PacketRecord(k, ev.time, ev.user, ev.vm, ev.session, ingress, target,
+                                PacketTrace(hops, ingress is not None, at),
+                                stretch, penalty, reply))
+    return out
 
 
 def route_user_packet(user, ingress, vm, table, t):

@@ -18,7 +18,7 @@ from dcrsim.cli import main
 
 import scenariogen
 from conftest import example_path, golden_path
-from oracles import floyd_warshall
+from oracles import floyd_warshall, packet_records
 
 SCENARIOS = ("migration", "replication", "destruction", "stretch")
 
@@ -142,10 +142,10 @@ def test_criterion_5_golden_scenarios_reproduce_exactly():
     assert "NOTIFY 2 DESTRUCTION 2:0 2" in des
 
     destroyed = _square_report("destruction")
-    p = destroyed.packets[0]
+    p = packet_records(destroyed)[0]
     assert p.trace.delivered_at is None and p.target == 2  # subblock fallback
     for name in SCENARIOS:
-        for p in _square_report(name).packets:
+        for p in packet_records(_square_report(name)):
             if p.reply is not None:
                 assert not p.reply.tunneled  # replies go back directly
     print("\nACCEPTANCE C5 PASS: golden reports and traces byte-identical; "
@@ -173,7 +173,7 @@ def test_criterion_6_random_scenarios_converge_and_route_to_nearest():
                 got = sim.tables[d].entry(vm.address)
                 assert got == frozenset(truth.locations), \
                     f"seed {gen.seed} vm {name} table at {d}"
-        for p in report.packets:
+        for p in packet_records(report):
             if p.time != gen.probe_time:
                 continue
             probes += 1
@@ -211,14 +211,14 @@ def test_criterion_7_session_breaks():
 def test_criterion_8_stretch_bounds():
     checked = 0
     for _, _, _, report in _corpus():
-        for p in report.packets:
+        for p in packet_records(report):
             if p.stretch is not None:
                 assert p.stretch >= 1.0
                 assert p.penalty >= 0.0
                 checked += 1
     stretch_report = _square_report("stretch")
     assert all(p.stretch is not None and p.stretch < 1.2
-               for p in stretch_report.packets)
+               for p in packet_records(stretch_report))
     print(f"\nACCEPTANCE C8 PASS: stretch >= 1 on {checked} delivered packets; "
           f"committed stretch scenario stays under 1.2")
 

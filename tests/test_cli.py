@@ -196,13 +196,14 @@ def test_run_writes_report_and_trace(tmp_path, capsys):
 
 
 def test_run_formats_pkt_lines_only_for_a_trace(tmp_path, capsys, monkeypatch):
+    # SimReport.render formats every PKT line with _pkt_line.
     calls = []
-    formatter = dcrsim.simulator.format_trace_line
+    formatter = dcrsim.simulator._pkt_line
 
-    def counting(time, route):
-        calls.append(time)
-        return formatter(time, route)
-    monkeypatch.setattr(dcrsim.simulator, "format_trace_line", counting)
+    def counting(*args):
+        calls.append(formatter(*args))
+        return calls[-1]
+    monkeypatch.setattr(dcrsim.simulator, "_pkt_line", counting)
     argv = ["run", example_path("square.top"), example_path("stretch.scn"),
             "--out", str(tmp_path / "r.csv")]
     assert run_cli(argv, capsys)[0] == 0
@@ -210,6 +211,8 @@ def test_run_formats_pkt_lines_only_for_a_trace(tmp_path, capsys, monkeypatch):
     assert run_cli(argv + ["--trace", str(tmp_path / "r.trace")], capsys)[0] == 0
     packets = len((tmp_path / "r.csv").read_text().splitlines()) - 2
     assert packets > 0 and len(calls) == packets
+    written = (tmp_path / "r.trace").read_text().splitlines()
+    assert [line for line in written if line.startswith("PKT ")] == calls
 
 
 def test_run_accepts_prebuilt_overlay(tmp_path, capsys):

@@ -12,11 +12,11 @@ import pytest
 
 from dcrsim import (EventKind, Point, ScenarioEvent, Simulation, VmMode,
                     build_overlay, generate_random_topology, load_scenario,
-                    load_topology, run_scenario)
+                    load_topology, parse_scenario, run_scenario)
 
 import scenariogen
 from conftest import example_path, golden_path
-from oracles import EagerSimulation, as_library_table
+from oracles import EagerSimulation, as_library_table, packet_records
 
 SCENARIOS = ("migration", "replication", "destruction", "stretch")
 
@@ -26,6 +26,11 @@ def assert_same_output(topology, overlay, events, label):
     eager = EagerSimulation(topology, overlay, events).run()
     assert lazy.to_csv() == eager.to_csv(), label
     assert lazy.trace_lines == eager.trace_lines, label
+    # The one walk as `dcrsim run` takes it, without and with --trace.
+    for trace in (False, True):
+        csv, lines = Simulation(topology, overlay, events).run().render(trace=trace)
+        assert csv == eager.to_csv(), label
+        assert lines == (eager.trace_lines if trace else None), label
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -33,6 +38,19 @@ def test_golden_scenarios_match_the_eager_engine(name):
     t = load_topology(example_path("square.top"))
     events = load_scenario(example_path(f"{name}.scn"))
     assert_same_output(t, build_overlay(t, 3), events, name)
+
+
+def test_users_at_negative_and_positive_zero_print_apart():
+    # -0.0 == 0.0, and both hash alike, yet the two users print apart even
+    # though both attach to DCR 4.
+    t = load_topology(example_path("square.top"))
+    events = parse_scenario("0 user a -0.0 1\n0 user b 0.0 1\n0 create v 1 anycast-migrate\n"
+                            "1 send a v\n2 send b v\n3 send a v\n")
+    lines = run_scenario(t, build_overlay(t, 3), events).trace_lines
+    assert [line.split()[2] for line in lines] == [
+        "(-0.000000,1.000000)->dcr4:1.000000", "(0.000000,1.000000)->dcr4:1.000000",
+        "(-0.000000,1.000000)->dcr4:1.000000"]
+    assert lines == EagerSimulation(t, build_overlay(t, 3), events).run().trace_lines
 
 
 def differential_runs():
@@ -52,8 +70,9 @@ def test_packet_records_match_the_eager_engine():
     for label, topology, overlay, events in differential_runs():
         lazy = run_scenario(topology, overlay, events)
         eager = EagerSimulation(topology, overlay, events).run()
-        assert len(lazy.packets) == len(eager.packets), label
-        for mine, theirs in zip(lazy.packets, eager.packets):
+        records = packet_records(lazy)
+        assert len(records) == len(eager.packets), label
+        for mine, theirs in zip(records, eager.packets):
             assert repr(mine) == repr(theirs), label
         assert (lazy.delivered, lazy.missed) == (eager.delivered, eager.missed), label
 

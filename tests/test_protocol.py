@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from dcrsim import (AnycastAddress, ConfigError, ForwardingTable, Notification,
                     NotificationKind, Point, Topology, UnicastAddress, VmMode,
-                    VmRecord, VmRegister, apply_notification, distance,
-                    format_notification_line, format_trace_line, join_tables,
-                    lookup, notification_origin, route_reply, route_user_packet)
+                    VmRecord, VmRegister, apply_notification, build_overlay, distance,
+                    format_notification_line, join_tables, lookup, notification_origin,
+                    parse_scenario, route_user_packet, run_scenario)
 
 VM = AnycastAddress(1, 0)
 
@@ -16,6 +16,13 @@ VM = AnycastAddress(1, 0)
 def square() -> Topology:
     return Topology(((1, Point(0.0, 10.0)), (2, Point(10.0, 10.0)),
                      (3, Point(10.0, 0.0)), (4, Point(0.0, 0.0))))
+
+
+def square_run(scenario):
+    """A run on the square of user u at (1, 1), whose ingress is DCR 4, then
+    `scenario`."""
+    t = square()
+    return run_scenario(t, build_overlay(t, 3), parse_scenario("0 user u 1 1\n" + scenario))
 
 
 def apply_all(notifications, table=None):
@@ -199,9 +206,10 @@ def test_merging_returns_registers_that_apply_without_changing_the_inputs():
 def test_route_unicast_packet_direct():
     t = square()
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
-    trace = route_user_packet(Point(1, 1), 4, vm, None, t)
+    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(2)), vm,
+                              None, t)
     assert not trace.tunneled
-    assert len(trace.hops) == 1
+    assert (trace.ingress, trace.target, len(trace.delays)) == (None, 2, 1)
     assert trace.delivered_at == 2
     assert trace.total_delay == pytest.approx(distance(Point(1, 1), Point(10, 10)))
 
@@ -210,7 +218,8 @@ def test_route_unicast_packet_misses_destroyed_vm():
     t = square()
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
     vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), 4, vm, None, t)
+    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(2)), vm,
+                              None, t)
     assert trace.delivered_at is None
 
 
@@ -219,9 +228,10 @@ def test_route_anycast_packet_tunnels_via_ingress():
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={2})
     tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), 4, vm, tables[4][VM], t)
+    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
+                              tables[4][VM], t)
     assert trace.tunneled
-    assert [h[1] for h in trace.hops] == [4, 2]
+    assert (trace.ingress, trace.target, len(trace.delays)) == (4, 2, 2)
     assert trace.delivered_at == 2
     assert trace.total_delay == pytest.approx(
         distance(Point(1, 1), Point(0, 0)) + distance(Point(0, 0), Point(10, 10)))
@@ -232,17 +242,18 @@ def test_route_anycast_packet_miss_when_table_is_stale():
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={3})
     tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
               for d in t.ids()}
-    trace = route_user_packet(Point(1, 1), 4, vm, tables[4][VM], t)
+    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
+                              tables[4][VM], t)
     assert trace.delivered_at is None
-    assert trace.hops[-1][1] == 2
+    assert trace.target == 2
 
 
 def test_route_reply_is_direct_and_untunneled():
-    t = square()
-    trace = route_reply(2, Point(1, 1), t)
-    assert not trace.tunneled
-    assert len(trace.hops) == 1
-    assert trace.total_delay == pytest.approx(distance(Point(10, 10), Point(1, 1)))
+    # Delivered at DCR 2, the reply goes straight back to u, in one hop.
+    report = square_run("0 create v 2 anycast-migrate\n1 send u v\n")
+    reply_delay, reply_tunneled = report.to_csv().splitlines()[1].split(",")[-2:]
+    assert reply_tunneled == "0"
+    assert float(reply_delay) == pytest.approx(distance(Point(10, 10), Point(1, 1)))
 
 
 def test_vm_record_validation():
@@ -266,17 +277,14 @@ def test_format_notification_line():
 
 
 def test_format_trace_line():
-    t = square()
-    vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
-    trace = route_user_packet(Point(1, 1), 4, vm, VmRegister(), t)
-    line = format_trace_line(1.0, trace)
-    assert line == ("PKT 1.000000 (1.000000,1.000000)->dcr4:1.414214 "
-                    "dcr4->dcr1:10.000000 delay=11.414214 tunneled=1 result=dcr1")
+    # No flood: the empty table sends the packet to v's subblock DCR, 1.
+    assert square_run("0 create v 1 anycast-migrate\n1 send u v\n").trace_lines == [
+        "PKT 1.000000 (1.000000,1.000000)->dcr4:1.414214 "
+        "dcr4->dcr1:10.000000 delay=11.414214 tunneled=1 result=dcr1"]
 
 
 def test_format_trace_line_miss():
-    t = square()
-    vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1})
-    vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), 4, vm, VmRegister(), t)
-    assert format_trace_line(2.0, trace).endswith("result=MISS")
+    # v is destroyed at once, but DCR 4 hears of it only after the packet.
+    lines = square_run("0 create v 1 anycast-migrate\n0 destroy v 1\n2 send u v\n").trace_lines
+    assert lines[-1] == ("PKT 2.000000 (1.000000,1.000000)->dcr4:1.414214 "
+                         "dcr4->dcr1:10.000000 delay=11.414214 tunneled=1 result=MISS")
