@@ -10,35 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
 from .overlay import (add_wraparound, build_overlay, build_tree, connect_leaves,
                       format_overlay, load_overlay, overlay_metrics)
 from .simulator import Simulation, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the subcommand plus its inputs and knobs."""
-
-    subcommand: str
-    topology: str | None = None
-    scenario: str | None = None
-    overlay: str | None = None
-    seed: int = 0
-    n: int = 11
-    n_range: str = "16"
-    extent: float = 100.0
-    alg: int = 3
-    count: int = 10
-    out: str | None = None
-    trace: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.alg not in (1, 2, 3):
-            raise ConfigError(f"alg must be 1, 2 or 3, got {self.alg}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -49,21 +26,21 @@ def _write(text: str, out: str | None) -> None:
             f.write(text)
 
 
-def cmd_gen_topology(cfg: RunConfig) -> int:
-    t = generate_random_topology(cfg.seed, cfg.n, cfg.extent)
-    _write(format_topology(t), cfg.out)
+def cmd_gen_topology(args: argparse.Namespace) -> int:
+    t = generate_random_topology(args.seed, args.n, args.extent)
+    _write(format_topology(t), args.out)
     return 0
 
 
-def cmd_build_overlay(cfg: RunConfig) -> int:
-    t = load_topology(cfg.topology)
-    o = build_overlay(t, cfg.alg)
-    _write(format_overlay(o), cfg.out)
+def cmd_build_overlay(args: argparse.Namespace) -> int:
+    t = load_topology(args.topology)
+    o = build_overlay(t, args.alg)
+    _write(format_overlay(o), args.out)
     return 0
 
 
-def cmd_eval_overlay(cfg: RunConfig) -> int:
-    o = load_overlay(cfg.overlay)
+def cmd_eval_overlay(args: argparse.Namespace) -> int:
+    o = load_overlay(args.overlay)
     m = overlay_metrics(o)
     print(f"worst={m.worst_delay:.2f} avg={m.avg_delay:.2f} "
           f"overhead={m.flooding_overhead:.2f}")
@@ -84,16 +61,16 @@ def _parse_n_spec(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    lo, hi = _parse_n_spec(cfg.n_range)
-    if cfg.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {cfg.count}")
+def cmd_compare(args: argparse.Namespace) -> int:
+    lo, hi = _parse_n_spec(args.n)
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     rows = ["topology,seed,n,alg,worst_delay,avg_delay,flooding_overhead"]
     sums = {alg: [0.0, 0.0, 0.0] for alg in (1, 2, 3)}
-    for i in range(cfg.count):
-        seed = cfg.seed + i
+    for i in range(args.count):
+        seed = args.seed + i
         n = lo + i % (hi - lo + 1)
-        t = generate_random_topology(seed, n, cfg.extent)
+        t = generate_random_topology(seed, n, args.extent)
         # Each stage extends the last, as in build_overlay, and its delay
         # matrix starts from the last stage's, which it holds until its own
         # is computed: at most two matrices are alive at a time.
@@ -110,33 +87,24 @@ def cmd_compare(cfg: RunConfig) -> int:
             sums[alg][1] += m.avg_delay
             sums[alg][2] += m.flooding_overhead
     for alg in (1, 2, 3):
-        w, a, o = (s / cfg.count for s in sums[alg])
+        w, a, o = (s / args.count for s in sums[alg])
         rows.append(f"mean,,,{alg},{w:.6f},{a:.6f},{o:.6f}")
-    _write("\n".join(rows) + "\n", cfg.out)
+    _write("\n".join(rows) + "\n", args.out)
     return 0
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    t = load_topology(cfg.topology)
-    events = load_scenario(cfg.scenario)
-    if cfg.overlay is not None:
-        o = load_overlay(cfg.overlay)
+def cmd_run(args: argparse.Namespace) -> int:
+    t = load_topology(args.topology)
+    events = load_scenario(args.scenario)
+    if args.overlay is not None:
+        o = load_overlay(args.overlay)
     else:
-        o = build_overlay(t, cfg.alg)
-    csv, trace = Simulation(t, o, events).run().render(trace=cfg.trace is not None)
-    _write(csv, cfg.out)
+        o = build_overlay(t, args.alg)
+    csv, trace = Simulation(t, o, events).run().render(trace=args.trace is not None)
+    _write(csv, args.out)
     if trace is not None:
-        _write("\n".join(trace) + "\n" if trace else "", cfg.trace)
+        _write("\n".join(trace) + "\n" if trace else "", args.trace)
     return 0
-
-
-_HANDLERS = {
-    "gen-topology": cmd_gen_topology,
-    "build-overlay": cmd_build_overlay,
-    "eval-overlay": cmd_eval_overlay,
-    "compare": cmd_compare,
-    "run": cmd_run,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,21 +114,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-topology", help="generate a random topology file")
+    p.set_defaults(handler=cmd_gen_topology)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=11)
     p.add_argument("--extent", type=float, default=100.0)
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("build-overlay", help="build an overlay over a topology")
+    p.set_defaults(handler=cmd_build_overlay)
     p.add_argument("topology", help="topology file")
     p.add_argument("--alg", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("eval-overlay", help="print worst/avg delay and overhead")
+    p.set_defaults(handler=cmd_eval_overlay)
     p.add_argument("overlay", help="overlay file")
 
     p = sub.add_parser("compare",
                        help="metrics of all three constructions over random topologies")
+    p.set_defaults(handler=cmd_compare)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n", default="16", help="DCR count, fixed (K) or cycling (LO..HI)")
@@ -168,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
 
     p = sub.add_parser("run", help="run a scenario and write the packet report")
+    p.set_defaults(handler=cmd_run)
     p.add_argument("topology", help="topology file")
     p.add_argument("scenario", help="scenario file")
     group = p.add_mutually_exclusive_group()
@@ -179,25 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"subcommand": args.subcommand}
-    for name in ("topology", "scenario", "overlay", "seed", "extent", "alg",
-                 "count", "out", "trace"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if args.subcommand == "compare":
-        fields["n_range"] = args.n
-    elif hasattr(args, "n"):
-        fields["n"] = args.n
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return args.handler(args)
     except (ConfigError, ParseError, OverlayError, ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -187,15 +187,6 @@ class Route(NamedTuple):
     delays: tuple[float, ...]
     direct: float
 
-    @property
-    def tunneled(self) -> bool:
-        return self.ingress is not None
-
-    @property
-    def total_delay(self) -> float:
-        """The hop delays summed in hop order, from 0."""
-        return sum(self.delays)
-
 
 def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
     """Where router `at` forwards a packet for vm, given vm's register `entry`:

@@ -270,21 +270,60 @@ def _agg(values: list[float]) -> tuple[float, float]:
 @dataclass
 class SimReport:
     """What a run produced: one stream of its flooded notifications and
-    packet deliveries, in replay order, and its counters. The CSV and the
-    trace lines are rendered from the stream, in one walk (render)."""
+    packet deliveries, in replay order. The counters and the sessions are
+    derived from the stream, and the CSV and the trace lines are rendered
+    from it in one walk (render)."""
 
     stream: list[Notification | Delivery]
     events: Sequence[ScenarioEvent]  # the scenario sorted by time, as Delivery.send indexes it
-    notifications: int
-    duplicate_notifications: int
-    session_breaks: int
-    sessions: dict[str, SessionState]
-    tunnel_header_bytes: int
     overlay: OverlayMetrics
+    flood_duplicates: int  # duplicate receptions of each flooded notification
 
     @functools.cached_property
     def _deliveries(self) -> list[Delivery]:
         return [x for x in self.stream if type(x) is Delivery]
+
+    @property
+    def notifications(self) -> int:
+        return len(self.stream) - len(self._deliveries)
+
+    @property
+    def duplicate_notifications(self) -> int:
+        return self.notifications * self.flood_duplicates
+
+    @property
+    def tunnel_header_bytes(self) -> int:
+        """One tunnel header per packet that went through an ingress DCR."""
+        return TUNNEL_HEADER_BYTES * sum(1 for d in self._deliveries if d.route.ingress is not None)
+
+    @functools.cached_property
+    def sessions(self) -> dict[str, SessionState]:
+        """Each session's state after its packets, taken in delivery order
+        under SessionState's rules. A VM's mode is that of its create."""
+        events = self.events
+        modes = {ev.vm: ev.mode for ev in events if ev.kind is EventKind.CREATE_VM}
+        sessions: dict[str, SessionState] = {}
+        for send, route in self._deliveries:
+            ev = events[send]
+            if ev.session is None:
+                continue
+            st = sessions.get(ev.session)
+            if st is None:
+                st = sessions[ev.session] = SessionState(ev.session, ev.user, ev.vm)
+            if not st.open:
+                continue
+            at = route.delivered_at
+            if at is None or (st.pinned_location not in (None, at)
+                              and modes[ev.vm] is VmMode.ANYCAST_REPLICATED):
+                st.open = False
+            else:
+                st.pinned_location = at
+        return sessions
+
+    @property
+    def session_breaks(self) -> int:
+        """Every break closes its session, and a closed session never breaks."""
+        return sum(1 for st in self.sessions.values() if not st.open)
 
     @functools.cached_property
     def trace_lines(self) -> list[str]:
@@ -370,8 +409,7 @@ class Simulation:
     intermediate state."""
 
     def __init__(self, topology: Topology, overlay: Overlay,
-                 events: list[ScenarioEvent], *,
-                 tunnel_header_bytes: int = TUNNEL_HEADER_BYTES) -> None:
+                 events: list[ScenarioEvent]) -> None:
         if set(overlay.nodes) != set(topology.ids()):
             raise ConfigError("overlay nodes do not match the topology's DCR ids")
         # Floods travel the overlay at its edge costs and packets travel the
@@ -386,7 +424,6 @@ class Simulation:
         self.now = 0.0
         # The VMs created so far in the replay, with their hosts at `now`.
         self.vms: dict[str, VmRecord] = {}
-        self.sessions: dict[str, SessionState] = {}
         self._events = sorted(events, key=lambda e: e.time)
         # Every VM the scenario creates, by name, in order of creation (its
         # number). Compiling leaves each at its final hosts; the replay sets
@@ -404,13 +441,8 @@ class Simulation:
         # every DCR, and the log of those that may still be in flight.
         self._settled = [VmRegister() for _ in self._records]
         self._logs: list[list[LogEntry]] = [[] for _ in self._records]
-        self._tunnel_bytes_per_packet = tunnel_header_bytes
         # Every flooded notification and packet delivery, in replay order.
         self._stream: list[Notification | Delivery] = []
-        self._notifications = 0
-        self._duplicates = 0
-        self._breaks = 0
-        self._tunnel_bytes = 0
 
     def _compile(self) -> None:
         """Check every event in time order, with its line number, and record
@@ -545,8 +577,6 @@ class Simulation:
 
     def _flood(self, n: Notification, index: int, k: int) -> None:
         origin = notification_origin(n)
-        self._notifications += 1
-        self._duplicates += flood_duplicate_count(self.overlay)
         self._stream.append(n)
         if origin not in self._schedules:
             delays = flood_schedule(self.overlay, origin)
@@ -584,46 +614,9 @@ class Simulation:
 
     def _deliver(self, j: int) -> None:
         user, ingress, first_hop, vm, k = self._sends[j]
-        entry = None
-        if vm.mode is not VmMode.UNICAST:
-            entry = self._read_table(ingress, k, j)
-            self._tunnel_bytes += self._tunnel_bytes_per_packet
+        entry = None if vm.mode is VmMode.UNICAST else self._read_table(ingress, k, j)
         route = route_user_packet(user, ingress, first_hop, vm, entry, self.topology)
         self._stream.append(Delivery(j, route))
-        ev = self._events[j]
-        if ev.session is not None:
-            self.track_session(ev.session, ev.user, ev.vm, route.delivered_at)
-
-    def track_session(self, session_id: str, user: str, vm_name: str,
-                      delivered_at: DcrId | None) -> tuple[SessionState, bool]:
-        """Update session pinning for one packet outcome: delivery at
-        delivered_at, or a miss (None).
-
-        Returns the session state and whether this packet broke it. A miss
-        always breaks and closes the session; so does delivery at a different
-        DC than the pinned one, unless the VM is migratable (its connection
-        state moved with it, so the session re-pins instead).
-        """
-        st = self.sessions.get(session_id)
-        if st is None:
-            st = SessionState(session_id=session_id, user=user, vm=vm_name)
-            self.sessions[session_id] = st
-        if not st.open:
-            return st, False
-        if delivered_at is None:
-            st.open = False
-            self._breaks += 1
-            return st, True
-        if st.pinned_location is None:
-            st.pinned_location = delivered_at
-            return st, False
-        if delivered_at != st.pinned_location:
-            if self.vms[vm_name].mode is VmMode.ANYCAST_REPLICATED:
-                st.open = False
-                self._breaks += 1
-                return st, True
-            st.pinned_location = delivered_at
-        return st, False
 
     def step(self) -> bool:
         """Replay one lifecycle change or delivery; False when none is left."""
@@ -663,11 +656,6 @@ class Simulation:
                    for delay in self._schedules[origin][0].values()
                    if emit + delay > self.now)
 
-    def quiescence_check(self) -> bool:
-        """True iff no notification is in flight. Every DCR's table is then
-        the same merge of every flooded notification."""
-        return not self.pending_floods()
-
     def run(self) -> SimReport:
         while self.step():
             pass
@@ -675,18 +663,11 @@ class Simulation:
 
     def report(self) -> SimReport:
         return SimReport(stream=list(self._stream), events=self._events,
-                         notifications=self._notifications,
-                         duplicate_notifications=self._duplicates,
-                         session_breaks=self._breaks,
-                         sessions=dict(self.sessions),
-                         tunnel_header_bytes=self._tunnel_bytes,
-                         overlay=overlay_metrics(self.overlay))
+                         overlay=overlay_metrics(self.overlay),
+                         flood_duplicates=flood_duplicate_count(self.overlay))
 
 
 def run_scenario(topology: Topology, overlay: Overlay,
-                 events: list[ScenarioEvent], *,
-                 tunnel_header_bytes: int = TUNNEL_HEADER_BYTES) -> SimReport:
+                 events: list[ScenarioEvent]) -> SimReport:
     """One-shot run of a scenario to completion."""
-    sim = Simulation(topology, overlay, events,
-                     tunnel_header_bytes=tunnel_header_bytes)
-    return sim.run()
+    return Simulation(topology, overlay, events).run()

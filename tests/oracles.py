@@ -270,7 +270,7 @@ def packet_records(report: dcrsim.SimReport) -> list[PacketRecord]:
                 ((user, ingress, delays[0]), (ingress, target, delays[1])))
         stretch = penalty = reply = None
         if at is not None:
-            stretch, penalty = dcrsim.simulator._stretch_penalty(route.total_delay, direct)
+            stretch, penalty = dcrsim.simulator._stretch_penalty(sum(delays), direct)
             reply = PacketTrace(((at, user, direct),), False, None)
         out.append(PacketRecord(k, ev.time, ev.user, ev.vm, ev.session, ingress, target,
                                 PacketTrace(hops, ingress is not None, at),

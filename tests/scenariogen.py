@@ -97,11 +97,13 @@ def generate(seed: int) -> GeneratedScenario:
                 events.append(ScenarioEvent(time, EventKind.DESTROY_VM_AT,
                                             vm=vm.name, dc=dc))
                 vm.locations.discard(dc)
+        # Each send, probes too, joins its user's session with its VM. The
+        # name draws nothing from rng, so the rest of the corpus is as before.
         if users and rng.random() < 0.5:
-            events.append(ScenarioEvent(time + rng.uniform(0.1, 0.9),
-                                        EventKind.SEND_PACKET,
-                                        user=rng.choice(sorted(users)),
-                                        vm=rng.choice(sorted(vms))))
+            send_time = time + rng.uniform(0.1, 0.9)
+            uid, name = rng.choice(sorted(users)), rng.choice(sorted(vms))
+            events.append(ScenarioEvent(send_time, EventKind.SEND_PACKET, user=uid,
+                                        vm=name, session=f"s-{uid}-{name}"))
 
     lifecycle_kinds = (EventKind.CREATE_VM, EventKind.MIGRATE_VM,
                        EventKind.REPLICATE_VM, EventKind.DESTROY_VM_AT)
@@ -111,7 +113,7 @@ def generate(seed: int) -> GeneratedScenario:
     for uid in sorted(users):
         for name in sorted(vms):
             events.append(ScenarioEvent(probe_time, EventKind.SEND_PACKET,
-                                        user=uid, vm=name))
+                                        user=uid, vm=name, session=f"s-{uid}-{name}"))
     return GeneratedScenario(seed=seed, topology=topology, overlay=overlay,
                              events=events, vms=vms, users=users,
                              last_lifecycle=last_lifecycle, worst_delay=worst,

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import dcrsim.cli
 import dcrsim.simulator
-from dcrsim import (ConfigError, ParseError, ScenarioError, Simulation, build_overlay,
+from dcrsim import (ParseError, ScenarioError, Simulation, build_overlay,
                     generate_random_topology, load_topology, overlay_metrics,
                     parse_overlay, parse_scenario, parse_topology)
-from dcrsim.cli import RunConfig, main
+from dcrsim.cli import main
 
 from conftest import example_path, golden_path
 
@@ -470,10 +470,18 @@ def test_unknown_subcommand():
     assert exc.value.code != 0
 
 
-def test_run_config_validates_alg():
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="run", alg=4)
-    assert RunConfig(subcommand="compare", n_range="5..9").count == 10
+def test_run_rejects_an_alg_outside_1_to_3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", example_path("square.top"), example_path("migration.scn"),
+              "--alg", "4"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_compare_over_a_range_defaults_to_ten_topologies(capsys):
+    code, out, _ = run_cli(["compare", "--n", "5..9"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3 * 10 + 3
 
 
 def test_gen_topology_with_too_few_points_in_its_extent_exits_2(capsys):

@@ -4,8 +4,9 @@ The oracle writes every DCR's table on every flood; the simulator evaluates
 a table only when a packet reads it. The oracle also routes, formats and
 reports each packet with its own code, while the simulator records each
 delivery once and renders the report from the records. Both must give the
-same report and trace bytes, the same packet records, and the same tables
-and in-flight counts wherever the run is paused.
+same report and trace bytes, the same packet records, sessions and
+counters, and the same tables and in-flight counts wherever the run is
+paused.
 """
 
 import pytest
@@ -26,6 +27,10 @@ def assert_same_output(topology, overlay, events, label):
     eager = EagerSimulation(topology, overlay, events).run()
     assert lazy.to_csv() == eager.to_csv(), label
     assert lazy.trace_lines == eager.trace_lines, label
+    assert lazy.sessions == eager.sessions, label
+    for counter in ("notifications", "duplicate_notifications", "session_breaks",
+                    "tunnel_header_bytes"):
+        assert getattr(lazy, counter) == getattr(eager, counter), (label, counter)
     # The one walk as `dcrsim run` takes it, without and with --trace.
     for trace in (False, True):
         csv, lines = Simulation(topology, overlay, events).run().render(trace=trace)

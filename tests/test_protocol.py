@@ -208,10 +208,10 @@ def test_route_unicast_packet_direct():
     vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
     trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(2)), vm,
                               None, t)
-    assert not trace.tunneled
+    assert trace.ingress is None
     assert (trace.ingress, trace.target, len(trace.delays)) == (None, 2, 1)
     assert trace.delivered_at == 2
-    assert trace.total_delay == pytest.approx(distance(Point(1, 1), Point(10, 10)))
+    assert sum(trace.delays) == pytest.approx(distance(Point(1, 1), Point(10, 10)))
 
 
 def test_route_unicast_packet_misses_destroyed_vm():
@@ -230,10 +230,10 @@ def test_route_anycast_packet_tunnels_via_ingress():
               for d in t.ids()}
     trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
                               tables[4][VM], t)
-    assert trace.tunneled
+    assert trace.ingress is not None
     assert (trace.ingress, trace.target, len(trace.delays)) == (4, 2, 2)
     assert trace.delivered_at == 2
-    assert trace.total_delay == pytest.approx(
+    assert sum(trace.delays) == pytest.approx(
         distance(Point(1, 1), Point(0, 0)) + distance(Point(0, 0), Point(10, 10)))
 
 
