@@ -6,18 +6,17 @@ from .errors import (ConfigError, ModeConflict, OverlayError, ParseError,
 from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       build_overlay, build_tree, connect_leaves,
                       flood_duplicate_count, flood_schedule, format_overlay,
-                      leaf_set, load_overlay, overlay_metrics, parse_overlay,
-                      save_overlay)
+                      leaf_set, load_overlay, overlay_metrics, parse_overlay)
 from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
-                       VmRecord, VmRegister, apply_notification, format_notification_line,
-                       join_tables, lookup, notification_origin, route_user_packet)
+                       VmRecord, VmRegister, format_notification_line, lookup,
+                       notification_origin, route_user_packet)
 from .simulator import (Delivery, EventKind, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
 from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology,
                        UnicastAddress, distance, format_topology,
                        generate_random_topology, load_topology, nearest_dcr,
-                       parse_topology, save_topology)
+                       parse_topology)
 
 __version__ = "0.1.0"
 
@@ -27,14 +26,13 @@ __all__ = [
     "Overlay", "OverlayError", "OverlayMetrics",
     "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent", "SessionState",
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
-    "VmRecord", "VmRegister", "add_wraparound", "all_pairs_delay", "apply_notification",
+    "VmRecord", "VmRegister", "add_wraparound", "all_pairs_delay",
     "build_overlay", "build_tree", "connect_leaves", "distance",
     "flood_duplicate_count", "flood_schedule", "format_notification_line",
     "format_overlay", "format_scenario", "format_topology",
-    "generate_random_topology", "join_tables", "leaf_set", "load_overlay",
+    "generate_random_topology", "leaf_set", "load_overlay",
     "load_scenario",
     "load_topology", "lookup", "nearest_dcr",
     "notification_origin", "overlay_metrics", "parse_overlay", "parse_scenario",
     "parse_topology", "route_user_packet", "run_scenario",
-    "save_overlay", "save_topology",
 ]

@@ -75,10 +75,8 @@ class Overlay:
 
 
 def _center_root(t: Topology) -> DcrId:
-    xs = [p.x for _, p in t.dcrs]
-    ys = [p.y for _, p in t.dcrs]
-    center = Point((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0)
-    return nearest_dcr(center, t)
+    x0, x1, y0, y1 = t.box
+    return nearest_dcr(Point((x0 + x1) / 2.0, (y0 + y1) / 2.0), t)
 
 
 def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
@@ -171,11 +169,10 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
     ties go to the lowest id. If both midpoints elect the same DCR or the
     link already exists, the overlay is returned unchanged.
     """
-    xs = [p.x for _, p in t.dcrs]
-    ys = [p.y for _, p in t.dcrs]
-    mid_y = (min(ys) + max(ys)) / 2.0
-    west = nearest_dcr(Point(min(xs), mid_y), t)
-    east = nearest_dcr(Point(max(xs), mid_y), t)
+    x0, x1, y0, y1 = t.box
+    mid_y = (y0 + y1) / 2.0
+    west = nearest_dcr(Point(x0, mid_y), t)
+    east = nearest_dcr(Point(x1, mid_y), t)
     if west == east or o.has_edge(west, east):
         return o
     return _extend(o, {_key(west, east): distance(t.position(west), t.position(east))})
@@ -191,11 +188,11 @@ def _extend(o: Overlay, added: dict[Edge, float]) -> Overlay:
     return new
 
 
-def build_overlay(t: Topology, alg: int, root: DcrId | None = None) -> Overlay:
+def build_overlay(t: Topology, alg: int) -> Overlay:
     """Run construction stages 1..alg."""
     if alg not in (1, 2, 3):
         raise ConfigError(f"alg must be 1, 2 or 3, got {alg}")
-    o = build_tree(t, root=root)
+    o = build_tree(t)
     if alg >= 2:
         o = connect_leaves(o, t)
     if alg >= 3:
@@ -408,8 +405,3 @@ def parse_overlay(text: str) -> Overlay:
 def load_overlay(path: str) -> Overlay:
     with open(path, "r", encoding="utf-8") as f:
         return parse_overlay(f.read())
-
-
-def save_overlay(o: Overlay, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_overlay(o))

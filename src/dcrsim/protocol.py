@@ -130,28 +130,6 @@ class ForwardingTable(dict):
         return {vm: reg.hosts() for vm, reg in self.items() if reg.hosts()}
 
 
-def apply_notification(table: ForwardingTable, n: Notification) -> ForwardingTable:
-    """Merge one notification; pure, returns the updated table, whose
-    registers are all new."""
-    out = ForwardingTable({vm: reg.copy() for vm, reg in table.items()})
-    out.setdefault(n.vm, VmRegister()).apply(n)
-    return out
-
-
-def join_tables(a: ForwardingTable, b: ForwardingTable) -> ForwardingTable:
-    """State-based merge of two tables: per address, every slot of the two
-    registers keeps its higher stamp, as if both streams were applied. Pure,
-    like apply_notification."""
-    out = ForwardingTable({vm: reg.copy() for vm, reg in a.items()})
-    for vm, theirs in b.items():
-        mine = out.setdefault(vm, VmRegister())
-        mine.migration = max(mine.migration, theirs.migration, key=lambda m: m or (-1,))
-        for slot, other in ((mine.adds, theirs.adds), (mine.removes, theirs.removes)):
-            for d, seq in other.items():
-                slot[d] = max(slot.get(d, -1), seq)
-    return out
-
-
 @dataclass
 class VmRecord:
     """Ground truth for one VM: its address, mode, and true hosting DCs."""

@@ -52,7 +52,12 @@ class EventKind(enum.Enum):
 _MODES = {m.value: m for m in VmMode}
 
 
-class _EventFields(NamedTuple):
+class ScenarioEvent(NamedTuple):
+    """One scenario line, as an immutable named tuple. A Simulation checks
+    its values when it compiles it: a negative or non-finite time, a
+    non-finite coordinate, or a field its kind needs but lacks fails there,
+    with its line."""
+
     time: float
     kind: EventKind
     vm: str | None = None
@@ -67,32 +72,9 @@ class _EventFields(NamedTuple):
     line: int | None = None
 
 
-class ScenarioEvent(_EventFields):
-    """One scenario line, as an immutable named tuple. Every way of building
-    one (the constructor, `_make`, `_replace`) rejects a non-finite or
-    negative time, and non-finite coordinates on a `user` event. A field its
-    kind needs but lacks fails when a Simulation compiles it."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ScenarioEvent:
-        ev = super().__new__(cls, *args, **kwargs)
-        if not math.isfinite(ev.time):
-            raise ScenarioError(f"event time must be finite, got {ev.time}")
-        if ev.time < 0:
-            raise ScenarioError(f"event time must be >= 0, got {ev.time}")
-        if ev.kind is EventKind.PLACE_USER and None not in (ev.x, ev.y) and not (
-                math.isfinite(ev.x) and math.isfinite(ev.y)):
-            raise ScenarioError(f"user {ev.user} at ({ev.x}, {ev.y}): "
-                                "coordinates must be finite")
-        return ev
-
-    @classmethod
-    def _make(cls, iterable) -> ScenarioEvent:  # also what _replace builds with
-        return cls(*iterable)
-
-
-_new_event = tuple.__new__  # skips ScenarioEvent's checks: for lines already checked
+# Builds a ScenarioEvent from all its fields in order, faster than its
+# keyword constructor.
+_new_event = tuple.__new__
 _SEND = EventKind.SEND_PACKET
 # The fields each kind but a send needs besides its time, and a getter of
 # them all. A send needs a placed user and a created VM instead.
@@ -124,8 +106,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             raise ParseError(f"line {lineno}: negative time {parts[0]!r}")
         word = parts[1]
         if word == "send" and (n == 4 or n == 6):
-            # Most lines are sends, so they are built here, directly: the time
-            # is checked above, and a send has no other number to check.
+            # Most lines are sends, so they take the fast constructor.
             session = None
             if n == 6:
                 if parts[4] != "session":
@@ -156,7 +137,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                                        x=x, y=y, line=lineno)
                 else:
                     raise ParseError(f"line {lineno}: unrecognized event {raw!r}")
-            except (ParseError, ScenarioError):
+            except ParseError:
                 raise
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
@@ -424,6 +405,12 @@ class Simulation:
         self.now = 0.0
         # The VMs created so far in the replay, with their hosts at `now`.
         self.vms: dict[str, VmRecord] = {}
+        # Checked before the sort, which a NaN time would leave in no order.
+        for ev in events:
+            if not 0.0 <= ev.time < math.inf:
+                if not math.isfinite(ev.time):
+                    raise ScenarioError(f"{_where(ev)}event time must be finite, got {ev.time}")
+                raise ScenarioError(f"{_where(ev)}event time must be >= 0, got {ev.time}")
         self._events = sorted(events, key=lambda e: e.time)
         # Every VM the scenario creates, by name, in order of creation (its
         # number). Compiling leaves each at its final hosts; the replay sets
@@ -449,9 +436,7 @@ class Simulation:
         what the replay needs. Ground truth does not depend on floods, so a
         bad scenario fails here, before any event runs."""
         known = set(self.topology.ids())
-        xs = [p.x for _, p in self.topology.dcrs]
-        ys = [p.y for _, p in self.topology.dcrs]
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        x0, x1, y0, y1 = self.topology.box
         plan = AddressPlan(self.topology.n)
         seqs = itertools.count()
         # No flood delay exceeds the overlay's total link cost.
@@ -480,6 +465,9 @@ class Simulation:
                 raise _lacking(ev)
             if ev.kind is EventKind.PLACE_USER:
                 _check_name(ev, ev.user)
+                if not (isfinite(ev.x) and isfinite(ev.y)):
+                    raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x}, {ev.y}): "
+                                        "coordinates must be finite")
                 reach = box_reach(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2)
                 if not math.isfinite(reach):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "

@@ -37,9 +37,12 @@ def distance(a: Point, b: Point) -> float:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable set of DCRs with ids 1..N and distinct plane positions."""
+    """Immutable set of DCRs with ids 1..N and distinct plane positions.
+
+    box is the bounding box of the positions, as (x0, x1, y0, y1)."""
 
     dcrs: tuple[tuple[DcrId, Point], ...]
+    box: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dcrs = tuple(sorted(self.dcrs))
@@ -56,10 +59,12 @@ class Topology:
                 raise ConfigError(f"DCR {i} and DCR {seen[key]} share position {key}")
             seen[key] = i
         object.__setattr__(self, "_pos", dict(dcrs))
+        xs, ys = [p.x for _, p in dcrs], [p.y for _, p in dcrs]
+        object.__setattr__(self, "box", (min(xs), max(xs), min(ys), max(ys)))
         # The ids and their coordinates, for vectorised nearest-DCR scans.
         object.__setattr__(self, "_ids", np.array(ids, dtype=np.intp))
-        object.__setattr__(self, "_xs", np.array([p.x for _, p in dcrs]))
-        object.__setattr__(self, "_ys", np.array([p.y for _, p in dcrs]))
+        object.__setattr__(self, "_xs", np.array(xs))
+        object.__setattr__(self, "_ys", np.array(ys))
 
     @property
     def n(self) -> int:
@@ -235,8 +240,3 @@ def parse_topology(text: str) -> Topology:
 def load_topology(path: str) -> Topology:
     with open(path, "r", encoding="utf-8") as f:
         return parse_topology(f.read())
-
-
-def save_topology(t: Topology, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_topology(t))

@@ -28,6 +28,7 @@ class TruthVm:
 class GeneratedScenario:
     seed: int
     topology: Topology
+    alg: int  # the construction that built overlay
     overlay: Overlay
     events: list[ScenarioEvent]
     vms: dict[str, TruthVm]
@@ -41,7 +42,8 @@ def generate(seed: int) -> GeneratedScenario:
     rng = random.Random(seed)
     n = 4 + seed % 9
     topology = generate_random_topology(10_000 + seed, n)
-    overlay = build_overlay(topology, 1 + seed % 3)
+    alg = 1 + seed % 3
+    overlay = build_overlay(topology, alg)
     ids = topology.ids()
     events: list[ScenarioEvent] = []
     users: dict[str, Point] = {}
@@ -114,7 +116,7 @@ def generate(seed: int) -> GeneratedScenario:
         for name in sorted(vms):
             events.append(ScenarioEvent(probe_time, EventKind.SEND_PACKET,
                                         user=uid, vm=name, session=f"s-{uid}-{name}"))
-    return GeneratedScenario(seed=seed, topology=topology, overlay=overlay,
+    return GeneratedScenario(seed=seed, topology=topology, alg=alg, overlay=overlay,
                              events=events, vms=vms, users=users,
                              last_lifecycle=last_lifecycle, worst_delay=worst,
                              probe_time=probe_time)

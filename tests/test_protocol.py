@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from dcrsim import (AnycastAddress, ConfigError, ForwardingTable, Notification,
                     NotificationKind, Point, Topology, UnicastAddress, VmMode,
-                    VmRecord, VmRegister, apply_notification, build_overlay, distance,
-                    format_notification_line, join_tables, lookup, notification_origin,
-                    parse_scenario, route_user_packet, run_scenario)
+                    VmRecord, VmRegister, build_overlay, distance, format_notification_line,
+                    lookup, notification_origin, parse_scenario, route_user_packet,
+                    run_scenario)
 
 VM = AnycastAddress(1, 0)
 
@@ -25,10 +25,10 @@ def square_run(scenario):
     return run_scenario(t, build_overlay(t, 3), parse_scenario("0 user u 1 1\n" + scenario))
 
 
-def apply_all(notifications, table=None):
-    table = table or ForwardingTable()
+def apply_all(notifications):
+    table = ForwardingTable()
     for n in notifications:
-        table = apply_notification(table, n)
+        table.setdefault(n.vm, VmRegister()).apply(n)
     return table
 
 
@@ -110,12 +110,6 @@ def test_apply_notification_is_idempotent():
     assert apply_all([n, n]) == once
 
 
-def test_apply_notification_is_pure():
-    table = ForwardingTable()
-    apply_notification(table, Notification(NotificationKind.MIGRATION, VM, (2,), 0))
-    assert table.entries() == {}
-
-
 def _notification_stream(rng: random.Random, n_events: int):
     """Mode-consistent random notifications over two VMs with unique seqs."""
     vms = [(AnycastAddress(1, 0), "migrate"), (AnycastAddress(2, 0), "replicate")]
@@ -149,19 +143,6 @@ def test_tables_converge_regardless_of_arrival_order(seed, n_events):
     assert a.entries() == b.entries()
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
-def test_join_equals_applying_both_streams(seed, n_events):
-    rng = random.Random(seed)
-    stream = _notification_stream(rng, n_events)
-    cut = rng.randrange(len(stream) + 1)
-    left, right = apply_all(stream[:cut]), apply_all(stream[cut:])
-    whole = apply_all(stream)
-    assert join_tables(left, right) == join_tables(right, left) == whole
-    assert join_tables(whole, left) == whole
-    assert join_tables(left, right).entries() == whole.entries()
-
-
 def test_lookup_prefers_nearest_member():
     t = square()
     table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
@@ -187,20 +168,6 @@ def test_a_copy_of_a_register_applies_without_changing_it():
     copy.apply(Notification(NotificationKind.DESTRUCTION, VM, (3,), 1))
     assert reg.hosts() == frozenset({2, 3}) and copy.hosts() == frozenset({2})
     assert reg == VmRegister(None, {2: 0, 3: 0}, {})
-
-
-def test_merging_returns_registers_that_apply_without_changing_the_inputs():
-    OTHER = AnycastAddress(2, 0)
-    table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
-    other = apply_all([Notification(NotificationKind.MIGRATION, OTHER, (1,), 1)])
-    before = {vm: reg.copy() for vm, reg in table.items()}
-    gone = Notification(NotificationKind.DESTRUCTION, VM, (3,), 2)
-    moved = Notification(NotificationKind.MIGRATION, OTHER, (4,), 3)
-    apply_notification(table, moved)[VM].apply(gone)
-    join_tables(table, other)[VM].apply(gone)
-    join_tables(other, table)[VM].apply(gone)
-    assert dict(table) == before and table[VM].hosts() == frozenset({2, 3})
-    assert other.entries() == {OTHER: frozenset({1})}
 
 
 def test_route_unicast_packet_direct():
