@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
-from .overlay import (add_wraparound, build_overlay, build_tree, connect_leaves,
-                      format_overlay, load_overlay, overlay_metrics)
+from .overlay import build_overlay, format_overlay, load_overlay, overlay_metrics, stages
 from .simulator import Simulation, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
 
@@ -71,24 +70,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         seed = args.seed + i
         n = lo + i % (hi - lo + 1)
         t = generate_random_topology(seed, n, args.extent)
-        # Each stage extends the last, as in build_overlay, and its delay
-        # matrix starts from the last stage's, which it holds until its own
-        # is computed: at most two matrices are alive at a time.
-        o = build_tree(t)
-        for alg in (1, 2, 3):
-            if alg == 2:
-                o = connect_leaves(o, t)
-            elif alg == 3:
-                o = add_wraparound(o, t)
+        # Each stage's delay matrix starts from the last stage's.
+        for alg, o in enumerate(stages(t), start=1):
             m = overlay_metrics(o)
-            rows.append(f"t{i},{seed},{n},{alg},{m.worst_delay:.6f},"
-                        f"{m.avg_delay:.6f},{m.flooding_overhead:.6f}")
-            sums[alg][0] += m.worst_delay
-            sums[alg][1] += m.avg_delay
-            sums[alg][2] += m.flooding_overhead
+            values = (m.worst_delay, m.avg_delay, m.flooding_overhead)
+            rows.append(f"t{i},{seed},{n},{alg}," + ",".join(f"{v:.6f}" for v in values))
+            sums[alg] = [s + v for s, v in zip(sums[alg], values)]
     for alg in (1, 2, 3):
-        w, a, o = (s / args.count for s in sums[alg])
-        rows.append(f"mean,,,{alg},{w:.6f},{a:.6f},{o:.6f}")
+        rows.append(f"mean,,,{alg}," + ",".join(f"{s / args.count:.6f}" for s in sums[alg]))
     _write("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -13,7 +13,9 @@ of the overlay bound how stale remote forwarding tables can be.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -33,18 +35,17 @@ def _key(a: DcrId, b: DcrId) -> Edge:
 class Overlay:
     """Undirected weighted graph over the DCR ids.
 
-    parents and insertion_order describe the spanning-tree skeleton and are
-    only populated by build_tree (and preserved by the later stages); parsed
-    overlays leave them empty. The delay kernel visits the nodes in the
-    skeleton's preorder when it spans the overlay. Treat instances as immutable: the delay
-    matrix is computed once per instance, on first use, and cached.
+    parents describes the spanning-tree skeleton and is only populated by
+    build_tree (and preserved by the later stages); parsed overlays leave it
+    empty. The delay kernel visits the nodes in the skeleton's preorder when
+    it spans the overlay. Treat instances as immutable: the delay matrix is
+    computed once per instance, on first use, and cached.
     """
 
     nodes: tuple[DcrId, ...]
     edges: dict[Edge, float]
     root: DcrId
     parents: dict[DcrId, DcrId] = field(default_factory=dict)
-    insertion_order: tuple[DcrId, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
@@ -115,8 +116,7 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
         parents[j] = attach
         edges[_key(j, attach)] = distance(jp, t.position(attach))
         in_tree[size], xs[size], ys[size] = j, jp.x, jp.y
-    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root,
-                   parents=parents, insertion_order=tuple(pending))
+    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root, parents=parents)
 
 
 def leaf_set(o: Overlay) -> set[DcrId]:
@@ -188,16 +188,22 @@ def _extend(o: Overlay, added: dict[Edge, float]) -> Overlay:
     return new
 
 
+def stages(t: Topology) -> Iterator[Overlay]:
+    """Construction stages 1, 2 and 3 over t, each extending the last. Only
+    the stage last yielded is held here, so a caller that reads each stage's
+    metrics before taking the next keeps at most two delay matrices alive."""
+    o = build_tree(t)
+    yield o
+    for extend in (connect_leaves, add_wraparound):
+        o = extend(o, t)
+        yield o
+
+
 def build_overlay(t: Topology, alg: int) -> Overlay:
-    """Run construction stages 1..alg."""
+    """Construction stage alg, built from stages 1..alg."""
     if alg not in (1, 2, 3):
         raise ConfigError(f"alg must be 1, 2 or 3, got {alg}")
-    o = build_tree(t)
-    if alg >= 2:
-        o = connect_leaves(o, t)
-    if alg >= 3:
-        o = add_wraparound(o, t)
-    return o
+    return next(itertools.islice(stages(t), alg - 1, None))
 
 
 def _delay_matrix(o: Overlay) -> np.ndarray:

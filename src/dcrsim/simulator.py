@@ -76,12 +76,35 @@ class ScenarioEvent(NamedTuple):
 # keyword constructor.
 _new_event = tuple.__new__
 _SEND = EventKind.SEND_PACKET
-# The fields each kind but a send needs besides its time, and a getter of
-# them all. A send needs a placed user and a created VM instead.
-_NEEDS = {EventKind.CREATE_VM: ("vm", "dc", "mode"), EventKind.MIGRATE_VM: ("vm", "dc"),
-          EventKind.REPLICATE_VM: ("vm", "src_dc", "dst_dc"),
-          EventKind.DESTROY_VM_AT: ("vm", "dc"), EventKind.PLACE_USER: ("user", "x", "y")}
-_needed = {kind: operator.attrgetter(*fields) for kind, fields in _NEEDS.items()}
+
+# Each kind of word on a scenario line: how it is read, how it is written
+# back, and what an event built in code may hold in its place.
+_NAME = (str, str, str)
+_DC = (int, str, int)
+_COORDINATE = (float, repr, (float, int))
+_MODE = (_MODES.__getitem__, operator.attrgetter("value"), VmMode)
+
+# The line grammar of each kind: after the time and the kind's word (its
+# EventKind value), the fields the kind needs, in line order, each with its
+# word. A send may end in `session <id>`; parse_scenario reads sends, most
+# lines of a large scenario, on a path of their own, and a send needs a
+# placed user and a created VM rather than a check of its fields' types.
+_GRAMMAR = {
+    EventKind.CREATE_VM: (("vm", _NAME), ("dc", _DC), ("mode", _MODE)),
+    EventKind.MIGRATE_VM: (("vm", _NAME), ("dc", _DC)),
+    EventKind.REPLICATE_VM: (("vm", _NAME), ("src_dc", _DC), ("dst_dc", _DC)),
+    EventKind.DESTROY_VM_AT: (("vm", _NAME), ("dc", _DC)),
+    EventKind.PLACE_USER: (("user", _NAME), ("x", _COORDINATE), ("y", _COORDINATE)),
+    EventKind.SEND_PACKET: (("user", _NAME), ("vm", _NAME)),
+}
+# By line word and length: the kind, and each field's slot in the event, its
+# reader and its word's position on the line, last word first. A `create`
+# line ends in its mode word, and a bad one is reported as an unrecognized
+# event before a bad number is.
+_LINES = {(kind.value, len(fields) + 2):
+          (kind, [(ScenarioEvent._fields.index(name), read, 2 + i)
+                  for i, (name, (read, _, _)) in enumerate(fields)][::-1])
+          for kind, fields in _GRAMMAR.items()}
 
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
@@ -106,7 +129,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             raise ParseError(f"line {lineno}: negative time {parts[0]!r}")
         word = parts[1]
         if word == "send" and (n == 4 or n == 6):
-            # Most lines are sends, so they take the fast constructor.
+            # Most lines are sends, so they take the shortest path.
             session = None
             if n == 6:
                 if parts[4] != "session":
@@ -116,31 +139,17 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                                             parts[2], None, None, session, lineno))
         else:
             try:
-                if word == "create" and n == 5 and parts[4] in _MODES:
-                    ev = ScenarioEvent(time, EventKind.CREATE_VM, vm=parts[2],
-                                       dc=int(parts[3]), mode=_MODES[parts[4]], line=lineno)
-                elif word == "migrate" and n == 4:
-                    ev = ScenarioEvent(time, EventKind.MIGRATE_VM, vm=parts[2],
-                                       dc=int(parts[3]), line=lineno)
-                elif word == "replicate" and n == 5:
-                    ev = ScenarioEvent(time, EventKind.REPLICATE_VM, vm=parts[2],
-                                       src_dc=int(parts[3]), dst_dc=int(parts[4]),
-                                       line=lineno)
-                elif word == "destroy" and n == 4:
-                    ev = ScenarioEvent(time, EventKind.DESTROY_VM_AT, vm=parts[2],
-                                       dc=int(parts[3]), line=lineno)
-                elif word == "user" and n == 5:
-                    x, y = float(parts[3]), float(parts[4])
-                    if not (math.isfinite(x) and math.isfinite(y)):
-                        raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
-                    ev = ScenarioEvent(time, EventKind.PLACE_USER, user=parts[2],
-                                       x=x, y=y, line=lineno)
-                else:
-                    raise ParseError(f"line {lineno}: unrecognized event {raw!r}")
-            except ParseError:
-                raise
+                kind, readers = _LINES[word, n]
+                slots = [time, kind, None, None, None, None, None, None, None, None, None, lineno]
+                for slot, read, at in readers:
+                    slots[slot] = read(parts[at])
+            except KeyError:  # an unknown word, a wrong length or a bad mode word
+                raise ParseError(f"line {lineno}: unrecognized event {raw!r}") from None
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
+            ev = _new_event(ScenarioEvent, slots)
+            if kind is EventKind.PLACE_USER and not all(map(math.isfinite, (ev.x, ev.y))):
+                raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
         # Split never yields an empty name, so a name is bad iff it has a comma.
         if "," in raw:
             for name in (ev.vm, ev.user, ev.session):
@@ -154,32 +163,17 @@ def format_scenario(events: list[ScenarioEvent]) -> str:
     """Inverse of parse_scenario, used to persist generated scenarios."""
     out = []
     for ev in events:
-        t = repr(ev.time)
-        if ev.kind is EventKind.CREATE_VM:
-            out.append(f"{t} create {ev.vm} {ev.dc} {ev.mode.value}")
-        elif ev.kind is EventKind.MIGRATE_VM:
-            out.append(f"{t} migrate {ev.vm} {ev.dc}")
-        elif ev.kind is EventKind.REPLICATE_VM:
-            out.append(f"{t} replicate {ev.vm} {ev.src_dc} {ev.dst_dc}")
-        elif ev.kind is EventKind.DESTROY_VM_AT:
-            out.append(f"{t} destroy {ev.vm} {ev.dc}")
-        elif ev.kind is EventKind.PLACE_USER:
-            out.append(f"{t} user {ev.user} {ev.x!r} {ev.y!r}")
-        else:
-            tail = f" session {ev.session}" if ev.session else ""
-            out.append(f"{t} send {ev.user} {ev.vm}{tail}")
+        words = [repr(ev.time), ev.kind.value]
+        words += [write(getattr(ev, name)) for name, (_, write, _) in _GRAMMAR[ev.kind]]
+        if ev.session:
+            words += ["session", ev.session]
+        out.append(" ".join(words))
     return "\n".join(out) + "\n"
 
 
 def _where(ev: ScenarioEvent) -> str:
     """The prefix that names ev's line in an error about it."""
     return f"line {ev.line}: " if ev.line is not None else ""
-
-
-def _lacking(ev: ScenarioEvent) -> ScenarioError:
-    """The error for ev, which lacks a field its kind needs."""
-    lacks = ", ".join(f for f in _NEEDS[ev.kind] if getattr(ev, f) is None)
-    return ScenarioError(f"{_where(ev)}{ev.kind.value} event lacks its {lacks}")
 
 
 def _check_name(ev: ScenarioEvent, name: object) -> None:
@@ -407,10 +401,13 @@ class Simulation:
         self.vms: dict[str, VmRecord] = {}
         # Checked before the sort, which a NaN time would leave in no order.
         for ev in events:
-            if not 0.0 <= ev.time < math.inf:
-                if not math.isfinite(ev.time):
-                    raise ScenarioError(f"{_where(ev)}event time must be finite, got {ev.time}")
-                raise ScenarioError(f"{_where(ev)}event time must be >= 0, got {ev.time}")
+            try:
+                if 0.0 <= ev.time < math.inf:
+                    continue
+                must = ">= 0" if math.isfinite(ev.time) else "finite"
+            except TypeError:  # not a number
+                must = "a number"
+            raise ScenarioError(f"{_where(ev)}event time must be {must}, got {ev.time!r}")
         self._events = sorted(events, key=lambda e: e.time)
         # Every VM the scenario creates, by name, in order of creation (its
         # number). Compiling leaves each at its final hosts; the replay sets
@@ -461,8 +458,15 @@ class Simulation:
                     _check_name(ev, ev.session)
                 sends[i] = user[0], k
                 continue
-            if None in _needed[ev.kind](ev):
-                raise _lacking(ev)
+            fields = _GRAMMAR.get(ev.kind)
+            if fields is None:
+                raise ScenarioError(f"{_where(ev)}unknown event kind {ev.kind!r}")
+            for name, (_, _, holds) in fields:
+                value = getattr(ev, name)
+                if not isinstance(value, holds) or type(value) is bool:
+                    lacks = ", ".join(f for f, _ in fields if getattr(ev, f) is None)
+                    fault = f"lacks its {lacks}" if lacks else f"has a bad {name}: {value!r}"
+                    raise ScenarioError(f"{_where(ev)}{ev.kind.value} event {fault}")
             if ev.kind is EventKind.PLACE_USER:
                 _check_name(ev, ev.user)
                 if not (isfinite(ev.x) and isfinite(ev.y)):
@@ -586,7 +590,7 @@ class Simulation:
         self._logs[k] = flying
         return flying
 
-    def _read_table(self, dcr: DcrId, k: int, index: int) -> VmRegister:
+    def _read_table(self, dcr: DcrId, k: int, index: float) -> VmRegister:
         """VM k's entry in dcr's table as the packet of send `index`, arriving
         now, reads it: the notifications whose (arrival at dcr, scenario index
         of their change) is below (now, index). The settled register itself
@@ -629,11 +633,10 @@ class Simulation:
         out = {}
         for d in self.topology.ids():
             table = out[d] = ForwardingTable()
-            for vm, settled, log in zip(self._records.values(), self._settled, self._logs):
-                register = settled.copy()
-                for emit, _, origin, n in log:
-                    if emit + self._schedules[origin][0][d] <= self.now:
-                        register.apply(n)
+            for k, vm in enumerate(self._records.values()):
+                # As a packet arriving now would read it, after every change
+                # up to now: no scenario index reaches infinity.
+                register = self._read_table(d, k, math.inf).copy()
                 if register != VmRegister():
                     table[vm.address] = register
         return MappingProxyType(out)

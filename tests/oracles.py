@@ -141,8 +141,7 @@ def scalar_build_tree(t, root=None):
         parents[j] = attach
         edges[(min(j, attach), max(j, attach))] = distance(jp, t.position(attach))
         in_tree.append(j)
-    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root,
-                   parents=parents, insertion_order=tuple(pending))
+    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root, parents=parents)
 
 
 @dataclass(frozen=True)

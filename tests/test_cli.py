@@ -150,13 +150,13 @@ def test_compare_rows_match_each_overlay_built_from_scratch(capsys):
 
 def test_compare_builds_each_tree_once(monkeypatch, capsys):
     trees = []
-    build_tree = dcrsim.cli.build_tree
+    build_tree = dcrsim.overlay.build_tree
 
     def counted(t):
         trees.append(t)
         return build_tree(t)
 
-    monkeypatch.setattr(dcrsim.cli, "build_tree", counted)
+    monkeypatch.setattr(dcrsim.overlay, "build_tree", counted)
     code, _, _ = run_cli(["compare", "--seed", "1", "--count", "3", "--n", "9"], capsys)
     assert code == 0
     assert len(trees) == 3

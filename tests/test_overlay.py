@@ -56,15 +56,6 @@ def test_build_tree_default_root_is_nearest_bounding_box_center():
     assert build_tree(t).root == 2
 
 
-def test_build_tree_insertion_order_by_distance_from_root():
-    t = generate_random_topology(3, 12)
-    o = build_tree(t)
-    rp = t.position(o.root)
-    dists = [distance(rp, t.position(v)) for v in o.insertion_order]
-    assert dists == sorted(dists)
-    assert set(o.insertion_order) == set(t.ids()) - {o.root}
-
-
 def test_build_tree_unknown_root():
     with pytest.raises(ConfigError):
         build_tree(square(), root=9)
@@ -462,15 +453,19 @@ def test_extending_an_uncomputed_overlay_starts_cold():
     assert_same_as_dijkstra(o3)
 
 
-def unusable_skeletons(o):
+def unusable_skeletons(o, t):
     """Skeletons whose preorder from the root misses nodes, so the kernel
     visits o's hop-BFS tree instead, and one with a cycle through the root,
-    whose preorder still spans o."""
-    first, second = o.insertion_order[:2]
+    whose preorder still spans o. Their nodes are picked in the order the
+    tree's nodes joined it: by distance from the root, ties to the lowest id."""
+    rp = t.position(o.root)
+    joiners = sorted((v for v in o.nodes if v != o.root),
+                     key=lambda v: (distance(rp, t.position(v)), v))
+    first, second = joiners[:2]
     yield {}
     yield {c: p for c, p in o.parents.items() if c != first}
     yield {**o.parents, first: second, second: first}
-    yield {**o.parents, o.root: o.insertion_order[-1]}
+    yield {**o.parents, o.root: joiners[-1]}
 
 
 def restaged(t, parents):
@@ -495,7 +490,7 @@ def test_visit_order_changes_no_bits(n):
         oracle = np.array(dijkstra_matrix(list(o.nodes), dict(o.edges)))
         assert np.array_equal(all_pairs_delay(o), oracle)
         wanted.append(oracle)
-    for parents in unusable_skeletons(overlays[0]):
+    for parents in unusable_skeletons(overlays[0], t):
         for o, oracle in zip(overlays, wanted):  # cold
             assert np.array_equal(all_pairs_delay(replace(o, parents=parents)), oracle)
         for o, oracle in zip(restaged(t, parents), wanted):  # warm-started

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -6,10 +7,12 @@ import pytest
 import dcrsim.simulator
 from dcrsim import (ConfigError, Delivery, EventKind, ModeConflict, ParseError, Point,
                     ScenarioError, ScenarioEvent, Simulation, Topology, VmMode,
-                    build_overlay, format_scenario, parse_scenario, run_scenario)
+                    build_overlay, format_scenario, generate_random_topology,
+                    parse_scenario, run_scenario)
 
 import oracles
-from oracles import packet_records
+import scenariogen
+from oracles import dijkstra_matrix, packet_records
 
 
 def square() -> Topology:
@@ -74,15 +77,38 @@ def test_parse_scenario_rejects_negative_time():
         parse_scenario("-1 user u1 0 0\n")
 
 
+# Every kind and every mode, one event a line.
+ALL_KINDS = [
+    ev(0.0, EventKind.PLACE_USER, user="u1", x=1.0, y=-2.5, line=1),
+    ev(0.0, EventKind.PLACE_USER, user="u2", x=12.3456789, y=0.1 + 0.2, line=2),
+    ev(0.0, EventKind.CREATE_VM, vm="m", dc=1, mode=VmMode.ANYCAST_MIGRATABLE, line=3),
+    ev(0.0, EventKind.CREATE_VM, vm="r", dc=2, mode=VmMode.ANYCAST_REPLICATED, line=4),
+    ev(0.0, EventKind.CREATE_VM, vm="c", dc=3, mode=VmMode.UNICAST, line=5),
+    ev(2.5, EventKind.MIGRATE_VM, vm="m", dc=2, line=6),
+    ev(3.0, EventKind.REPLICATE_VM, vm="r", src_dc=2, dst_dc=4, line=7),
+    ev(4.0, EventKind.DESTROY_VM_AT, vm="r", dc=2, line=8),
+    ev(5.0, EventKind.SEND_PACKET, user="u1", vm="m", line=9),
+    ev(1234.567, EventKind.SEND_PACKET, user="u2", vm="r", session="s1", line=10),
+]
+
+
 def test_scenario_round_trips_through_text():
-    events = parse_scenario("0 user u1 1 1\n"
-                            "0 user u2 12.3456789 0.1\n"
-                            "0 create vm1 1 anycast-migrate\n"
-                            "2.5 migrate vm1 2\n"
-                            "1234.567 send u1 vm1 session s1\n")
-    again = parse_scenario(format_scenario(events))
-    assert [(e.time, e.kind, e.vm, e.user, e.x, e.y, e.session) for e in again] == \
-           [(e.time, e.kind, e.vm, e.user, e.x, e.y, e.session) for e in events]
+    assert {e.kind for e in ALL_KINDS} == set(EventKind)
+    assert {e.mode for e in ALL_KINDS} == set(VmMode) | {None}
+    again = parse_scenario(format_scenario(ALL_KINDS))
+    assert [tuple(e) for e in again] == [tuple(e) for e in ALL_KINDS]
+    # Every field, the line included, since the events are one a line.
+    for field in ScenarioEvent._fields:
+        assert [getattr(e, field) for e in again] == [getattr(e, field) for e in ALL_KINDS]
+
+
+def test_generated_scenarios_round_trip_through_text():
+    for seed in range(200):
+        events = scenariogen.generate(seed).events
+        again = parse_scenario(format_scenario(events))
+        # Generated events carry no line; parsed ones carry theirs.
+        assert [e.line for e in again] == list(range(1, len(events) + 1))
+        assert [e._replace(line=None) for e in again] == events, seed
 
 
 def test_events_are_sorted_stably_by_time():
@@ -233,6 +259,36 @@ def test_events_lacking_a_field_fail_before_anything_runs(fields, message, monke
     events = BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", line=3),
                      ScenarioEvent(2, line=4, **fields)]
     with pytest.raises(ScenarioError, match=f"^line 4: {message}$"):
+        sim_for(events)
+    assert placed == []
+
+
+MISTYPED = [
+    ([ScenarioEvent(None, EventKind.PLACE_USER, user="u2", x=1.0, y=1.0, line=4)],
+     "event time must be a number, got None"),
+    ([ev(2, EventKind.PLACE_USER, user="u2", x="a", y=1.0, line=4)],
+     "user event has a bad x: 'a'"),
+    ([ev(2, EventKind.CREATE_VM, vm="vm2", dc=1, mode="anycast-migrate", line=4),
+      ev(3, EventKind.MIGRATE_VM, vm="vm2", dc=2, line=5)],
+     "create event has a bad mode: 'anycast-migrate'"),
+    ([ev(2, "create", vm="vm2", dc=1, mode=VmMode.UNICAST, line=4)],
+     "unknown event kind 'create'"),
+    ([ev(2, EventKind.MIGRATE_VM, vm="vm1", dc=1.0, line=4)], "migrate event has a bad dc: 1.0"),
+    ([ev(2, EventKind.MIGRATE_VM, vm="vm1", dc=True, line=4)],
+     "migrate event has a bad dc: True"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MISTYPED, ids=[
+    "time-None", "x-str", "mode-str", "kind-str", "dc-float", "dc-bool"])
+def test_mistyped_fields_fail_before_anything_runs(bad, message, monkeypatch):
+    # Built in code: parse_scenario never builds such an event. A float or a
+    # bool DC id would print as 1.0 or True in the report and the trace.
+    placed = []
+    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
+                        lambda *args: placed.append(args) or 4)
+    events = BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", line=3)] + bad
+    with pytest.raises(ScenarioError, match=f"^line 4: {re.escape(message)}$"):
         sim_for(events)
     assert placed == []
 
@@ -672,3 +728,42 @@ def test_an_event_at_nan_no_longer_runs():
         sim_for([BASE[0], ev(math.nan, EventKind.CREATE_VM, vm="vm2", dc=1,
                                 mode=VmMode.ANYCAST_MIGRATABLE),
                  ev(1.0, EventKind.SEND_PACKET, user="u1", vm="vm2")])
+
+
+@pytest.mark.parametrize("alg", (1, 2, 3))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_miss_count_matches_the_flood_race_predicted_from_geometry(seed, alg):
+    # One migratable VM hops every 1000 time units, and packets race its
+    # floods. From the geometry and the overlay's delays alone: a packet
+    # misses iff it reaches its ingress before the latest migration's flood
+    # does, which starts at the migration's destination.
+    rng = random.Random(seed)
+    t = generate_random_topology(seed, 40)
+    overlay = build_overlay(t, alg)
+    users = {f"u{i}": Point(rng.uniform(0, 100), rng.uniform(0, 100)) for i in range(20)}
+    events = [ev(0.0, EventKind.PLACE_USER, user=u, x=p.x, y=p.y) for u, p in users.items()]
+    events.append(ev(0.0, EventKind.CREATE_VM, vm="v", dc=1, mode=VmMode.ANYCAST_MIGRATABLE))
+    migrations, at = [], 1
+    for i in range(1, 31):
+        at = rng.choice([d for d in t.ids() if d != at])
+        migrations.append((1000.0 * i, at))
+        events.append(ev(1000.0 * i, EventKind.MIGRATE_VM, vm="v", dc=at))
+    sends = [(rng.uniform(0, 31000), rng.choice(sorted(users))) for _ in range(1500)]
+    events += [ev(time, EventKind.SEND_PACKET, user=u, vm="v") for time, u in sends]
+
+    nodes = list(overlay.nodes)
+    delays = dijkstra_matrix(nodes, dict(overlay.edges))
+    assert max(map(max, delays)) < 1000  # each flood settles before the next starts
+    index = {d: i for i, d in enumerate(nodes)}
+    predicted = 0
+    for time, u in sends:
+        p = users[u]
+        gap, ingress = min((math.hypot(p.x - q.x, p.y - q.y), d) for d, q in t.dcrs)
+        arrival = time + gap
+        for t0, dst in migrations:
+            assert arrival != t0 + delays[index[dst]][index[ingress]]
+        latest = [(t0, dst) for t0, dst in migrations if t0 <= arrival]
+        if latest:
+            t0, dst = latest[-1]
+            predicted += arrival < t0 + delays[index[dst]][index[ingress]]
+    assert run_scenario(t, overlay, events).missed == predicted > 0
