@@ -37,9 +37,9 @@ class Overlay:
 
     parents describes the spanning-tree skeleton and is only populated by
     build_tree (and preserved by the later stages); parsed overlays leave it
-    empty. The delay kernel visits the nodes in the skeleton's preorder when
-    it spans the overlay. Treat instances as immutable: the delay matrix is
-    computed once per instance, on first use, and cached.
+    empty. The delay kernel starts from the skeleton's exact delays when it
+    spans the overlay over its links. Treat instances as immutable: the delay
+    matrix is computed once per instance, on first use, and cached.
     """
 
     nodes: tuple[DcrId, ...]
@@ -209,72 +209,95 @@ def build_overlay(t: Topology, alg: int) -> Overlay:
 def _delay_matrix(o: Overlay) -> np.ndarray:
     """All-pairs flood delays, read-only: entry [s, w] is the delay from s to w.
 
-    A visit to node w relaxes the delays from every source to w at once, from
-    the rows of w's neighbours. Sweeps visit the nodes in the depth-first
-    preorder of a spanning tree, reversed then forward, skipping those whose
-    neighbours have not improved since their last visit, until nothing
-    improves. Each delay is then a sum of link costs added from the source
-    outward; float addition is monotone and costs are positive, so it equals a
-    single-source Dijkstra's bit for bit, whatever the visit order. Summing
-    path segments in another order (Floyd-Warshall, min-plus squaring) would
-    not.
+    Each delay is a sum of link costs added from the source outward, as a
+    single-source Dijkstra adds them. A cold start takes the exact delays of
+    a spanning tree of o's links (see _visit_tree), with the sources in its
+    preorder so that each subtree's sources are one slice. Children first, a
+    node's delays from its subtree are its child's plus the link; then
+    parents first, its other delays are its parent's plus the link. Sweeps
+    then relax the other links. A visit to node w relaxes the delays from
+    every source to w at once, from the rows of the neighbours that improved
+    since w's last visit (the others' cannot improve w's); sweeps visit the
+    tree's preorder, reversed then forward, skipping nodes with no such
+    neighbour, until nothing improves. Float addition is monotone and costs
+    are positive, so the fixed point is Dijkstra's, bit for bit, whatever the
+    visit order; summing path segments in another order (Floyd-Warshall,
+    min-plus squaring) would not be. The tree delays are a fixed point over
+    the tree's links, so only the other links start pending, and a tree
+    takes no sweep.
 
     Warm start: connect_leaves and add_wraparound only add links, and when
     their input's matrix was already computed they hand it on. The sweeps
-    then start from a copy of it, with only the added links' endpoints dirty.
-    Every old entry is a sum, added from the source outward, along a path
-    the new overlay also has, so the sweeps reach the same fixed point, bit
-    for bit. The hand-off is dropped once this matrix is computed; until
-    then, an extended overlay keeps its base's matrix alive.
+    then start from a copy of it, with only the added links' endpoints
+    pending, from all their neighbours. Every old entry is such a sum along
+    a path the new overlay also has, so the sweeps reach the same fixed
+    point. The hand-off is dropped once this matrix is computed; until then,
+    an extended overlay keeps its base's matrix alive.
     """
     warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
     index = {v: i for i, v in enumerate(o.nodes)}
-    nbrs: list[list[int]] = [[] for _ in o.nodes]
-    costs: list[list[float]] = [[] for _ in o.nodes]
+    # Per node: its neighbours, in id order, with their link costs.
+    links: list[dict[int, float]] = [{} for _ in o.nodes]
     for (a, b), cost in sorted(o.edges.items()):
-        for u, w in ((index[a], index[b]), (index[b], index[a])):
-            nbrs[u].append(w)
-            costs[u].append(cost)
-    order = _visit_order(o, index, nbrs)
-    # dt[w, s] is the delay from s to w: one contiguous row per destination.
+        links[index[a]][index[b]] = links[index[b]][index[a]] = cost
+    order, parent = _visit_tree(o, index, links)
     if warm is None:
-        dt = np.full((n, n), math.inf)
-        np.fill_diagonal(dt, 0.0)
-        dirty = [bool(ns) for ns in nbrs]  # a lone node has nothing to relax
+        # dt[w, pos[s]] is the delay from s to w; w's subtree is pos[w]:pos[w] + size[w].
+        perm, size = np.argsort(order), [1] * n
+        pos = perm.tolist()
+        dt = np.empty((n, n))
+        dt[order, range(n)] = 0.0
+        rows = list(dt)
+        for w in order[:0:-1]:
+            p, sub = parent[w], slice(pos[w], pos[w] + size[w])
+            np.add(rows[w][sub], links[w][p], out=rows[p][sub])
+            size[p] += size[w]
+        for w in order[1:]:
+            p, end = parent[w], pos[w] + size[w]
+            np.add(rows[p][:pos[w]], links[w][p], out=rows[w][:pos[w]])
+            np.add(rows[p][end:], links[w][p], out=rows[w][end:])
+        for row in rows:  # dt[w, s] is the delay from s to w
+            row[:] = row[perm]
+        pending = [{u: c for u, c in ls.items() if u != parent.get(w) and parent.get(u) != w}
+                   for w, ls in enumerate(links)]
     else:
         base, ends = warm
         dt = base.T.copy()
-        dirty = [v in ends for v in o.nodes]
-    rows = list(dt)
-    # Per node: its first neighbour's row and link cost, then the others'.
-    heads = [(rows[ns[0]], cs[0]) if ns else None for ns, cs in zip(nbrs, costs)]
-    tails = [[(rows[u], c) for u, c in zip(ns[1:], cs[1:])] for ns, cs in zip(nbrs, costs)]
-    cand, scratch, less = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    improved = True
+        rows = list(dt)
+        pending = [dict(ls) if v in ends else {} for v, ls in zip(o.nodes, links)]
+    # pending[w]: the neighbours whose rows improved since w's last visit,
+    # with their link costs; w's row is already no worse than the others'.
+    cand, scratch = np.empty(n), np.empty(n)
+    improved = any(pending)
     while improved:
         improved = False
         for w in order[::-1] + order:
-            if dirty[w]:
-                dirty[w] = False
-                np.add(*heads[w], out=cand)
-                for row, c in tails[w]:
-                    np.minimum(cand, np.add(row, c, out=scratch), out=cand)
+            if pending[w]:
+                (u, c), *others = pending[w].items()
+                pending[w] = {}
+                np.add(rows[u], c, out=cand)
+                for u, c in others:
+                    np.minimum(cand, np.add(rows[u], c, out=scratch), out=cand)
                 row = rows[w]
-                if np.less(cand, row, out=less).any():
-                    np.minimum(row, cand, out=row)
+                # No delay is -0.0 or nan: the bytes differ iff a candidate is less.
+                np.minimum(row, cand, out=cand)
+                if cand.tobytes() != row.tobytes():
+                    row[...] = cand
                     improved = True
-                    for u in nbrs[w]:
-                        dirty[u] = True
+                    for u, c in links[w].items():
+                        pending[u][w] = c
     mat = dt.T
     mat.flags.writeable = False
     return mat
 
 
-def _visit_order(o: Overlay, index: dict[DcrId, int], nbrs: list[list[int]]) -> list[int]:
-    """The node indices in the depth-first preorder, children in id order, of
-    o's spanning-tree skeleton if it spans o, else of o's hop-BFS tree from
-    the root. Raises OverlayError if o is disconnected."""
+def _visit_tree(o: Overlay, index: dict[DcrId, int],
+                nbrs: list[dict[int, float]]) -> tuple[list[int], dict[int, int]]:
+    """Node indices in depth-first preorder, children in id order, and each
+    non-root node's parent index, of o's skeleton if it spans o over o's links,
+    else of o's hop-BFS tree from the root. Raises OverlayError if o is
+    disconnected."""
 
     def preorder(children: list[list[int]], start: int) -> list[int]:
         order, stack = [], [start]
@@ -295,20 +318,21 @@ def _visit_order(o: Overlay, index: dict[DcrId, int], nbrs: list[list[int]]) -> 
                     children[w].append(u)
         return children
 
+    # Each node has one parent and the root none, so no walk from the root repeats
+    # a node; a skeleton with a cycle, a stray node or a link o lacks spans less.
     root = index[o.root]
-    order = preorder(hop_tree(root), root)
+    children: list[list[int]] = [[] for _ in nbrs]
+    for child, p in sorted(o.parents.items()):
+        if child != o.root and child in index and p in index and o.has_edge(child, p):
+            children[index[p]].append(index[child])
+    order = preorder(children, root)
+    if len(order) < len(nbrs):
+        order = preorder(children := hop_tree(root), root)
     if len(order) < len(nbrs):
         reached = set(preorder(hop_tree(0), 0))
         missing = [v for i, v in enumerate(o.nodes) if i not in reached]
         raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
-    # Each node has one parent and the root none, so no walk from the root
-    # repeats a node; a skeleton with a cycle or a stray node spans less.
-    skeleton: list[list[int]] = [[] for _ in nbrs]
-    for child, parent in sorted(o.parents.items()):
-        if child != o.root and child in index and parent in index:
-            skeleton[index[parent]].append(index[child])
-    tree_order = preorder(skeleton, root)
-    return tree_order if len(tree_order) == len(nbrs) else order
+    return order, {ch: p for p, chs in enumerate(children) for ch in chs}
 
 
 def all_pairs_delay(o: Overlay) -> np.ndarray:

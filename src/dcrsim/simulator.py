@@ -400,12 +400,14 @@ class Simulation:
         # The VMs created so far in the replay, with their hosts at `now`.
         self.vms: dict[str, VmRecord] = {}
         # Checked before the sort, which a NaN time would leave in no order.
+        inf = math.inf
         for ev in events:
-            try:
-                if 0.0 <= ev.time < math.inf:
+            at = ev.time  # parsed times are floats, so test that type first
+            if type(at) is float or isinstance(at, (float, int)) and type(at) is not bool:
+                if 0.0 <= at < inf:
                     continue
-                must = ">= 0" if math.isfinite(ev.time) else "finite"
-            except TypeError:  # not a number
+                must = ">= 0" if math.isfinite(at) else "finite"
+            else:  # None, a bool, or a Decimal or Fraction that no float sum takes
                 must = "a number"
             raise ScenarioError(f"{_where(ev)}event time must be {must}, got {ev.time!r}")
         self._events = sorted(events, key=lambda e: e.time)

@@ -455,17 +455,22 @@ def test_extending_an_uncomputed_overlay_starts_cold():
 
 def unusable_skeletons(o, t):
     """Skeletons whose preorder from the root misses nodes, so the kernel
-    visits o's hop-BFS tree instead, and one with a cycle through the root,
-    whose preorder still spans o. Their nodes are picked in the order the
+    starts from o's hop-BFS tree instead; one with a cycle through the root,
+    whose preorder still spans o; and one that spans o but gives its last
+    joiner, a leaf, a parent that no stage links it to, so the kernel must
+    again take the hop-BFS tree. Their nodes are picked in the order the
     tree's nodes joined it: by distance from the root, ties to the lowest id."""
     rp = t.position(o.root)
     joiners = sorted((v for v in o.nodes if v != o.root),
                      key=lambda v: (distance(rp, t.position(v)), v))
-    first, second = joiners[:2]
+    first, second, last = joiners[0], joiners[1], joiners[-1]
     yield {}
     yield {c: p for c, p in o.parents.items() if c != first}
     yield {**o.parents, first: second, second: first}
-    yield {**o.parents, o.root: joiners[-1]}
+    yield {**o.parents, o.root: last}
+    full = build_overlay(t, 3)
+    stranger = next(v for v in joiners if v != last and not full.has_edge(v, last))
+    yield {**o.parents, last: stranger}
 
 
 def restaged(t, parents):

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +10,11 @@ import dcrsim.simulator
 from dcrsim import (ConfigError, Delivery, EventKind, ModeConflict, ParseError, Point,
                     ScenarioError, ScenarioEvent, Simulation, Topology, VmMode,
                     build_overlay, format_scenario, generate_random_topology,
-                    parse_scenario, run_scenario)
+                    load_topology, parse_scenario, run_scenario)
 
 import oracles
 import scenariogen
+from conftest import example_path
 from oracles import dijkstra_matrix, packet_records
 
 
@@ -266,6 +269,12 @@ def test_events_lacking_a_field_fail_before_anything_runs(fields, message, monke
 MISTYPED = [
     ([ScenarioEvent(None, EventKind.PLACE_USER, user="u2", x=1.0, y=1.0, line=4)],
      "event time must be a number, got None"),
+    ([ScenarioEvent(Decimal("1"), EventKind.SEND_PACKET, user="u1", vm="vm1", line=4)],
+     "event time must be a number, got Decimal('1')"),
+    ([ScenarioEvent(Fraction(1, 3), EventKind.SEND_PACKET, user="u1", vm="vm1", line=4)],
+     "event time must be a number, got Fraction(1, 3)"),
+    ([ScenarioEvent(True, EventKind.PLACE_USER, user="u2", x=1.0, y=1.0, line=4)],
+     "event time must be a number, got True"),
     ([ev(2, EventKind.PLACE_USER, user="u2", x="a", y=1.0, line=4)],
      "user event has a bad x: 'a'"),
     ([ev(2, EventKind.CREATE_VM, vm="vm2", dc=1, mode="anycast-migrate", line=4),
@@ -280,7 +289,8 @@ MISTYPED = [
 
 
 @pytest.mark.parametrize("bad, message", MISTYPED, ids=[
-    "time-None", "x-str", "mode-str", "kind-str", "dc-float", "dc-bool"])
+    "time-None", "time-Decimal", "time-Fraction", "time-bool", "x-str", "mode-str", "kind-str",
+    "dc-float", "dc-bool"])
 def test_mistyped_fields_fail_before_anything_runs(bad, message, monkeypatch):
     # Built in code: parse_scenario never builds such an event. A float or a
     # bool DC id would print as 1.0 or True in the report and the trace.
@@ -507,6 +517,18 @@ def test_flood_reaching_the_ingress_as_the_packet_does_is_seen():
     # The flood from dcr2 at 10 reaches dcr4 at 30, before the send at 30.
     report = square_run("0 user u1 0 0\n10 migrate vm1 2\n30 send u1 vm1\n")
     assert packet_records(report)[0].trace.delivered_at == 2
+
+
+def test_flood_settling_as_the_packet_arrives_is_not_folded_early():
+    # The packet reaches dcr4 at 30, when the flood from dcr2 does and so
+    # settles everywhere. The send sorts before the change, so it reads the
+    # old entry and misses; folding a flood whose last arrival equals now
+    # would deliver it at dcr2.
+    t = load_topology(example_path("square.top"))
+    events = parse_scenario("0 user u 0 -25\n0 create v 1 anycast-migrate\n"
+                            "5 send u v\n10 migrate v 2\n")
+    report = Simulation(t, build_overlay(t, 3), events).run()
+    assert report.to_csv().splitlines()[1] == "0,5.000000,u,v,,4,1,MISS,35.000000,1,,,,"
 
 
 def test_quiescence_only_after_floods_settle():
