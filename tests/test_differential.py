@@ -9,11 +9,15 @@ counters, and the same tables and in-flight counts wherever the run is
 paused.
 """
 
+import os
+import sys
+import types
+
 import pytest
 
 from dcrsim import (EventKind, Point, ScenarioEvent, Simulation, VmMode,
                     build_overlay, generate_random_topology, load_scenario,
-                    load_topology, parse_scenario, run_scenario)
+                    load_topology, parse_scenario, parse_topology, run_scenario)
 
 import scenariogen
 from conftest import example_path, golden_path
@@ -157,3 +161,49 @@ def test_hot_vm_tables_match_the_eager_engine_wherever_paused():
     assert lazy.pending_floods() == eager.pending_floods() == 0
     assert dict(lazy.tables) == {d: as_library_table(table)
                                  for d, table in eager.tables.items()}
+
+
+def bench_gen():
+    """The benchmark's input generator, `bench/gen.py`, run from its source
+    so that importing it writes nothing under `bench/`."""
+    mod = sys.modules.get("bench_gen")
+    if mod is None:
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "gen.py")
+        with open(path, encoding="utf-8") as f:
+            code = compile(f.read(), path, "exec")
+        mod = sys.modules["bench_gen"] = types.ModuleType("bench_gen")
+        exec(code, mod.__dict__)
+    return mod
+
+
+def bench_inputs(workload):
+    """The topology, alg-3 overlay and scenario of a benchmark workload at
+    seed 1, as `bench/run.py` runs them."""
+    gen = bench_gen()
+    inputs = gen.generate(getattr(gen, workload.upper()), 1)
+    t = parse_topology(inputs.topology_text)
+    return t, build_overlay(t, 3), parse_scenario(inputs.scenario_text), inputs
+
+
+@pytest.mark.parametrize("workload", ["churn", "traffic"])
+def test_benchmark_inputs_match_the_eager_engine(workload):
+    # churn starts about one flood per time unit against a worst overlay
+    # delay of about 150, so floods of one VM overlap heavily.
+    t, overlay, events, _ = bench_inputs(workload)
+    assert_same_output(t, overlay, events, workload)
+
+
+def test_churn_tables_match_the_eager_engine_wherever_paused():
+    t, overlay, events, inputs = bench_inputs("churn")
+    lazy = Simulation(t, overlay, events)
+    eager = EagerSimulation(t, overlay, events)
+    pending = []
+    for fifth in range(1, 6):
+        time = inputs.last_lifecycle * fifth / 5 - 0.5
+        lazy.run_until(time)
+        eager.run_until(time)
+        pending.append(lazy.pending_floods())
+        assert pending[-1] == eager.pending_floods(), time
+        assert dict(lazy.tables) == {d: as_library_table(table)
+                                     for d, table in eager.tables.items()}, time
+    assert min(pending) > 0  # every pause finds floods in flight
