@@ -5,7 +5,7 @@ from .errors import (ConfigError, ModeConflict, OverlayError, ParseError,
                      ScenarioError)
 from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       build_overlay, build_tree, connect_leaves,
-                      flood_duplicate_count, flood_schedule, format_overlay,
+                      flood_duplicate_count, format_overlay,
                       leaf_set, load_overlay, overlay_metrics, parse_overlay)
 from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
                        VmRecord, VmRegister, format_notification_line, lookup,
@@ -28,7 +28,7 @@ __all__ = [
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
     "VmRecord", "VmRegister", "add_wraparound", "all_pairs_delay",
     "build_overlay", "build_tree", "connect_leaves", "distance",
-    "flood_duplicate_count", "flood_schedule", "format_notification_line",
+    "flood_duplicate_count", "format_notification_line",
     "format_overlay", "format_scenario", "format_topology",
     "generate_random_topology", "leaf_set", "load_overlay",
     "load_scenario",

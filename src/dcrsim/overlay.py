@@ -361,14 +361,6 @@ def overlay_metrics(o: Overlay) -> OverlayMetrics:
                           flooding_overhead=overhead)
 
 
-def flood_schedule(o: Overlay, source: DcrId) -> dict[DcrId, float]:
-    """Arrival time of a flood started at source, per DCR (source maps to 0)."""
-    if source not in o.nodes:
-        raise ConfigError(f"flood source {source} is not an overlay node")
-    row = o._delays[o.nodes.index(source)]
-    return dict(zip(o.nodes, row.tolist()))
-
-
 def flood_duplicate_count(o: Overlay) -> int:
     """Duplicate receptions of one flooded notification.
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
-from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, flood_schedule, overlay_metrics
+from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_metrics
 from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
                        VmRecord, VmRegister, format_notification_line, notification_origin,
                        route_user_packet)
@@ -421,8 +421,6 @@ class Simulation:
         self._placed: dict[int, tuple[int, int]] = {}
         self._compile()
         self._next = 0  # position in _queue of the next entry to replay
-        # Per origin: each DCR's flood delay, and the largest one.
-        self._schedules: dict[DcrId, tuple[dict[DcrId, float], float]] = {}
         # By VM number: the register of the notifications that have reached
         # every DCR, and the log of those that may still be in flight.
         self._settled = [VmRegister() for _ in self._records]
@@ -570,14 +568,15 @@ class Simulation:
             self._flood(Notification(kind, vm.address, addrs, seq), i, k)
 
     def _flood(self, n: Notification, index: int, k: int) -> None:
-        origin = notification_origin(n)
         self._stream.append(n)
-        if origin not in self._schedules:
-            delays = flood_schedule(self.overlay, origin)
-            self._schedules[origin] = delays, max(delays.values())
         # The flood is logged under its change's scenario index, which
         # breaks ties with deliveries that reach a DCR when it does.
-        self._in_flight(k).append((self.now, index, origin, n))
+        self._in_flight(k).append((self.now, index, notification_origin(n), n))
+
+    @functools.cached_property
+    def _reach(self) -> list[float]:
+        """By origin id - 1, the time its flood takes to reach every DCR."""
+        return self.overlay._delays.max(axis=1).tolist()
 
     def _in_flight(self, k: int) -> list[LogEntry]:
         """Fold VM k's notifications that reached every DCR before `now` into
@@ -585,25 +584,31 @@ class Simulation:
         register, flying = self._settled[k], []
         for entry in self._logs[k]:
             emit, _, origin, n = entry
-            if emit + self._schedules[origin][1] < self.now:
+            if emit + self._reach[origin - 1] < self.now:
                 register.apply(n)
             else:
                 flying.append(entry)
         self._logs[k] = flying
         return flying
 
+    def _reached(self, entry: LogEntry, dcr: DcrId, index: float) -> bool:
+        """The arrival rule: entry's flood has reached dcr for the packet of send
+        `index`, arriving now, iff (its arrival, its change's index) < (now, index)."""
+        emit, i, origin, _ = entry
+        return (emit + self.overlay._delays.item(origin - 1, dcr - 1), i) < (self.now, index)
+
     def _read_table(self, dcr: DcrId, k: int, index: float) -> VmRegister:
         """VM k's entry in dcr's table as the packet of send `index`, arriving
-        now, reads it: the notifications whose (arrival at dcr, scenario index
-        of their change) is below (now, index). The settled register itself
-        unless one still in flight has reached dcr, then a copy."""
+        now, reads it: the notifications that have reached dcr (_reached).
+        The settled register itself unless one still in flight has reached
+        dcr, then a copy."""
         register = self._settled[k]
         if self._logs[k]:
-            for emit, i, origin, n in self._in_flight(k):
-                if (emit + self._schedules[origin][0][dcr], i) < (self.now, index):
+            for entry in self._in_flight(k):
+                if self._reached(entry, dcr, index):
                     if register is self._settled[k]:
                         register = register.copy()
-                    register.apply(n)
+                    register.apply(entry[3])
         return register
 
     def _deliver(self, j: int) -> None:
@@ -645,9 +650,8 @@ class Simulation:
 
     def pending_floods(self) -> int:
         """(notification, DCR) arrivals still ahead of `now`."""
-        return sum(1 for log in self._logs for emit, _, origin, _ in log
-                   for delay in self._schedules[origin][0].values()
-                   if emit + delay > self.now)
+        return sum(1 for log in self._logs for entry in log for d in self.topology.ids()
+                   if not self._reached(entry, d, math.inf))
 
     def run(self) -> SimReport:
         while self.step():

@@ -12,8 +12,8 @@ from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
                     Point, ScenarioEvent, Simulation, Topology, VmMode,
                     add_wraparound, all_pairs_delay, build_overlay,
                     build_tree, connect_leaves, distance, flood_duplicate_count,
-                    flood_schedule, format_overlay, generate_random_topology,
-                    leaf_set, overlay_metrics, parse_overlay)
+                    format_overlay, generate_random_topology, leaf_set,
+                    overlay_metrics, parse_overlay)
 
 import scenariogen
 from oracles import dijkstra_matrix, floyd_warshall, pair_delays, scalar_build_tree
@@ -142,6 +142,8 @@ def test_all_pairs_delay_square_hand_values():
     assert mat[idx[1], idx[2]] == pytest.approx(10.0)
     assert mat[idx[2], idx[4]] == pytest.approx(20.0)
     assert mat[idx[1], idx[3]] == pytest.approx(math.hypot(10, 10))
+    # A flood from DCR 2 reaches DCRs 1 to 4 after its row's delays.
+    assert mat[idx[2]].tolist() == pytest.approx([10.0, 0.0, 10.0, 20.0])
     assert np.allclose(mat, mat.T)
     assert np.allclose(np.diag(mat), 0.0)
 
@@ -178,21 +180,6 @@ def test_overlay_metrics_match_oracle():
     delays = pair_delays(list(o.nodes), dict(o.edges))
     assert m.worst_delay == pytest.approx(max(delays), abs=1e-9)
     assert m.avg_delay == pytest.approx(sum(delays) / len(delays), abs=1e-9)
-
-
-def test_flood_schedule_square():
-    o = build_overlay(square(), 3)
-    sched = flood_schedule(o, 2)
-    assert sched[2] == 0.0
-    assert sched[1] == pytest.approx(10.0)
-    assert sched[3] == pytest.approx(10.0)
-    assert sched[4] == pytest.approx(20.0)
-
-
-def test_flood_schedule_unknown_source():
-    o = build_overlay(square(), 1)
-    with pytest.raises(ConfigError):
-        flood_schedule(o, 99)
 
 
 def test_flood_duplicate_count():
@@ -262,12 +249,10 @@ def test_stagewise_metrics_never_regress(seed, n):
 
 
 def assert_same_as_dijkstra(o):
-    """The delay matrix and every flood schedule equal the scalar Dijkstra
+    """The delay matrix, which every flood reads, equals the scalar Dijkstra
     oracle exactly, not to a tolerance."""
     oracle = dijkstra_matrix(list(o.nodes), dict(o.edges))
     assert np.array_equal(all_pairs_delay(o), np.array(oracle))
-    for source, row in zip(o.nodes, oracle):
-        assert flood_schedule(o, source) == dict(zip(o.nodes, row))
 
 
 def acceptance_overlays(criterion):
@@ -349,15 +334,13 @@ def test_writing_to_all_pairs_delay_leaves_the_overlay_alone():
     mat = all_pairs_delay(o)
     mat[:] = 0.0
     assert overlay_metrics(o) == before
-    assert flood_schedule(o, 2)[4] == 20.0
+    assert all_pairs_delay(o)[1, 3] == 20.0
 
 
 @pytest.mark.parametrize("root", (1, 3))
 def test_disconnected_overlay_raises_from_every_reader(root):
     o = parse_overlay(f"root {root}\nedge 1 2 5.0\nedge 3 4 5.0\n")
-    readers = (all_pairs_delay, overlay_metrics, lambda o: flood_schedule(o, 1),
-               lambda o: flood_schedule(o, 3))
-    for read in readers:
+    for read in (all_pairs_delay, overlay_metrics):
         with pytest.raises(OverlayError, match=r"no path from 1 to \[3, 4\]"):
             read(o)
 
