@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -400,13 +401,14 @@ class Simulation:
         # The VMs created so far in the replay, with their hosts at `now`.
         self.vms: dict[str, VmRecord] = {}
         # Checked before the sort, which a NaN time would leave in no order.
-        inf = math.inf
+        # An int past the largest float has no float sum, so it is not finite.
+        largest = sys.float_info.max
         for ev in events:
             at = ev.time  # parsed times are floats, so test that type first
             if type(at) is float or isinstance(at, (float, int)) and type(at) is not bool:
-                if 0.0 <= at < inf:
+                if 0.0 <= at <= largest:
                     continue
-                must = ">= 0" if math.isfinite(at) else "finite"
+                must = ">= 0" if -largest <= at < 0.0 else "finite"
             else:  # None, a bool, or a Decimal or Fraction that no float sum takes
                 must = "a number"
             raise ScenarioError(f"{_where(ev)}event time must be {must}, got {ev.time!r}")

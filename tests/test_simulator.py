@@ -330,6 +330,23 @@ def test_bad_times_and_coordinates_fail_before_anything_runs(field, value, messa
     assert placed == []
 
 
+@pytest.mark.parametrize("bad", [
+    ScenarioEvent(-10**400, EventKind.PLACE_USER, user="w", x=0.0, y=0.0, line=3),
+    ScenarioEvent(10**400, EventKind.SEND_PACKET, user="u", vm="v", line=3),
+    ScenarioEvent(10**400, EventKind.MIGRATE_VM, vm="v", dc=2, line=3),
+], ids=["user", "send", "migrate"])
+def test_int_times_past_the_largest_float_fail_with_their_line(bad):
+    # Built in code: an int compares with floats exactly, but no float sum
+    # takes one this large.
+    t = Topology(((1, Point(0.0, 0.0)), (2, Point(1.0, 0.0))))
+    events = [ScenarioEvent(0.0, EventKind.PLACE_USER, user="u", x=0.0, y=0.0, line=1),
+              ScenarioEvent(0.0, EventKind.CREATE_VM, vm="v", dc=1,
+                            mode=VmMode.ANYCAST_MIGRATABLE, line=2), bad]
+    with pytest.raises(ScenarioError,
+                       match=f"^line 3: event time must be finite, got {bad.time}$"):
+        Simulation(t, build_overlay(t, 1), events)
+
+
 def test_compiling_places_no_user_and_computes_no_delays(monkeypatch):
     events = parse_scenario("0 user u1 1 1\n0 user u2 9 9\n"
                             "0 create vm1 1 anycast-migrate\n"
