@@ -49,6 +49,17 @@ def test_build_tree_rewires_to_parent_when_detour_is_pricey():
     assert o.parents == {2: 1, 3: 1}
 
 
+def test_build_tree_rewires_to_parent_when_detour_is_exactly_25_percent_worse():
+    # 1 joins last, next to 5, whose parent is 4: the detour 1-5-4 costs
+    # 5 + 5 = 10, exactly 1.25 times the direct 8, so 1 attaches to 4.
+    t = Topology(((1, Point(8, 5)), (2, Point(1, 3)), (3, Point(1, 0)), (4, Point(0, 5)),
+                  (5, Point(4, 8))))
+    o = build_tree(t, root=2)
+    assert o.parents == {4: 2, 3: 2, 5: 4, 1: 4}
+    assert "edge 1 4 8.000000" in format_overlay(o).splitlines()
+    assert build_overlay(t, 1) == o == scalar_build_tree(t)
+
+
 def test_build_tree_default_root_is_nearest_bounding_box_center():
     # All four corners tie for the center of the square, lowest id wins.
     assert build_tree(square()).root == 1
@@ -83,6 +94,16 @@ def test_connect_leaves_square_omits_widest_gap():
     # gap 2 -> 4 spans 270 degrees and stays open.
     assert set(o.edges) == {(1, 2), (1, 3), (1, 4), (3, 4), (2, 3)}
     assert (2, 4) not in o.edges
+
+
+def test_connect_leaves_leaves_the_first_of_two_equal_widest_gaps_open():
+    # Leaves 3, 1, 2 sit at -90, 45 and 180 degrees around root 4: the gaps
+    # 3 -> 1 and 1 -> 2 both span 135 degrees, and the first stays open.
+    t = Topology(((1, Point(8, 8)), (2, Point(2, 7)), (3, Point(7, 2)), (4, Point(7, 7))))
+    tree = build_tree(t)
+    assert tree.root == 4 and leaf_set(tree) == {1, 2, 3}
+    o = build_overlay(t, 2)
+    assert set(o.edges) - set(tree.edges) == {(1, 2), (2, 3)}
 
 
 def test_connect_leaves_two_leaves_single_chain_edge():
