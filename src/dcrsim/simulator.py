@@ -576,8 +576,8 @@ class Simulation:
         self._in_flight(k).append((self.now, index, notification_origin(n), n))
 
     @functools.cached_property
-    def _reach(self) -> list[float]:
-        """By origin id - 1, the time its flood takes to reach every DCR."""
+    def _longest(self) -> list[float]:
+        """By origin id - 1, its flood's longest delay: when it has reached every DCR."""
         return self.overlay._delays.max(axis=1).tolist()
 
     def _in_flight(self, k: int) -> list[LogEntry]:
@@ -586,7 +586,7 @@ class Simulation:
         register, flying = self._settled[k], []
         for entry in self._logs[k]:
             emit, _, origin, n = entry
-            if emit + self._reach[origin - 1] < self.now:
+            if emit + self._longest[origin - 1] < self.now:
                 register.apply(n)
             else:
                 flying.append(entry)

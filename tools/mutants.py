@@ -44,8 +44,8 @@ class Mutant(NamedTuple):
 # Tier-1 must fail on each of these.
 MUTANTS = (
     Mutant("fold-tie", "src/dcrsim/simulator.py",
-           "if emit + self._reach[origin - 1] < self.now:",
-           "if emit + self._reach[origin - 1] <= self.now:",
+           "if emit + self._longest[origin - 1] < self.now:",
+           "if emit + self._longest[origin - 1] <= self.now:",
            "folds a flood whose last arrival ties with a packet, which must not see it"),
     Mutant("detour-tie", "src/dcrsim/overlay.py",
            "if indirect >= 1.25 * direct:",
