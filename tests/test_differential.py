@@ -9,9 +9,9 @@ counters, and the same tables and in-flight counts wherever the run is
 paused.
 """
 
+import functools
 import os
-import sys
-import types
+import runpy
 
 import pytest
 
@@ -163,24 +163,18 @@ def test_hot_vm_tables_match_the_eager_engine_wherever_paused():
                                  for d, table in eager.tables.items()}
 
 
+@functools.cache
 def bench_gen():
-    """The benchmark's input generator, `bench/gen.py`, run from its source
-    so that importing it writes nothing under `bench/`."""
-    mod = sys.modules.get("bench_gen")
-    if mod is None:
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "gen.py")
-        with open(path, encoding="utf-8") as f:
-            code = compile(f.read(), path, "exec")
-        mod = sys.modules["bench_gen"] = types.ModuleType("bench_gen")
-        exec(code, mod.__dict__)
-    return mod
+    """The globals of the benchmark's input generator, `bench/gen.py`, run
+    from its source, so that nothing is written under `bench/`."""
+    return runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "bench", "gen.py"))
 
 
 def bench_inputs(workload):
     """The topology, alg-3 overlay and scenario of a benchmark workload at
     seed 1, as `bench/run.py` runs them."""
     gen = bench_gen()
-    inputs = gen.generate(getattr(gen, workload.upper()), 1)
+    inputs = gen["generate"](gen[workload.upper()], 1)
     t = parse_topology(inputs.topology_text)
     return t, build_overlay(t, 3), parse_scenario(inputs.scenario_text), inputs
 
