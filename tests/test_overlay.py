@@ -163,8 +163,6 @@ def test_all_pairs_delay_square_hand_values():
     assert mat[idx[1], idx[2]] == pytest.approx(10.0)
     assert mat[idx[2], idx[4]] == pytest.approx(20.0)
     assert mat[idx[1], idx[3]] == pytest.approx(math.hypot(10, 10))
-    # A flood from DCR 2 reaches DCRs 1 to 4 after its row's delays.
-    assert mat[idx[2]].tolist() == pytest.approx([10.0, 0.0, 10.0, 20.0])
     assert np.allclose(mat, mat.T)
     assert np.allclose(np.diag(mat), 0.0)
 
@@ -201,6 +199,29 @@ def test_overlay_metrics_match_oracle():
     delays = pair_delays(list(o.nodes), dict(o.edges))
     assert m.worst_delay == pytest.approx(max(delays), abs=1e-9)
     assert m.avg_delay == pytest.approx(sum(delays) / len(delays), abs=1e-9)
+
+
+def test_flood_schedule_square():
+    # A flood from DCR 2 reaches DCRs 1 to 4 after its delay matrix row's
+    # delays, and a DCR holds it from the instant it arrives.
+    t = square()
+    o = build_overlay(t, 3)
+    idx = {v: i for i, v in enumerate(o.nodes)}
+    row = all_pairs_delay(o)[idx[2]]
+    assert row[idx[2]] == 0.0
+    assert row[idx[1]] == pytest.approx(10.0)
+    assert row[idx[3]] == pytest.approx(10.0)
+    assert row[idx[4]] == pytest.approx(20.0)
+    events = [ScenarioEvent(0.0, EventKind.CREATE_VM, vm="v", dc=1,
+                            mode=VmMode.ANYCAST_MIGRATABLE),
+              ScenarioEvent(0.0, EventKind.MIGRATE_VM, vm="v", dc=2)]
+    sim = Simulation(t, o, events)
+    for now, reached in ((0.0, {2}), (9.5, {2}), (10.0, {1, 2, 3}), (19.5, {1, 2, 3}),
+                         (20.0, {1, 2, 3, 4})):
+        sim.run_until(now)
+        addr = sim.vms["v"].address
+        assert {d for d, table in sim.tables.items()
+                if table.entry(addr) == frozenset({2})} == reached
 
 
 def test_flood_duplicate_count():
