@@ -652,7 +652,8 @@ class Simulation:
 
     def pending_floods(self) -> int:
         """(notification, DCR) arrivals still ahead of `now`."""
-        return sum(1 for log in self._logs for entry in log for d in self.topology.ids()
+        ids = self.topology.ids()
+        return sum(1 for log in self._logs for entry in log for d in ids
                    if not self._reached(entry, d, math.inf))
 
     def run(self) -> SimReport:

@@ -10,14 +10,18 @@ Before anything runs, every replacement's text must occur exactly once in
 its file, or the script fails: a refactor that rewrites a mutated line
 cannot drop its mutant silently. The equivalent mutants, which no input can
 tell from the original, are checked that way too, and listed with their
-reasons, but not run.
+reasons, but not run. Tier-1 first runs once on an unmutated copy and
+must pass there, so that a failure that has nothing to do with a mutant
+(a test already broken, or one that breaks only in the copy) cannot count
+as a kill.
 
-    python tools/mutants.py                # every mutant
-    python tools/mutants.py detour-tie     # only the named ones
+    python tools/mutants.py
 
-Exits 0 when tier-1 fails on every mutant run, 1 when one survives, and 2
-when a replacement's text does not occur exactly once or tier-1 cannot run.
-Uses the standard library only; each mutant costs up to one tier-1 run.
+Exits 0 when tier-1 passes on the unmutated copy and fails on every mutant,
+1 when a mutant survives, and 2 when a replacement's text does not occur
+exactly once, tier-1 fails on the unmutated copy, or tier-1 cannot run.
+Uses the standard library only; it costs up to one tier-1 run per mutant,
+plus one.
 """
 
 from __future__ import annotations
@@ -91,13 +95,14 @@ def misplaced(mutants: tuple[Mutant, ...]) -> list[str]:
     return out
 
 
-def run(m: Mutant, tmp: Path) -> subprocess.CompletedProcess:
-    """Tier-1 on a copy of the tree with m applied."""
-    tree = tmp / m.name
+def run(tmp: Path, m: Mutant | None) -> subprocess.CompletedProcess:
+    """Tier-1 on a copy of the tree, with m applied unless m is None."""
+    tree = tmp / (m.name if m else "unmutated")
     shutil.copytree(ROOT, tree, ignore=NOT_COPIED)
-    target = tree / m.path
-    target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new),
-                      encoding="utf-8")
+    if m:
+        target = tree / m.path
+        target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new),
+                          encoding="utf-8")
     env = dict(os.environ, HYPOTHESIS_PROFILE="ci", PYTHONPATH=str(tree / "src"))
     try:
         return subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
@@ -105,12 +110,7 @@ def run(m: Mutant, tmp: Path) -> subprocess.CompletedProcess:
         shutil.rmtree(tree)
 
 
-def main(argv: list[str]) -> int:
-    names = {m.name for m in MUTANTS}
-    unknown = sorted(set(argv) - names)
-    if unknown:
-        print(f"unknown mutants {unknown}; known: {sorted(names)}", file=sys.stderr)
-        return 2
+def main() -> int:
     problems = misplaced(MUTANTS + EQUIVALENT)
     if problems:
         print("\n".join(problems), file=sys.stderr)
@@ -119,10 +119,14 @@ def main(argv: list[str]) -> int:
         print(f"equivalent  {m.name}: {m.why}")
     survived = errors = 0
     with tempfile.TemporaryDirectory(prefix="dcrsim-mutants-") as tmp:
+        proc = run(Path(tmp), None)
+        if proc.returncode != 0:
+            print(f"tier-1 exited {proc.returncode} on the unmutated copy", file=sys.stderr)
+            print(proc.stdout[-2000:] + proc.stderr[-2000:], file=sys.stderr)
+            return 2
+        print("passed      unmutated copy")
         for m in MUTANTS:
-            if argv and m.name not in argv:
-                continue
-            proc = run(m, Path(tmp))
+            proc = run(Path(tmp), m)
             lines = proc.stdout.splitlines()
             if proc.returncode == 0:
                 survived += 1
@@ -139,4 +143,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
