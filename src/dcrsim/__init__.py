@@ -13,15 +13,14 @@ from .protocol import (ForwardingTable, Notification, NotificationKind, Route, V
 from .simulator import (Delivery, EventKind, ScenarioEvent, SessionState,
                         SimReport, Simulation, format_scenario, load_scenario,
                         parse_scenario, run_scenario)
-from .topology import (AddressPlan, AnycastAddress, DcrId, Point, Topology,
-                       UnicastAddress, distance, format_topology,
-                       generate_random_topology, load_topology, nearest_dcr,
-                       parse_topology)
+from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress,
+                       distance, format_topology, generate_random_topology,
+                       load_topology, nearest_dcr, parse_topology)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressPlan", "AnycastAddress", "ConfigError", "DcrId", "Delivery", "EventKind",
+    "AnycastAddress", "ConfigError", "DcrId", "Delivery", "EventKind",
     "ForwardingTable", "ModeConflict", "Notification", "NotificationKind",
     "Overlay", "OverlayError", "OverlayMetrics",
     "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent", "SessionState",

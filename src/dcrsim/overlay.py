@@ -75,9 +75,15 @@ class Overlay:
         return _delay_matrix(self)
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, and finite where only the sum a + b overflows."""
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+
+
 def _center_root(t: Topology) -> DcrId:
     x0, x1, y0, y1 = t.box
-    return nearest_dcr(Point((x0 + x1) / 2.0, (y0 + y1) / 2.0), t)
+    return nearest_dcr(Point(_midpoint(x0, x1), _midpoint(y0, y1)), t)
 
 
 def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
@@ -170,7 +176,7 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
     link already exists, the overlay is returned unchanged.
     """
     x0, x1, y0, y1 = t.box
-    mid_y = (y0 + y1) / 2.0
+    mid_y = _midpoint(y0, y1)
     west = nearest_dcr(Point(x0, mid_y), t)
     east = nearest_dcr(Point(x1, mid_y), t)
     if west == east or o.has_edge(west, east):
@@ -353,8 +359,7 @@ def overlay_metrics(o: Overlay) -> OverlayMetrics:
     """Worst and average delay over unordered node pairs, plus the total cost
     of one flood (every overlay link carries the notification once per
     direction that forwards it, i.e. the sum of all link costs)."""
-    iu = np.triu_indices(len(o.nodes), k=1)
-    vals = o._delays[iu]
+    vals = np.concatenate([row[i + 1:] for i, row in enumerate(o._delays)])
     overhead = float(sum(o.edges.values()))
     return OverlayMetrics(worst_delay=float(vals.max()),
                           avg_delay=float(vals.mean()),

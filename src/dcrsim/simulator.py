@@ -13,6 +13,7 @@ randomness, so the same inputs always reproduce the same report byte for byte.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import itertools
@@ -28,15 +29,15 @@ from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_met
 from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
                        VmRecord, VmRegister, format_notification_line, notification_origin,
                        route_user_packet)
-from .topology import (AddressPlan, DcrId, Point, Topology, box_reach, distance,
-                       nearest_dcr)
+from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
+                       distance, nearest_dcr)
 
 TUNNEL_HEADER_BYTES = 20
 
-Flood = tuple[NotificationKind, tuple[DcrId, ...], int, int]  # kind, DCR ids, seq, VM number
 # One flooded notification: (emit time, scenario index, origin, notification).
 LogEntry = tuple[float, int, DcrId, Notification]
-Send = tuple[Point, DcrId, float, VmRecord, int]  # user, ingress, first hop, VM, number
+# One step of the replay, with what it needs (see _change and _deliver).
+Entry = tuple[float, int, int, tuple]  # time, phase, scenario index, change or send
 
 
 class EventKind(enum.Enum):
@@ -413,14 +414,14 @@ class Simulation:
                 must = "a number"
             raise ScenarioError(f"{_where(ev)}event time must be {must}, got {ev.time!r}")
         self._events = sorted(events, key=lambda e: e.time)
-        # Every VM the scenario creates, by name, in order of creation (its
-        # number). Compiling leaves each at its final hosts; the replay sets
+        # Every VM the scenario creates, by number, which is its order of
+        # creation. Compiling leaves each at its final hosts; the replay sets
         # them change by change.
-        self._records: dict[str, VmRecord] = {}
-        # By scenario index: each lifecycle change's hosts afterwards and what
-        # it floods, and each send's user placement and VM number.
-        self._changes: dict[int, tuple[frozenset[DcrId], Flood | None]] = {}
-        self._placed: dict[int, tuple[int, int]] = {}
+        self._records: list[VmRecord] = []
+        # Each lifecycle change's Entry, and each send's (scenario index, its
+        # user's placement's index, VM number), which _queue makes an Entry of.
+        self._changes: list[Entry] = []
+        self._packets: list[tuple[int, int, int]] = []
         self._compile()
         self._next = 0  # position in _queue of the next entry to replay
         # By VM number: the register of the notifications that have reached
@@ -436,8 +437,9 @@ class Simulation:
         bad scenario fails here, before any event runs."""
         known = set(self.topology.ids())
         x0, x1, y0, y1 = self.topology.box
-        plan = AddressPlan(self.topology.n)
         seqs = itertools.count()
+        # By address family and DC: the host numbers of the VMs created there.
+        host_numbers = collections.defaultdict(itertools.count)
         # No flood delay exceeds the overlay's total link cost.
         flood_reach = sum(self.overlay.edges.values())
         # Each user's latest placement, with two diagonals of the box around
@@ -445,7 +447,7 @@ class Simulation:
         # ingress, then on).
         placed: dict[str, tuple[int, float]] = {}
         numbers: dict[str, int] = {}  # each VM's number
-        sends, isfinite = self._placed, math.isfinite
+        records, isfinite = self._records, math.isfinite
         for i, ev in enumerate(self._events):
             if ev.kind is _SEND:
                 user, k = placed.get(ev.user), numbers.get(ev.vm)
@@ -458,7 +460,7 @@ class Simulation:
                                         "its packet's arrival time overflows")
                 if ev.session is not None:
                     _check_name(ev, ev.session)
-                sends[i] = user[0], k
+                self._packets.append((i, user[0], k))
                 continue
             fields = _GRAMMAR.get(ev.kind)
             if fields is None:
@@ -485,17 +487,18 @@ class Simulation:
             for dc in dc_ids:
                 if dc not in known:
                     raise ScenarioError(f"{_where(ev)}unknown DCR id {dc}")
-            vm = self._records.get(ev.vm)
+            k = numbers.get(ev.vm)
+            vm = None if k is None else records[k]
             kind = None
             if ev.kind is EventKind.CREATE_VM:
                 if vm is not None:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} already exists")
                 _check_name(ev, ev.vm)
-                allocate = (plan.allocate_unicast if ev.mode is VmMode.UNICAST
-                            else plan.allocate_anycast)
-                numbers[ev.vm] = len(numbers)
-                vm = self._records[ev.vm] = VmRecord(address=allocate(ev.dc), mode=ev.mode,
-                                                     locations={ev.dc})
+                family = UnicastAddress if ev.mode is VmMode.UNICAST else AnycastAddress
+                address = family(ev.dc, next(host_numbers[family, ev.dc]))
+                k = numbers[ev.vm] = len(records)
+                vm = VmRecord(address=address, mode=ev.mode, locations={ev.dc})
+                records.append(vm)
             elif vm is None:
                 raise ScenarioError(f"{_where(ev)}unknown vm {ev.vm}")
             elif ev.kind is EventKind.MIGRATE_VM:
@@ -525,55 +528,47 @@ class Simulation:
             if floods and not math.isfinite(ev.time + flood_reach):
                 raise ScenarioError(f"{_where(ev)}{ev.kind.value} at {ev.time!r} is too late: "
                                     "its flood's arrival times overflow")
-            self._changes[i] = frozenset(vm.locations), (
-                (kind, dc_ids, next(seqs), numbers[ev.vm]) if floods else None)
+            flood = (kind, dc_ids, next(seqs)) if floods else None
+            self._changes.append((ev.time, 0, i, (k, ev.vm, frozenset(vm.locations), flood)))
 
     @functools.cached_property
-    def _sends(self) -> dict[int, Send]:
-        """Per send, by scenario index: what its delivery needs, and its first
-        hop's delay, which times its arrival and which routing reuses. The
-        packet carries where the user was and the ingress chosen there, so a
-        user who moves while it is in flight does not reroute it. The delay is
-        computed once per placement and first DCR."""
-        users = {i: Point(ev.x, ev.y) for i, ev in enumerate(self._events)
+    def _queue(self) -> list[Entry]:
+        """Every Entry in replay order: a change at its time with phase 0,
+        and a send at its packet's arrival at the first DCR with phase 1, so
+        changes go first at equal times. (time, phase, index) is unique, so
+        the sort never compares two steps' data. A send carries where its
+        user was and the ingress chosen there, so a user who moves while its
+        packet is in flight does not reroute it. Its first hop's delay times
+        its arrival, and routing reuses it; it is computed once per placement
+        and first DCR."""
+        events, topology = self._events, self.topology
+        users = {i: Point(ev.x, ev.y) for i, ev in enumerate(events)
                  if ev.kind is EventKind.PLACE_USER}
-        placements = {i: (user, nearest_dcr(user, self.topology)) for i, user in users.items()}
-        records, out, hops = list(self._records.values()), {}, {}
-        for j, (p, k) in self._placed.items():
+        placements = {i: (user, nearest_dcr(user, topology)) for i, user in users.items()}
+        queue, hops = self._changes.copy(), {}
+        for j, p, k in self._packets:
             user, ingress = placements[p]
-            vm = records[k]
+            vm = self._records[k]
             first = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
             hop = hops.get((p, first))
             if hop is None:
-                hop = hops[p, first] = distance(user, self.topology.position(first))
-            out[j] = user, ingress, hop, vm, k
-        return out
-
-    @functools.cached_property
-    def _queue(self) -> list[tuple[float, int, int]]:
-        """Replay order: (time, 0, index) per lifecycle change and (arrival at
-        the first DCR, 1, index) per send, so changes go first at equal times."""
-        events = self._events
-        queue = [(events[i].time, 0, i) for i in self._changes]
-        queue += [(events[j].time + send[2], 1, j) for j, send in self._sends.items()]
+                hop = hops[p, first] = distance(user, topology.position(first))
+            queue.append((events[j].time + hop, 1, j, (user, ingress, hop, vm, k)))
         queue.sort()
         return queue
 
-    def _change(self, i: int) -> None:
-        """Apply lifecycle change i to the ground truth and flood it."""
-        name = self._events[i].vm
-        hosts, flood = self._changes[i]
-        vm = self.vms[name] = self._records[name]
+    def _change(self, i: int, change: tuple) -> None:
+        """Apply lifecycle change i to the ground truth and flood it. The
+        flood is logged under i, which breaks ties with deliveries that reach
+        a DCR when it does. Its flood is (kind, DCR ids, seq), or None."""
+        k, name, hosts, flood = change  # VM number and name, hosts afterwards
+        vm = self.vms[name] = self._records[k]
         vm.locations = set(hosts)
         if flood is not None:
-            kind, addrs, seq, k = flood
-            self._flood(Notification(kind, vm.address, addrs, seq), i, k)
-
-    def _flood(self, n: Notification, index: int, k: int) -> None:
-        self._stream.append(n)
-        # The flood is logged under its change's scenario index, which
-        # breaks ties with deliveries that reach a DCR when it does.
-        self._in_flight(k).append((self.now, index, notification_origin(n), n))
+            kind, addrs, seq = flood
+            n = Notification(kind, vm.address, addrs, seq)
+            self._stream.append(n)
+            self._in_flight(k).append((self.now, i, notification_origin(n), n))
 
     @functools.cached_property
     def _longest(self) -> list[float]:
@@ -613,8 +608,8 @@ class Simulation:
                     register.apply(entry[3])
         return register
 
-    def _deliver(self, j: int) -> None:
-        user, ingress, first_hop, vm, k = self._sends[j]
+    def _deliver(self, j: int, send: tuple) -> None:
+        user, ingress, first_hop, vm, k = send  # k is the VM's number
         entry = None if vm.mode is VmMode.UNICAST else self._read_table(ingress, k, j)
         route = route_user_packet(user, ingress, first_hop, vm, entry, self.topology)
         self._stream.append(Delivery(j, route))
@@ -624,9 +619,9 @@ class Simulation:
         queue = self._queue
         if self._next == len(queue):
             return False
-        self.now, phase, index = queue[self._next]
+        self.now, phase, index, payload = queue[self._next]
         self._next += 1
-        (self._deliver if phase else self._change)(index)
+        (self._deliver if phase else self._change)(index, payload)
         return True
 
     def run_until(self, time: float) -> None:
@@ -642,7 +637,7 @@ class Simulation:
         out = {}
         for d in self.topology.ids():
             table = out[d] = ForwardingTable()
-            for k, vm in enumerate(self._records.values()):
+            for k, vm in enumerate(self._records):
                 # As a packet arriving now would read it, after every change
                 # up to now: no scenario index reaches infinity.
                 register = self._read_table(d, k, math.inf).copy()

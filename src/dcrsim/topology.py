@@ -1,5 +1,5 @@
 """Physical layout of the federation: router positions, the delay metric,
-and address allocation for the VMs hosted behind each router.
+and the addresses of the VMs hosted behind each router.
 
 Every data center is fronted by exactly one data-center router (DCR), so a
 data center and its router share an id. Propagation delay between two points
@@ -114,7 +114,7 @@ class AnycastAddress:
     """Address from the migratable/replicated block of the VM's birth DC.
 
     The subblock identifies the birth DCR; the host number is unique within
-    that subblock for the lifetime of the plan (never reused).
+    that subblock for the whole run (never reused).
     """
 
     subblock: DcrId
@@ -133,35 +133,6 @@ class UnicastAddress:
 
     def __str__(self) -> str:
         return f"u{self.dc}:{self.host}"
-
-
-@dataclass
-class AddressPlan:
-    """Per-DC allocation counters; anycast and unicast families are independent."""
-
-    n: int
-    _next_anycast: dict[DcrId, int] = field(default_factory=dict)
-    _next_unicast: dict[DcrId, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError("address plan needs at least one DC")
-
-    def _check(self, dc: DcrId) -> None:
-        if not 1 <= dc <= self.n:
-            raise ConfigError(f"unknown DC id {dc}")
-
-    def allocate_anycast(self, dc: DcrId) -> AnycastAddress:
-        self._check(dc)
-        host = self._next_anycast.get(dc, 0)
-        self._next_anycast[dc] = host + 1
-        return AnycastAddress(subblock=dc, host=host)
-
-    def allocate_unicast(self, dc: DcrId) -> UnicastAddress:
-        self._check(dc)
-        host = self._next_unicast.get(dc, 0)
-        self._next_unicast[dc] = host + 1
-        return UnicastAddress(dc=dc, host=host)
 
 
 MAX_REDRAWS = 1000  # consecutive position redraws for one DCR

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import dcrsim
-from dcrsim import (AddressPlan, AnycastAddress, DcrId, EventKind, Notification,
+from dcrsim import (AnycastAddress, DcrId, EventKind, Notification,
                     NotificationKind, Overlay, OverlayMetrics,
                     ParseError, Point, ScenarioError, SessionState, UnicastAddress, VmMode,
                     VmRecord, distance, flood_duplicate_count, format_notification_line,
@@ -421,7 +421,8 @@ class EagerSimulation:
         self.users = {}
         self.sessions = {}
         self.trace_lines = []
-        self._plan = AddressPlan(topology.n)
+        # By (address family, DC): the next host number there.
+        self._hosts = {}
         self._seq = itertools.count()
         self._counter = itertools.count()
         self._heap = []
@@ -476,9 +477,10 @@ class EagerSimulation:
             arrival = ev.time + distance(user, self.topology.position(first))
             self._push(arrival, "deliver", (ev, user, ingress))
         elif ev.kind is EventKind.CREATE_VM:
-            allocate = (self._plan.allocate_unicast if ev.mode is VmMode.UNICAST
-                        else self._plan.allocate_anycast)
-            self.vms[ev.vm] = VmRecord(address=allocate(ev.dc), mode=ev.mode,
+            family = UnicastAddress if ev.mode is VmMode.UNICAST else AnycastAddress
+            host = self._hosts.get((family, ev.dc), 0)
+            self._hosts[family, ev.dc] = host + 1
+            self.vms[ev.vm] = VmRecord(address=family(ev.dc, host), mode=ev.mode,
                                        locations={ev.dc})
         else:
             self._lifecycle(ev)

@@ -4,6 +4,8 @@ import math
 import operator
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -357,6 +359,35 @@ def test_build_overlay_at_the_largest_finite_distance_exits_2_without_a_warning(
         code, out, err = run_cli(["build-overlay", str(top), "--alg", str(alg)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: overlay link costs sum to 1.7976931348623157e+308")
+
+
+# Three DCRs 1 apart on a line at 1e308 from the origin, along x then along
+# y, where the sum of the box's two edges overflows though their midpoint
+# does not. Alg 3's wraparound takes the midpoint of the y edges.
+@pytest.mark.parametrize("dcrs, alg, overlay", [
+    ("dcr 1 1e308 0\ndcr 2 1e308 1\ndcr 3 1e308 2\n", 1,
+     "root 2\nedge 1 2 1.000000\nedge 2 3 1.000000\n"),
+    ("dcr 1 0 1e308\ndcr 2 1 1e308\ndcr 3 2 1e308\n", 3,
+     "root 2\nedge 1 2 1.000000\nedge 1 3 2.000000\nedge 2 3 1.000000\n"),
+], ids=["x", "y"])
+def test_build_overlay_far_from_the_origin(dcrs, alg, overlay, tmp_path, capsys):
+    top = tmp_path / "far.top"
+    top.write_text(dcrs)
+    assert run_cli(["build-overlay", str(top), "--alg", str(alg)], capsys) == (0, overlay, "")
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "98765"])
+def test_run_bytes_do_not_depend_on_the_hash_seed(seed, tmp_path):
+    trace = tmp_path / "replication.trace"
+    src = os.path.dirname(os.path.dirname(dcrsim.cli.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "dcrsim", "run", example_path("square.top"),
+                           example_path("replication.scn"), "--alg", "3", "--trace", str(trace)],
+                          env=env, capture_output=True, check=True)
+    with open(golden_path("replication.report.csv"), "rb") as f:
+        assert proc.stdout == f.read()
+    with open(golden_path("replication.trace.txt"), "rb") as f:
+        assert trace.read_bytes() == f.read()
 
 
 def test_send_whose_arrival_time_overflows_fails_before_running(tmp_path, capsys):

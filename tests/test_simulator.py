@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import dcrsim.simulator
-from dcrsim import (ConfigError, Delivery, EventKind, ModeConflict, ParseError, Point,
-                    ScenarioError, ScenarioEvent, Simulation, Topology, VmMode,
+from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConflict,
+                    ParseError, Point, ScenarioError, ScenarioEvent, Simulation, Topology,
+                    UnicastAddress, VmMode,
                     build_overlay, format_scenario, generate_random_topology,
                     load_topology, parse_scenario, run_scenario)
 
@@ -445,6 +446,26 @@ def test_packet_races_flood_and_misses():
     assert racing.target == 1
     assert settled.trace.delivered_at == 2
     assert settled.target == 2
+
+
+def addresses(text):
+    """Each VM's address after running the scenario text on the square."""
+    sim = sim_for(parse_scenario(text))
+    sim.run()
+    return {name: vm.address for name, vm in sim.vms.items()}
+
+
+def test_vm_addresses_count_from_zero_per_dc():
+    assert addresses("0 create a 2 anycast-migrate\n1 create b 2 anycast-replicate\n"
+                     "2 create c 3 anycast-migrate\n") == {
+        "a": AnycastAddress(2, 0), "b": AnycastAddress(2, 1), "c": AnycastAddress(3, 0)}
+
+
+def test_anycast_and_unicast_addresses_count_independently():
+    assert addresses("0 create a 1 anycast-migrate\n1 create u 1 unicast\n"
+                     "2 create v 1 unicast\n3 create b 1 anycast-replicate\n") == {
+        "a": AnycastAddress(1, 0), "u": UnicastAddress(1, 0),
+        "v": UnicastAddress(1, 1), "b": AnycastAddress(1, 1)}
 
 
 def test_flood_applies_origin_first_then_by_distance():

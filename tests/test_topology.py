@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcrsim import (AddressPlan, AnycastAddress, ConfigError, ParseError, Point,
+from dcrsim import (AnycastAddress, ConfigError, ParseError, Point,
                     Topology, UnicastAddress, distance, format_topology,
                     generate_random_topology, nearest_dcr, parse_topology)
 from dcrsim.topology import nearest_among
@@ -77,29 +77,6 @@ def test_nearest_dcr_picks_closest():
 def test_nearest_dcr_tie_goes_to_lowest_id():
     # (5, 5) is equidistant from all four corners.
     assert nearest_dcr(Point(5.0, 5.0), square()) == 1
-
-
-def test_address_plan_counts_from_zero_per_dc():
-    plan = AddressPlan(4)
-    assert plan.allocate_anycast(2) == AnycastAddress(2, 0)
-    assert plan.allocate_anycast(2) == AnycastAddress(2, 1)
-    assert plan.allocate_anycast(3) == AnycastAddress(3, 0)
-
-
-def test_address_plan_families_are_independent():
-    plan = AddressPlan(4)
-    plan.allocate_anycast(1)
-    assert plan.allocate_unicast(1) == UnicastAddress(1, 0)
-    assert plan.allocate_unicast(1) == UnicastAddress(1, 1)
-    assert plan.allocate_anycast(1) == AnycastAddress(1, 1)
-
-
-def test_address_plan_rejects_unknown_dc():
-    plan = AddressPlan(4)
-    with pytest.raises(ConfigError):
-        plan.allocate_anycast(5)
-    with pytest.raises(ConfigError):
-        plan.allocate_unicast(0)
 
 
 def test_address_str_forms():

@@ -59,6 +59,10 @@ MUTANTS = (
            "skip = gaps.index(max(gaps))",
            "skip = len(gaps) - 1 - gaps[::-1].index(max(gaps))",
            "leaves the last of two equal widest leaf gaps open, not the first"),
+    Mutant("midpoint-overflow", "src/dcrsim/overlay.py",
+           "return mid if math.isfinite(mid) else a / 2.0 + b / 2.0",
+           "return mid",
+           "takes the box's midpoint as (a + b) / 2, which is inf where a + b overflows"),
 )
 
 # Equivalent to the original, so not run.
