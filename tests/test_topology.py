@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcrsim import (AnycastAddress, ConfigError, ParseError, Point,
-                    Topology, UnicastAddress, distance, format_topology,
-                    generate_random_topology, nearest_dcr, parse_topology)
+from dcrsim import (AnycastAddress, ConfigError, ParseError, Point, ScenarioError,
+                    Simulation, Topology, UnicastAddress, build_overlay, distance,
+                    format_topology, generate_random_topology, nearest_dcr,
+                    parse_scenario, parse_topology)
 from dcrsim.topology import nearest_among
 
 from oracles import scalar_nearest_dcr
@@ -77,6 +78,14 @@ def test_nearest_dcr_picks_closest():
 def test_nearest_dcr_tie_goes_to_lowest_id():
     # (5, 5) is equidistant from all four corners.
     assert nearest_dcr(Point(5.0, 5.0), square()) == 1
+
+
+def test_address_plan_rejects_unknown_dc():
+    # A VM is numbered only at a DC of the topology, in either address family.
+    t = square()
+    for text in ("0 create a 5 anycast-migrate\n", "0 create u 0 unicast\n"):
+        with pytest.raises(ScenarioError, match="^line 1: unknown DCR id"):
+            Simulation(t, build_overlay(t, 3), parse_scenario(text))
 
 
 def test_address_str_forms():
