@@ -103,15 +103,12 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
     rp = t.position(root)
     pending = sorted((i for i in t.ids() if i != root),
                      key=lambda i: (distance(rp, t.position(i)), i))
-    # The in-tree ids and their coordinates, in joining order.
-    in_tree = np.empty(t.n, dtype=np.intp)
-    xs, ys = np.empty(t.n), np.empty(t.n)
-    in_tree[0], xs[0], ys[0] = root, rp.x, rp.y
+    # Each joiner's nearest node among those that joined before it.
+    nearest = nearest_among([t.position(j) for j in pending], t, [root] + pending)
     parents: dict[DcrId, DcrId] = {}
     edges: dict[Edge, float] = {}
-    for size, j in enumerate(pending, start=1):
+    for j, k in zip(pending, nearest):
         jp = t.position(j)
-        k = nearest_among(jp, in_tree[:size], xs[:size], ys[:size], t)
         attach = k
         if k != root:
             m = parents[k]
@@ -121,7 +118,6 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
                 attach = m
         parents[j] = attach
         edges[_key(j, attach)] = distance(jp, t.position(attach))
-        in_tree[size], xs[size], ys[size] = j, jp.x, jp.y
     return Overlay(nodes=tuple(t.ids()), edges=edges, root=root, parents=parents)
 
 

@@ -30,7 +30,7 @@ from .protocol import (ForwardingTable, Notification, NotificationKind, Route, V
                        VmRecord, VmRegister, format_notification_line, notification_origin,
                        route_user_packet)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
-                       distance, nearest_dcr)
+                       distance, nearest_among)
 
 TUNNEL_HEADER_BYTES = 20
 
@@ -544,7 +544,8 @@ class Simulation:
         events, topology = self._events, self.topology
         users = {i: Point(ev.x, ev.y) for i, ev in enumerate(events)
                  if ev.kind is EventKind.PLACE_USER}
-        placements = {i: (user, nearest_dcr(user, topology)) for i, user in users.items()}
+        points = list(users.values())
+        placements = dict(zip(users, zip(points, nearest_among(points, topology))))
         queue, hops = self._changes.copy(), {}
         for j, p, k in self._packets:
             user, ingress = placements[p]

@@ -80,26 +80,54 @@ class Topology:
             raise ConfigError(f"unknown DCR id {dcr}") from None
 
 
-def nearest_among(p: Point, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                  t: Topology) -> DcrId:
-    """The DCR among ids (at xs, ys) nearest p, by the exact key
-    (distance(p, position), id), so ties go to the lowest id.
+NEAREST_BLOCK = 128  # query points per numpy pass of nearest_among
 
-    np.hypot shortlists the DCRs within a relative 1e-9 of the nearest (plus
-    an absolute 1e-300, for subnormal distances). np.hypot and math.hypot may
-    differ in the last ulp, so only the shortlist is ranked by the exact key,
-    which always holds the exact winner. No term of the shortlist test
-    exceeds the nearest distance, so it cannot overflow.
+
+def nearest_among(points: list[Point], t: Topology,
+                  joined: list[DcrId] | None = None) -> list[DcrId]:
+    """For each of points, the DCR nearest it by the exact key
+    (distance(point, position), id), so ties go to the lowest id. Any DCR
+    of t may win, or, given joined, points[r] may pick only joined[:r + 1].
+
+    Blocks of NEAREST_BLOCK points each take one numpy pass, which shortlists
+    the DCRs whose squared distance is within a relative 1e-9 of the row's
+    least (plus an absolute 1e-300, for squares that underflow). A square
+    rounds by a few ulps, so only the shortlist is ranked by the exact key,
+    and it always holds the exact winner. A square that overflows is inf, and
+    still shortlists, since the test subtracts nothing; the shortlist is then
+    masked to the allowed DCRs, as an all-inf row shortlists the others too.
     """
-    d = np.hypot(xs - p.x, ys - p.y)
-    m = d.min()
-    close = ids[d - m <= m * 1e-9 + 1e-300]
-    return min(close.tolist(), key=lambda i: (distance(p, t.position(i)), i))
+    ids = t._ids if joined is None else np.array(joined)  # type: ignore[attr-defined]
+    xs, ys = t._xs[ids - 1], t._ys[ids - 1]  # type: ignore[attr-defined]
+    qx, qy = np.array([p.x for p in points]), np.array([p.y for p in points])
+    out: list[DcrId] = []
+    for r0 in range(0, len(points), NEAREST_BLOCK):
+        r1 = min(r0 + NEAREST_BLOCK, len(points))
+        c = len(ids) if joined is None else r1  # the block's last row may pick c DCRs
+        dx = (xs[None, :c] - qx[r0:r1, None]).astype(float, copy=False)
+        dy = (ys[None, :c] - qy[r0:r1, None]).astype(float, copy=False)
+        with np.errstate(over="ignore", under="ignore"):
+            sq = np.square(dx, out=dx)
+            sq += np.square(dy, out=dy)
+            if joined is not None:
+                later = np.arange(c) > np.arange(r0, r1)[:, None]  # joined after the row
+                sq[later] = np.inf
+            close = sq <= sq.min(axis=1, keepdims=True) * (1 + 1e-9) + 1e-300
+        if joined is not None:
+            close[later] = False
+        rows, cols = np.nonzero(close)
+        if len(rows) == r1 - r0:  # one DCR shortlisted on each row
+            out += ids[cols].tolist()
+            continue
+        shortlists = np.split(ids[cols], np.searchsorted(rows, np.arange(1, r1 - r0)))
+        for p, shortlist in zip(points[r0:r1], shortlists):
+            out.append(min(shortlist.tolist(), key=lambda i: (distance(p, t.position(i)), i)))
+    return out
 
 
 def nearest_dcr(p: Point, t: Topology) -> DcrId:
     """The DCR a client at p attaches to; distance ties go to the lowest id."""
-    return nearest_among(p, t._ids, t._xs, t._ys, t)  # type: ignore[attr-defined]
+    return nearest_among([p], t)[0]
 
 
 def box_reach(x0: float, x1: float, y0: float, y1: float, hops: int = 1) -> float:

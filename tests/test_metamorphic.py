@@ -5,11 +5,18 @@ distance, every sum of distances and every arrival time exactly, and keeps
 every comparison, so the overlay and the replay must come out the same, with
 each length scaled. The records are compared field by field, not as CSV:
 `%.6f` of 2^k * v need not be 2^k times `%.6f` of v.
+
+Mirroring every coordinate in an axis keeps every difference's magnitude,
+so every distance and every square bit for bit: only the leaves' angles are
+rounded afresh.
 """
+
+import math
 
 import pytest
 
-from dcrsim import Delivery, EventKind, Point, Topology, build_overlay, run_scenario
+from dcrsim import (Delivery, EventKind, Point, Topology, build_overlay, leaf_set,
+                    run_scenario)
 
 import scenariogen
 
@@ -27,8 +34,9 @@ def deliveries(report):
     return [x for x in report.stream if type(x) is Delivery]
 
 
-# Far from overflow and from subnormal distances, which nearest_among's
-# absolute tolerance of 1e-300 would treat apart.
+# Far from where squared distances underflow (below about 1.5e-154), which
+# nearest_among's absolute 1e-300 would treat apart, and from where they
+# overflow (above about 1.34e154); between the two, a square scales exactly.
 @pytest.mark.parametrize("k", [-3, 3, 10])
 def test_scaling_by_a_power_of_two_scales_every_length_exactly(k):
     s = 2.0 ** k
@@ -50,3 +58,44 @@ def test_scaling_by_a_power_of_two_scales_every_length_exactly(k):
             assert route2.direct == route.direct * s, (seed, send)
             if route2.delivered_at is not None:
                 assert sum(route2.delays) >= route2.direct, (seed, send)
+
+
+def mirrored(gen, sx, sy):
+    """gen's topology and events with every x times sx and every y times sy."""
+    t = Topology(tuple((i, Point(p.x * sx, p.y * sy)) for i, p in gen.topology.dcrs))
+    events = [ev._replace(x=ev.x * sx, y=ev.y * sy) if ev.kind is EventKind.PLACE_USER
+              else ev for ev in gen.events]
+    return t, events
+
+
+def angles_apart(gen, margin=1e-9):
+    """Whether the leaves' angles around the root, and the two widest gaps
+    between them, differ by more than margin. Mirroring rounds each angle
+    afresh, which could reorder leaves that are closer, or open the other
+    of two widest gaps; distances keep their bits, so their ties break the
+    same way."""
+    root = gen.topology.position(gen.overlay.root)
+    angles = sorted(math.atan2(p.y - root.y, p.x - root.x)
+                    for p in map(gen.topology.position, leaf_set(gen.overlay)))
+    gaps = sorted(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 2 * math.pi]))
+    return min(gaps) > margin and (len(gaps) < 2 or gaps[-1] - gaps[-2] > margin)
+
+
+@pytest.mark.parametrize("sx, sy", [(-1.0, 1.0), (1.0, -1.0)], ids=["x", "y"])
+def test_mirroring_in_an_axis_changes_nothing(sx, sy):
+    checked = 0
+    for seed in range(200):
+        gen = scenariogen.generate(seed)
+        if not angles_apart(gen):
+            continue
+        checked += 1
+        t, events = mirrored(gen, sx, sy)
+        overlay = build_overlay(t, gen.alg)
+        assert overlay.edges == gen.overlay.edges, seed
+        base = run_scenario(gen.topology, gen.overlay, gen.events)
+        report = run_scenario(t, overlay, events)
+        pairs = list(zip(deliveries(base), deliveries(report), strict=True))
+        for (send, route), (send2, route2) in pairs:
+            user = Point(route.user.x * sx, route.user.y * sy)
+            assert (send2, route2) == (send, route._replace(user=user)), seed
+    assert checked > 150

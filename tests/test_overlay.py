@@ -14,6 +14,7 @@ from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
                     build_tree, connect_leaves, distance, flood_duplicate_count,
                     format_overlay, generate_random_topology, leaf_set,
                     overlay_metrics, parse_overlay)
+from dcrsim.topology import NEAREST_BLOCK
 
 import scenariogen
 from oracles import dijkstra_matrix, floyd_warshall, pair_delays, scalar_build_tree
@@ -411,6 +412,18 @@ def test_build_tree_equals_the_scalar_oracle_on_a_tie_heavy_lattice(seed):
     assert build_tree(t) == scalar_build_tree(t)
     for root in t.ids():
         assert build_tree(t, root=root) == scalar_build_tree(t, root=root)
+
+
+@pytest.mark.parametrize("joiners", (NEAREST_BLOCK, NEAREST_BLOCK + 1))
+def test_build_tree_equals_the_scalar_oracle_across_a_block_boundary(joiners):
+    # Every DCR but the root joins; the last of NEAREST_BLOCK + 1 joiners is
+    # the first row of a second block.
+    for seed in range(5):
+        t = generate_random_topology(seed, joiners + 1)
+        assert build_tree(t) == scalar_build_tree(t)
+    # Int coordinates, with ties across the boundary.
+    t = Topology(tuple((k + 1, Point(k % 11, k // 11)) for k in range(joiners + 1)))
+    assert build_tree(t) == scalar_build_tree(t)
 
 
 def staged(t, root=None):

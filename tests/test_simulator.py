@@ -200,8 +200,8 @@ def test_bad_lifecycles_fail_before_anything_runs(text, error, message, monkeypa
     # refused before anything runs.
     events = parse_scenario("0 user u1 1 1\n" + text + "0.5 send u1 vm1\n")
     placed = []
-    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
-                        lambda *args: placed.append(args) or 4)
+    monkeypatch.setattr(dcrsim.simulator, "nearest_among",
+                        lambda points, t: placed.append(points) or [4] * len(points))
     with pytest.raises(error, match=message):
         sim_for(events)
     assert placed == []
@@ -258,8 +258,8 @@ def test_events_lacking_a_field_fail_before_anything_runs(fields, message, monke
     # Built in code: parse_scenario never builds such an event. A send and a
     # placement precede the bad event, which must not get as far as the replay.
     placed = []
-    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
-                        lambda *args: placed.append(args) or 4)
+    monkeypatch.setattr(dcrsim.simulator, "nearest_among",
+                        lambda points, t: placed.append(points) or [4] * len(points))
     events = BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", line=3),
                      ScenarioEvent(2, line=4, **fields)]
     with pytest.raises(ScenarioError, match=f"^line 4: {message}$"):
@@ -296,8 +296,8 @@ def test_mistyped_fields_fail_before_anything_runs(bad, message, monkeypatch):
     # Built in code: parse_scenario never builds such an event. A float or a
     # bool DC id would print as 1.0 or True in the report and the trace.
     placed = []
-    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
-                        lambda *args: placed.append(args) or 4)
+    monkeypatch.setattr(dcrsim.simulator, "nearest_among",
+                        lambda points, t: placed.append(points) or [4] * len(points))
     events = BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", line=3)] + bad
     with pytest.raises(ScenarioError, match=f"^line 4: {re.escape(message)}$"):
         sim_for(events)
@@ -323,8 +323,8 @@ def test_bad_times_and_coordinates_fail_before_anything_runs(field, value, messa
                            "x": 1.0, "y": 1.0, "line": 4, field: value})
     assert getattr(bad, field) is value
     placed = []
-    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
-                        lambda *args: placed.append(args) or 4)
+    monkeypatch.setattr(dcrsim.simulator, "nearest_among",
+                        lambda points, t: placed.append(points) or [4] * len(points))
     events = BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", line=3), bad]
     with pytest.raises(ScenarioError, match=f"^line 4: {message}$"):
         sim_for(events)
@@ -353,16 +353,16 @@ def test_compiling_places_no_user_and_computes_no_delays(monkeypatch):
                             "0 create vm1 1 anycast-migrate\n"
                             "1 send u1 vm1\n2 migrate vm1 2\n3 send u1 vm1\n"
                             "4 user u1 5 5\n5 send u2 vm1\n")
-    nearest, placed = dcrsim.simulator.nearest_dcr, []
-    monkeypatch.setattr(dcrsim.simulator, "nearest_dcr",
-                        lambda p, t: placed.append(p) or nearest(p, t))
+    nearest, calls = dcrsim.simulator.nearest_among, []
+    monkeypatch.setattr(dcrsim.simulator, "nearest_among",
+                        lambda points, t: calls.append(points) or nearest(points, t))
     t = square()
     overlay = build_overlay(t, 3)
     sim = Simulation(t, overlay, events)
-    assert placed == []
+    assert calls == []
     assert "_delays" not in vars(overlay)  # the overlay's cached delay matrix
     report = sim.run()
-    assert placed == [Point(1, 1), Point(9, 9), Point(5, 5)]
+    assert calls == [[Point(1, 1), Point(9, 9), Point(5, 5)]]  # one call places every user
     assert [p.ingress for p in packet_records(report)] == [4, 4, 2]
 
 

@@ -2,7 +2,6 @@ import math
 import random
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +10,10 @@ from dcrsim import (AnycastAddress, ConfigError, ParseError, Point, ScenarioErro
                     Simulation, Topology, UnicastAddress, build_overlay, distance,
                     format_topology, generate_random_topology, nearest_dcr,
                     parse_scenario, parse_topology)
+from dcrsim.overlay import build_tree
 from dcrsim.topology import nearest_among
 
-from oracles import scalar_nearest_dcr
+from oracles import scalar_build_tree, scalar_nearest_dcr
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -182,9 +182,49 @@ def test_nearest_among_does_not_overflow_at_the_largest_finite_distance():
     t = parse_topology(f"dcr 1 0.0 0.0\ndcr 2 0.0 {top!r}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert nearest_among(Point(0.0, 0.0), np.array([2]), np.array([0.0]),
-                             np.array([top]), t) == 2
+        # Its square overflows to inf, which must still shortlist DCR 2.
+        assert nearest_among([Point(0.0, 0.0)], t, [2]) == [2]
         assert nearest_dcr(Point(0.0, top), t) == 2
+
+
+# Squares underflow below about 1.5e-154 and overflow above about 1.34e154.
+@pytest.mark.parametrize("scale", [1e-320, 1e-160, 1e-150, 1.0, 1e154, 1e200, 8e307])
+def test_nearest_rule_is_exact_at_every_scale(scale):
+    # 1e-320 leaves about 2000 subnormal values per axis, so squares round to
+    # a few ulps of the least subnormal, or to 0.
+    # At 8e307 the overlay's link costs sum past the float range, so the
+    # joins are also checked on nearest_among itself, in a random join order.
+    rng = random.Random(7)
+    for seed in range(40):
+        t = generate_random_topology(seed, rng.randint(3, 40), scale)
+        order = t.ids()
+        rng.shuffle(order)
+        joiners = [t.position(i) for i in order[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if scale < 1e300:
+                assert build_tree(t) == scalar_build_tree(t), seed
+            assert nearest_among(joiners, t, order) == [
+                min(order[:r + 1], key=lambda i: (distance(p, t.position(i)), i))
+                for r, p in enumerate(joiners)], seed
+            points = [p for _, p in t.dcrs]
+            points += [Point(rng.uniform(-0.2, 1.2) * scale, rng.uniform(-0.2, 1.2) * scale)
+                       for _ in range(20)]
+            points += [Point(p.x / 2 + q.x / 2, p.y / 2 + q.y / 2)  # between two DCRs
+                       for p, q in zip(points, points[1:t.n])]
+            for p in points:
+                assert nearest_dcr(p, t) == scalar_nearest_dcr(p, t), (seed, p)
+
+
+def test_nearest_among_shortlists_by_the_absolute_term_where_squares_underflow():
+    # DCR 1 is nearer the origin than DCR 2, but its two squares round up and
+    # DCR 2's one square rounds down, so its square is the larger, by more than
+    # the relative 1e-9. Only the absolute 1e-300 keeps DCR 1 on the shortlist.
+    near, far = Point(1.6e-162, 1.6e-162), Point(2.3e-162, 0.0)
+    t = Topology(((1, near), (2, far)))
+    assert distance(Point(0.0, 0.0), near) < distance(Point(0.0, 0.0), far)
+    assert near.x * near.x + near.y * near.y > far.x * far.x
+    assert nearest_dcr(Point(0.0, 0.0), t) == 1 == scalar_nearest_dcr(Point(0.0, 0.0), t)
 
 
 def unbounded_random_topology(seed, n, extent):

@@ -8,7 +8,8 @@ mutant that tier-1 survives is a rule that no test pins.
 
 Before anything runs, every replacement's text must occur exactly once in
 its file, or the script fails: a refactor that rewrites a mutated line
-cannot drop its mutant silently. The equivalent mutants, which no input can
+cannot drop its mutant silently (`tests/test_mutants.py` checks the same
+in tier-1). The equivalent mutants, which no input can
 tell from the original, are checked that way too, and listed with their
 reasons, but not run. Tier-1 first runs once on an unmutated copy and
 must pass there, so that a failure that has nothing to do with a mutant
@@ -63,6 +64,11 @@ MUTANTS = (
            "return mid if math.isfinite(mid) else a / 2.0 + b / 2.0",
            "return mid",
            "takes the box's midpoint as (a + b) / 2, which is inf where a + b overflows"),
+    Mutant("subnormal-slack", "src/dcrsim/topology.py",
+           "* (1 + 1e-9) + 1e-300",
+           "* (1 + 1e-9)",
+           "drops the nearest winner from the shortlist where squares underflow, as the "
+           "rounding of a subnormal square exceeds the relative 1e-9"),
 )
 
 # Equivalent to the original, so not run.
@@ -77,14 +83,13 @@ EQUIVALENT = (
            "self.migration[0] > n.seq",
            "each notification has its own seq, so an equal seq is the same "
            "migration, applied again to the same value"),
-    Mutant("subnormal-slack", "src/dcrsim/topology.py",
-           "d - m <= m * 1e-9 + 1e-300",
-           "d - m <= m * 1e-9",
-           "the absolute term widens the shortlist only at subnormal distances"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+# A mutated copy lacks its mutant's text by design, so the tier-1 test that
+# every text occurs once runs on the unmutated copy only.
+TEXTS_TEST = "tests/test_mutants.py::test_every_mutant_text_occurs_once"
 NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                     "*.egg-info", "build", ".bench_tmp")
 
@@ -109,7 +114,8 @@ def run(tmp: Path, m: Mutant | None) -> subprocess.CompletedProcess:
                           encoding="utf-8")
     env = dict(os.environ, HYPOTHESIS_PROFILE="ci", PYTHONPATH=str(tree / "src"))
     try:
-        return subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+        args = TIER1 + (["--deselect", TEXTS_TEST] if m else [])
+        return subprocess.run(args, cwd=tree, env=env, capture_output=True, text=True)
     finally:
         shutil.rmtree(tree)
 
