@@ -1,12 +1,12 @@
-"""Router-side state and packet handling.
+"""The router model: notifications, forwarding-table entries and packet routing.
 
 Each DCR keeps a forwarding table mapping anycast addresses to the DCRs that
-currently host the VM. Lifecycle changes are announced by flooding a
-notification over the overlay; tables apply whatever arrives, whenever it
-arrives, and must still converge once the flood settles. Updates are
-therefore stamped with the notification sequence number and merged
-last-writer-wins per (address, DCR) slot, so arrival order cannot change the
-final table.
+currently host the VM, one `VmRegister` per address. Lifecycle changes are
+announced by flooding a notification over the overlay; tables apply whatever
+arrives, whenever it arrives, and must still converge once the flood
+settles. Updates are therefore stamped with the notification sequence number
+and merged last-writer-wins per (address, DCR) slot, so arrival order cannot
+change the final table.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ def notification_origin(n: Notification) -> DcrId:
     return n.dcr_addrs[-1] if n.kind is NotificationKind.REPLICATION else n.dcr_addrs[0]
 
 
-def format_notification_line(n: Notification) -> str:
-    addrs = ",".join(str(d) for d in n.dcr_addrs)
-    return f"NOTIFY {n.seq} {n.kind.value} {n.vm} {addrs}"
-
-
 @dataclass(slots=True)
 class VmRegister:
     """One VM's entry in a forwarding table, merged from flooded notifications.
@@ -115,19 +110,6 @@ class VmRegister:
                 self._hosts = frozenset(d for d, s in self.adds.items()
                                         if s > removed.get(d, -1))
         return self._hosts
-
-
-class ForwardingTable(dict):
-    """One DCR's anycast entries: VM address -> VmRegister, for each address
-    with any stamp."""
-
-    def entry(self, vm: AnycastAddress) -> frozenset[DcrId]:
-        """Hosting DCRs this router believes in for vm; empty if none."""
-        return self[vm].hosts() if vm in self else frozenset()
-
-    def entries(self) -> dict[AnycastAddress, frozenset[DcrId]]:
-        """All addresses with a live entry, for inspection and tests."""
-        return {vm: reg.hosts() for vm, reg in self.items() if reg.hosts()}
 
 
 @dataclass

@@ -26,9 +26,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_metrics
-from .protocol import (ForwardingTable, Notification, NotificationKind, Route, VmMode,
-                       VmRecord, VmRegister, format_notification_line, notification_origin,
-                       route_user_packet)
+from .protocol import (Notification, NotificationKind, Route, VmMode, VmRecord,
+                       VmRegister, notification_origin, route_user_packet)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
                        distance, nearest_among)
 
@@ -330,7 +329,8 @@ class SimReport:
         for x in self.stream:
             if type(x) is not Delivery:
                 if trace:
-                    lines.append(format_notification_line(x))
+                    lines.append(f"NOTIFY {x.seq} {x.kind.value} {x.vm} "
+                                 + ",".join(map(str, x.dcr_addrs)))
                 continue
             send, route = x
             user, ingress, target, at, hop_delays, direct = route
@@ -632,12 +632,13 @@ class Simulation:
         self.now = max(self.now, time)
 
     @property
-    def tables(self) -> Mapping[DcrId, ForwardingTable]:
+    def tables(self) -> Mapping[DcrId, dict[AnycastAddress, VmRegister]]:
         """Every DCR's forwarding table at `now`, as a read-only snapshot: the
-        merge of the notifications whose flood has reached it by `now`."""
+        merge of the notifications whose flood has reached it by `now`, as a
+        register per address that holds any stamp."""
         out = {}
         for d in self.topology.ids():
-            table = out[d] = ForwardingTable()
+            table = out[d] = {}
             for k, vm in enumerate(self._records):
                 # As a packet arriving now would read it, after every change
                 # up to now: no scenario index reaches infinity.

@@ -8,8 +8,13 @@ are the plain Python scans that the library's vectorised nearest-point rule
 must match exactly. `EagerSimulation` is the event loop that writes every
 DCR's table on every flood, against which the lazy table views are checked.
 It routes, formats and reports each packet with its own copies of the
-library's per-packet code as it stood before deliveries became records, so
-the report and trace bytes are checked against an independent formatter.
+library's per-packet code as it stood before deliveries became records, and
+starts and formats each flood with its own `notification_origin` and
+`format_notification_line`, so the report and trace bytes, NOTIFY lines
+included, are checked against an independent formatter. What it shares with
+the library is the package's value types (`Notification` with its arity
+check, `VmRecord`, the addresses, `Point`, `SessionState`), `distance`, and
+the report summary's `overlay_metrics` and `flood_duplicate_count`.
 `ScenarioEvent` and `parse_scenario` are the frozen dataclass and the parser
 as they stood before events became named tuples and sends took a fast path.
 `ForwardingTable` and `apply_notification` are the address-keyed table and
@@ -31,8 +36,7 @@ import dcrsim
 from dcrsim import (AnycastAddress, DcrId, EventKind, Notification,
                     NotificationKind, Overlay, OverlayMetrics,
                     ParseError, Point, ScenarioError, SessionState, UnicastAddress, VmMode,
-                    VmRecord, distance, flood_duplicate_count, format_notification_line,
-                    notification_origin, overlay_metrics)
+                    VmRecord, distance, flood_duplicate_count, overlay_metrics)
 
 INF = float("inf")
 TUNNEL_HEADER_BYTES = 20  # the simulator's default
@@ -204,13 +208,20 @@ def apply_notification(table: ForwardingTable, n: Notification) -> ForwardingTab
     return replace(table, _removes=removes)
 
 
-def as_library_table(table: ForwardingTable) -> dcrsim.ForwardingTable:
+def as_library_table(table: ForwardingTable) -> dict[AnycastAddress, dcrsim.VmRegister]:
     """The library's form of an oracle table: one register per address
     that holds any stamp, with the same stamps."""
     vms = set(table._adds) | set(table._removes) | set(table._migrations)
-    return dcrsim.ForwardingTable(
-        {vm: dcrsim.VmRegister(table._migrations.get(vm), dict(table._adds.get(vm, {})),
-                               dict(table._removes.get(vm, {}))) for vm in vms})
+    return {vm: dcrsim.VmRegister(table._migrations.get(vm), dict(table._adds.get(vm, {})),
+                                  dict(table._removes.get(vm, {}))) for vm in vms}
+
+
+def notification_origin(n: Notification) -> DcrId:
+    """The DCR whose router starts n's flood: the destination for a migration
+    or a replication, the departed DCR for a destruction."""
+    if n.kind is NotificationKind.REPLICATION:
+        return n.dcr_addrs[1]
+    return n.dcr_addrs[0]
 
 
 def lookup(table, vm, at, t):
@@ -322,6 +333,11 @@ def format_trace_line(time, trace):
             f"tunneled={int(trace.tunneled)} result={result}")
 
 
+def format_notification_line(n: Notification) -> str:
+    addrs = ",".join(str(d) for d in n.dcr_addrs)
+    return f"NOTIFY {n.seq} {n.kind.value} {n.vm} {addrs}"
+
+
 _CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
                "total_delay,tunneled,stretch,penalty,reply_delay,reply_tunneled")
 
@@ -406,8 +422,8 @@ class EagerSimulation:
     materialised and a packet reads its ingress table as it stands. Events
     are ordered by (time, push counter), as in the library. Unlike the rest
     of this module it uses the package's own types, but it owns its table
-    merge, its flood delays (by `dijkstra`), its event order, its tables,
-    its ground truth, its routing and its report, which are what it
+    merge, its flood origins and delays (by `dijkstra`), its event order, its
+    tables, its ground truth, its routing and its report, which are what it
     cross-checks. Valid scenarios only: it checks no lifecycle
     legality.
     """

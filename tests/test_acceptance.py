@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from dcrsim import (Point, Simulation, Topology, VmMode, build_overlay,
+from dcrsim import (Point, Simulation, Topology, VmMode, VmRegister, build_overlay,
                     build_tree, connect_leaves, format_overlay,
                     generate_random_topology, load_scenario, load_topology,
                     overlay_metrics, run_scenario)
@@ -170,7 +170,7 @@ def test_criterion_6_random_scenarios_converge_and_route_to_nearest():
             if truth.mode is VmMode.UNICAST:
                 continue
             for d in gen.topology.ids():
-                got = sim.tables[d].entry(vm.address)
+                got = sim.tables[d].get(vm.address, VmRegister()).hosts()
                 assert got == frozenset(truth.locations), \
                     f"seed {gen.seed} vm {name} table at {d}"
         for p in packet_records(report):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dcrsim.overlay
 from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
-                    Point, ScenarioEvent, Simulation, Topology, VmMode,
+                    Point, ScenarioEvent, Simulation, Topology, VmMode, VmRegister,
                     add_wraparound, all_pairs_delay, build_overlay,
                     build_tree, connect_leaves, distance, flood_duplicate_count,
                     format_overlay, generate_random_topology, leaf_set,
@@ -222,7 +222,7 @@ def test_flood_schedule_square():
         sim.run_until(now)
         addr = sim.vms["v"].address
         assert {d for d, table in sim.tables.items()
-                if table.entry(addr) == frozenset({2})} == reached
+                if table.get(addr, VmRegister()).hosts() == frozenset({2})} == reached
 
 
 def test_flood_duplicate_count():

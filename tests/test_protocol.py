@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrsim import (AnycastAddress, ConfigError, ForwardingTable, Notification,
-                    NotificationKind, Point, Topology, UnicastAddress, VmMode,
-                    VmRecord, VmRegister, build_overlay, distance, format_notification_line,
-                    lookup, notification_origin, parse_scenario, route_user_packet,
-                    run_scenario)
+from dcrsim import (AnycastAddress, ConfigError, Notification, NotificationKind, Point,
+                    Topology, UnicastAddress, VmMode, VmRecord, VmRegister, build_overlay,
+                    distance, lookup, notification_origin, parse_scenario,
+                    route_user_packet, run_scenario)
 
 VM = AnycastAddress(1, 0)
 
@@ -26,10 +25,11 @@ def square_run(scenario):
 
 
 def apply_all(notifications):
-    table = ForwardingTable()
+    """One VM's register after `notifications`, all about it, in this order."""
+    register = VmRegister()
     for n in notifications:
-        table.setdefault(n.vm, VmRegister()).apply(n)
-    return table
+        register.apply(n)
+    return register
 
 
 def test_notification_checks_arity():
@@ -51,57 +51,58 @@ def test_notification_origin():
 
 
 def test_empty_table_has_no_entries():
-    table = ForwardingTable()
-    assert table.entries() == {}
-    assert table.entry(VM) == frozenset()
+    assert apply_all([]) == VmRegister(None, {}, {})
+    assert apply_all([]).hosts() == frozenset()
 
 
 def test_migration_replaces_entry():
-    table = apply_all([
+    register = apply_all([
         Notification(NotificationKind.MIGRATION, VM, (2,), 0),
         Notification(NotificationKind.MIGRATION, VM, (4,), 1),
     ])
-    assert table.entries() == {VM: frozenset({4})}
+    assert register.hosts() == frozenset({4})
+    assert register == VmRegister((1, 4), {}, {})
 
 
 def test_replication_accumulates_replicas():
-    table = apply_all([
+    register = apply_all([
         Notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
         Notification(NotificationKind.REPLICATION, VM, (2, 3), 1),
     ])
-    assert table.entry(VM) == frozenset({1, 2, 3})
+    assert register.hosts() == frozenset({1, 2, 3})
 
 
 def test_destruction_removes_one_replica():
-    table = apply_all([
+    register = apply_all([
         Notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
         Notification(NotificationKind.DESTRUCTION, VM, (1,), 1),
     ])
-    assert table.entry(VM) == frozenset({2})
+    assert register.hosts() == frozenset({2})
 
 
 def test_destruction_after_migration_clears_entry():
-    table = apply_all([
+    register = apply_all([
         Notification(NotificationKind.MIGRATION, VM, (3,), 0),
         Notification(NotificationKind.DESTRUCTION, VM, (3,), 1),
     ])
-    assert table.entries() == {}
+    assert register.hosts() == frozenset()
+    assert register == VmRegister((0, 3), {}, {3: 1})
 
 
 def test_stale_migration_is_ignored():
     fresh = Notification(NotificationKind.MIGRATION, VM, (4,), 5)
     stale = Notification(NotificationKind.MIGRATION, VM, (2,), 3)
-    assert apply_all([stale, fresh]).entry(VM) == frozenset({4})
-    assert apply_all([fresh, stale]).entry(VM) == frozenset({4})
+    assert apply_all([stale, fresh]) == apply_all([fresh, stale]) == VmRegister((5, 4), {}, {})
+    assert apply_all([fresh, stale]).hosts() == frozenset({4})
 
 
 def test_replica_can_return_after_destruction():
-    table = apply_all([
+    register = apply_all([
         Notification(NotificationKind.REPLICATION, VM, (1, 2), 0),
         Notification(NotificationKind.DESTRUCTION, VM, (2,), 1),
         Notification(NotificationKind.REPLICATION, VM, (1, 2), 2),
     ])
-    assert table.entry(VM) == frozenset({1, 2})
+    assert register.hosts() == frozenset({1, 2})
 
 
 def test_apply_notification_is_idempotent():
@@ -137,24 +138,25 @@ def test_tables_converge_regardless_of_arrival_order(seed, n_events):
     stream = _notification_stream(rng, n_events)
     shuffled = list(stream)
     rng.shuffle(shuffled)
-    a = apply_all(stream)
-    b = apply_all(shuffled)
-    assert a == b
-    assert a.entries() == b.entries()
+    for vm in {n.vm for n in stream}:
+        a = apply_all(n for n in stream if n.vm == vm)
+        b = apply_all(n for n in shuffled if n.vm == vm)
+        assert a == b
+        assert a.hosts() == b.hosts()
 
 
 def test_lookup_prefers_nearest_member():
     t = square()
-    table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
-    assert lookup(table[VM], VM, 1, t) == 2
-    assert lookup(table[VM], VM, 4, t) == 3
+    register = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
+    assert lookup(register, VM, 1, t) == 2
+    assert lookup(register, VM, 4, t) == 3
 
 
 def test_lookup_distance_tie_goes_to_lowest_id():
     t = square()
-    table = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 4), 0)])
+    register = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 4), 0)])
     # DCRs 2 and 4 are both 10 away from DCR 1.
-    assert lookup(table[VM], VM, 1, t) == 2
+    assert lookup(register, VM, 1, t) == 2
 
 
 def test_lookup_falls_back_to_subblock():
@@ -163,7 +165,7 @@ def test_lookup_falls_back_to_subblock():
 
 
 def test_a_copy_of_a_register_applies_without_changing_it():
-    reg = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])[VM]
+    reg = apply_all([Notification(NotificationKind.REPLICATION, VM, (2, 3), 0)])
     copy = reg.copy()
     copy.apply(Notification(NotificationKind.DESTRUCTION, VM, (3,), 1))
     assert reg.hosts() == frozenset({2, 3}) and copy.hosts() == frozenset({2})
@@ -193,10 +195,9 @@ def test_route_unicast_packet_misses_destroyed_vm():
 def test_route_anycast_packet_tunnels_via_ingress():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={2})
-    tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
-              for d in t.ids()}
+    entry = apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
     trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
-                              tables[4][VM], t)
+                              entry, t)
     assert trace.ingress is not None
     assert (trace.ingress, trace.target, len(trace.delays)) == (4, 2, 2)
     assert trace.delivered_at == 2
@@ -207,10 +208,9 @@ def test_route_anycast_packet_tunnels_via_ingress():
 def test_route_anycast_packet_miss_when_table_is_stale():
     t = square()
     vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={3})
-    tables = {d: apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
-              for d in t.ids()}
+    entry = apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
     trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
-                              tables[4][VM], t)
+                              entry, t)
     assert trace.delivered_at is None
     assert trace.target == 2
 
@@ -237,10 +237,13 @@ def test_vm_record_validation():
 
 
 def test_format_notification_line():
-    n = Notification(NotificationKind.REPLICATION, AnycastAddress(2, 0), (2, 3), 7)
-    assert format_notification_line(n) == "NOTIFY 7 REPLICATION 2:0 2,3"
-    m = Notification(NotificationKind.MIGRATION, AnycastAddress(1, 4), (2,), 9)
-    assert format_notification_line(m) == "NOTIFY 9 MIGRATION 1:4 2"
+    # v is DCR 2's first anycast VM, 2:0; the replication is flood 0, the
+    # migration of w, DCR 1's fifth VM (1:4), flood 1, and its destruction flood 2.
+    lines = square_run("0 create v 2 anycast-replicate\n"
+                       + "".join(f"0 create w{i} 1 anycast-migrate\n" for i in range(5))
+                       + "1 replicate v 2 3\n2 migrate w4 2\n3 destroy w4 2\n").trace_lines
+    assert lines == ["NOTIFY 0 REPLICATION 2:0 2,3", "NOTIFY 1 MIGRATION 1:4 2",
+                     "NOTIFY 2 DESTRUCTION 1:4 2"]
 
 
 def test_format_trace_line():

@@ -9,7 +9,7 @@ import pytest
 import dcrsim.simulator
 from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConflict,
                     ParseError, Point, ScenarioError, ScenarioEvent, Simulation, Topology,
-                    UnicastAddress, VmMode,
+                    UnicastAddress, VmMode, VmRegister,
                     build_overlay, format_scenario, generate_random_topology,
                     load_topology, parse_scenario, run_scenario)
 
@@ -476,14 +476,14 @@ def test_flood_applies_origin_first_then_by_distance():
     sim.run_until(10.0)
     addr = sim.vms["vm1"].address
     # Origin DCR 2 applied at t=10; DCRs 1 and 3 are 10 away, DCR 4 is 20 away.
-    assert sim.tables[2].entry(addr) == frozenset({2})
-    assert sim.tables[1].entry(addr) == frozenset()
+    assert sim.tables[2][addr] == VmRegister((0, 2), {}, {})
+    assert addr not in sim.tables[1]
     sim.run_until(20.0)
-    assert sim.tables[1].entry(addr) == frozenset({2})
-    assert sim.tables[3].entry(addr) == frozenset({2})
-    assert sim.tables[4].entry(addr) == frozenset()
+    assert sim.tables[1][addr].hosts() == frozenset({2})
+    assert sim.tables[3][addr].hosts() == frozenset({2})
+    assert addr not in sim.tables[4]
     sim.run_until(30.0)
-    assert sim.tables[4].entry(addr) == frozenset({2})
+    assert sim.tables[4][addr].hosts() == frozenset({2})
 
 
 def test_one_ingress_reads_a_replicated_vm_across_replicas_coming_and_going():
@@ -514,8 +514,8 @@ def test_a_read_in_flight_leaves_the_settled_tables_as_the_eager_engine_has_them
     assert delivery.route.ingress == 2 and delivery.route.delivered_at == 2
     assert sim.pending_floods() > 0
     addr = sim.vms["vm1"].address
-    assert sim.tables[2].entry(addr) == frozenset({2})
-    assert sim.tables[4].entry(addr) == frozenset()
+    assert sim.tables[2][addr].hosts() == frozenset({2})
+    assert addr not in sim.tables[4]
     assert dict(sim.tables) == {d: oracles.as_library_table(table)
                                 for d, table in eager.tables.items()}
 

@@ -69,6 +69,15 @@ MUTANTS = (
            "* (1 + 1e-9)",
            "drops the nearest winner from the shortlist where squares underflow, as the "
            "rounding of a subnormal square exceeds the relative 1e-9"),
+    Mutant("send-phase", "src/dcrsim/simulator.py",
+           "queue.append((events[j].time + hop, 1, j,",
+           "queue.append((events[j].time + hop, 0, j,",
+           "lets a send that arrives when a change happens go first, by scenario index, "
+           "where changes must go before sends at equal times"),
+    Mutant("lookup-tie", "src/dcrsim/protocol.py",
+           "(distance(ap, t.position(d)), d))",
+           "(distance(ap, t.position(d)), -d))",
+           "sends a packet to the highest of two equally near hosts, not the lowest id"),
 )
 
 # Equivalent to the original, so not run.
