@@ -92,7 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     csv, trace = Simulation(t, o, events).run().render(trace=args.trace is not None)
     _write(csv, args.out)
     if trace is not None:
-        _write("\n".join(trace) + "\n" if trace else "", args.trace)
+        _write(trace, args.trace)
     return 0
 
 

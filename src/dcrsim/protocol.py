@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import hypot
 from typing import NamedTuple, Union
 
 from .errors import ConfigError
@@ -172,10 +173,13 @@ def route_user_packet(user: Point, ingress: DcrId, first_hop: float, vm: VmRecor
     """
     if vm.mode is VmMode.UNICAST:
         dc = vm.address.dc
-        return Route(user, None, dc, dc if dc in vm.locations else None,
-                     (first_hop,), first_hop)
+        return tuple.__new__(Route, (user, None, dc, dc if dc in vm.locations else None,
+                                     (first_hop,), first_hop))
     target = lookup(entry, vm.address, ingress, t)
     positions = t._pos  # type: ignore[attr-defined]
-    tp = positions[target]
-    return Route(user, ingress, target, target if target in vm.locations else None,
-                 (first_hop, distance(positions[ingress], tp)), distance(user, tp))
+    ip, tp = positions[ingress], positions[target]
+    # Both hops as distance() gives them, inline, and the Route without its
+    # constructor: this runs once per anycast packet.
+    return tuple.__new__(Route, (user, ingress, target, target if target in vm.locations else None,
+                                 (first_hop, hypot(ip.x - tp.x, ip.y - tp.y)),
+                                 hypot(user.x - tp.x, user.y - tp.y)))

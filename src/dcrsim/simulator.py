@@ -73,9 +73,9 @@ class ScenarioEvent(NamedTuple):
     line: int | None = None
 
 
-# Builds a ScenarioEvent from all its fields in order, faster than its
-# keyword constructor.
-_new_event = tuple.__new__
+# Builds a named tuple (a ScenarioEvent, a Delivery) from all its fields in
+# order, faster than its keyword constructor.
+_new_tuple = tuple.__new__
 _SEND = EventKind.SEND_PACKET
 
 # Each kind of word on a scenario line: how it is read, how it is written
@@ -136,7 +136,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                 if parts[4] != "session":
                     raise ParseError(f"line {lineno}: expected `session <id>` in {raw!r}")
                 session = parts[5]
-            ev = _new_event(ScenarioEvent, (time, _SEND, parts[3], None, None, None, None,
+            ev = _new_tuple(ScenarioEvent, (time, _SEND, parts[3], None, None, None, None,
                                             parts[2], None, None, session, lineno))
         else:
             try:
@@ -148,7 +148,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                 raise ParseError(f"line {lineno}: unrecognized event {raw!r}") from None
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
-            ev = _new_event(ScenarioEvent, slots)
+            ev = _new_tuple(ScenarioEvent, slots)
             if kind is EventKind.PLACE_USER and not all(map(math.isfinite, (ev.x, ev.y))):
                 raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
         # Split never yields an empty name, so a name is bad iff it has a comma.
@@ -217,21 +217,28 @@ class Delivery(NamedTuple):
 
 
 _CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
-               "total_delay,tunneled,stretch,penalty,reply_delay,reply_tunneled")
+               "total_delay,tunneled,stretch,penalty,reply_delay,reply_tunneled\n")
+# SimReport.render's templates, one per kind of row and trace line. Names
+# and ids go in as %s, times and delays as %.6f and the tunnel flag as %d.
+_DELIVERED_ROW = "%s,%.6f,%s,%s,%s,%s,%s,%s,%.6f,%d,%.6f,%.6f,%.6f,0\n"
+_MISS_ROW = "%s,%.6f,%s,%s,%s,%s,%s,MISS,%.6f,%d,,,,\n"
+_NOTIFY = "NOTIFY %s %s %s %s\n"
+_USER_HOP = "(%.6f,%.6f)->dcr%s:%.6f"
+_TUNNELED_PKT = "PKT %.6f %s dcr%s->dcr%s:%.6f delay=%.6f tunneled=1 result=%s%s\n"
+_DIRECT_PKT = "PKT %.6f %s delay=%.6f tunneled=0 result=%s%s\n"
+_SUMMARY = ("# summary: packets=%s delivered=%s miss=%s session_breaks=%s notifications=%s"
+            " duplicate_notifications=%s tunnel_header_bytes=%s mean_delay=%.6f max_delay=%.6f"
+            " mean_stretch=%.6f max_stretch=%.6f mean_penalty=%.6f max_penalty=%.6f"
+            " overlay_worst=%.6f overlay_avg=%.6f overlay_overhead=%.6f\n")
+# Stream entries formatted by one `%`. This bounds the values alive at once,
+# and blocks this small kept a run's peak RSS below that of blocks of 1024.
+_BLOCK = 256
 
 
 def _stretch_penalty(total: float, direct: float) -> tuple[float, float]:
     """A delivered packet's stretch and penalty: its delay against the
     user's direct distance to where it was delivered."""
     return (1.0 if direct == 0.0 else total / direct), total - direct
-
-
-def _pkt_line(time: str, user_hop: str, route: Route, total: str) -> str:
-    """A PKT line, from its parts that SimReport.render formatted already."""
-    ingress, target, at = route.ingress, route.target, route.delivered_at
-    tunnel = "" if ingress is None else f" dcr{ingress}->dcr{target}:{route.delays[1]:.6f}"
-    return (f"PKT {time} {user_hop}{tunnel} delay={total} tunneled={int(ingress is not None)} "
-            f"result={'MISS' if at is None else f'dcr{at}'}")
 
 
 def _agg(values: list[float]) -> tuple[float, float]:
@@ -303,7 +310,7 @@ class SimReport:
 
     @functools.cached_property
     def trace_lines(self) -> list[str]:
-        return self.render(trace=True)[1]
+        return self.render(trace=True)[1].split("\n")[:-1]
 
     @property
     def delivered(self) -> int:
@@ -316,68 +323,67 @@ class SimReport:
     def to_csv(self) -> str:
         return self.render()[0]
 
-    def render(self, trace: bool = False) -> tuple[str, list[str] | None]:
-        """The CSV report and, if trace, the NOTIFY/PKT lines (else None), in
-        one walk of the stream, which formats each send time and total delay
-        once for both, and each placement's user hop once."""
-        rows, lines = [_CSV_HEADER], [] if trace else None
-        events = self.events
+    def render(self, trace: bool = False) -> tuple[str, str | None]:
+        """The CSV report and, if trace, the NOTIFY/PKT lines as one text
+        (else None), from one walk of the stream. The walk picks each row's
+        and line's template and gathers its values, and each block of
+        _BLOCK stream entries is formatted with one `%` per output. Each
+        placement's user hop is formatted once."""
+        csv, text = _CSV_HEADER, ""
+        events, stream = self.events, self.stream
         # Keyed on the identity of the user's Point, which the stream keeps
         # alive, and not on its value: -0.0 == 0.0, but they print apart.
         user_hops: dict[tuple[int, DcrId], str] = {}
         delays, stretches, penalties = [], [], []
-        for x in self.stream:
-            if type(x) is not Delivery:
+        packet = 0
+        for start in range(0, len(stream), _BLOCK):
+            rows, row_values, lines, line_values = [], [], [], []
+            for x in stream[start:start + _BLOCK]:
+                if type(x) is not Delivery:
+                    if trace:
+                        lines.append(_NOTIFY)
+                        line_values += (x.seq, x.kind.value, x.vm,
+                                        ",".join(map(str, x.dcr_addrs)))
+                    continue
+                send, (user, ingress, target, at, hop_delays, direct) = x
+                ev = events[send]
+                total, tunneled = sum(hop_delays), ingress is not None
+                row_values += (packet, ev.time, ev.user, ev.vm, ev.session or "",
+                               ingress if tunneled else "", target)
+                packet += 1
+                if at is None:
+                    rows.append(_MISS_ROW)
+                    row_values += (total, tunneled)
+                else:
+                    # A reply goes straight back from `at`, which is target: `direct` away.
+                    stretch, penalty = _stretch_penalty(total, direct)
+                    rows.append(_DELIVERED_ROW)
+                    row_values += (at, total, tunneled, stretch, penalty, direct)
+                    delays.append(total)
+                    stretches.append(stretch)
+                    penalties.append(penalty)
                 if trace:
-                    lines.append(f"NOTIFY {x.seq} {x.kind.value} {x.vm} "
-                                 + ",".join(map(str, x.dcr_addrs)))
-                continue
-            send, route = x
-            user, ingress, target, at, hop_delays, direct = route
-            ev = events[send]
-            time, total = f"{ev.time:.6f}", sum(hop_delays)
-            total_s = f"{total:.6f}"
-            head = (f"{len(rows) - 1},{time},{ev.user},{ev.vm},{ev.session or ''},"
-                    f"{'' if ingress is None else ingress},{target}")
-            if at is None:
-                rows.append(f"{head},MISS,{total_s},{int(ingress is not None)},,,,")
-            else:
-                # A reply goes straight back from `at`, which is target: `direct` away.
-                stretch, penalty = _stretch_penalty(total, direct)
-                rows.append(f"{head},{at},{total_s},{int(ingress is not None)},"
-                            f"{stretch:.6f},{penalty:.6f},{direct:.6f},0")
-                delays.append(total)
-                stretches.append(stretch)
-                penalties.append(penalty)
+                    first = ingress if tunneled else target
+                    hop = user_hops.get((id(user), first))
+                    if hop is None:
+                        hop = user_hops[id(user), first] = _USER_HOP % (
+                            user.x, user.y, first, hop_delays[0])
+                    if tunneled:
+                        lines.append(_TUNNELED_PKT)
+                        line_values += (ev.time, hop, ingress, target, hop_delays[1], total)
+                    else:
+                        lines.append(_DIRECT_PKT)
+                        line_values += (ev.time, hop, total)
+                    line_values += ("MISS", "") if at is None else ("dcr", at)
+            csv += "".join(rows) % tuple(row_values)
             if trace:
-                first = target if ingress is None else ingress
-                hop = user_hops.get((id(user), first))
-                if hop is None:
-                    hop = user_hops[id(user), first] = (
-                        f"({user.x:.6f},{user.y:.6f})->dcr{first}:{hop_delays[0]:.6f}")
-                lines.append(_pkt_line(time, hop, route, total_s))
-        mean_delay, max_delay = _agg(delays)
-        mean_stretch, max_stretch = _agg(stretches)
-        mean_penalty, max_penalty = _agg(penalties)
-        rows.append(
-            "# summary:"
-            f" packets={len(rows) - 1}"
-            f" delivered={len(delays)}"
-            f" miss={len(rows) - 1 - len(delays)}"
-            f" session_breaks={self.session_breaks}"
-            f" notifications={self.notifications}"
-            f" duplicate_notifications={self.duplicate_notifications}"
-            f" tunnel_header_bytes={self.tunnel_header_bytes}"
-            f" mean_delay={mean_delay:.6f}"
-            f" max_delay={max_delay:.6f}"
-            f" mean_stretch={mean_stretch:.6f}"
-            f" max_stretch={max_stretch:.6f}"
-            f" mean_penalty={mean_penalty:.6f}"
-            f" max_penalty={max_penalty:.6f}"
-            f" overlay_worst={self.overlay.worst_delay:.6f}"
-            f" overlay_avg={self.overlay.avg_delay:.6f}"
-            f" overlay_overhead={self.overlay.flooding_overhead:.6f}")
-        return "\n".join(rows) + "\n", lines
+                text += "".join(lines) % tuple(line_values)
+        o = self.overlay
+        csv += _SUMMARY % (packet, len(delays), packet - len(delays), self.session_breaks,
+                           self.notifications, self.duplicate_notifications,
+                           self.tunnel_header_bytes, *_agg(delays), *_agg(stretches),
+                           *_agg(penalties), o.worst_delay, o.avg_delay, o.flooding_overhead)
+        return csv, text if trace else None
 
 
 class Simulation:
@@ -601,19 +607,23 @@ class Simulation:
         The settled register itself unless one still in flight has reached
         dcr, then a copy."""
         register = self._settled[k]
-        if self._logs[k]:
-            for entry in self._in_flight(k):
-                if self._reached(entry, dcr, index):
-                    if register is self._settled[k]:
-                        register = register.copy()
-                    register.apply(entry[3])
+        for entry in self._in_flight(k):
+            if self._reached(entry, dcr, index):
+                if register is self._settled[k]:
+                    register = register.copy()
+                register.apply(entry[3])
         return register
 
     def _deliver(self, j: int, send: tuple) -> None:
         user, ingress, first_hop, vm, k = send  # k is the VM's number
-        entry = None if vm.mode is VmMode.UNICAST else self._read_table(ingress, k, j)
+        if vm.mode is VmMode.UNICAST:
+            entry = None
+        elif self._logs[k]:
+            entry = self._read_table(ingress, k, j)
+        else:  # no flood in flight: every table holds the settled register
+            entry = self._settled[k]
         route = route_user_packet(user, ingress, first_hop, vm, entry, self.topology)
-        self._stream.append(Delivery(j, route))
+        self._stream.append(_new_tuple(Delivery, (j, route)))
 
     def step(self) -> bool:
         """Replay one lifecycle change or delivery; False when none is left."""

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcrsim.cli
-import dcrsim.simulator
 from dcrsim import (ParseError, ScenarioError, Simulation, build_overlay,
-                    generate_random_topology, load_topology, overlay_metrics,
+                    generate_random_topology, load_scenario, load_topology, overlay_metrics,
                     parse_overlay, parse_scenario, parse_topology)
 from dcrsim.cli import main
 
@@ -173,6 +172,20 @@ def test_compare_rejects_bad_n_spec(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_compare_accepts_n_from_2_and_refuses_n_from_1(capsys):
+    code, out, _ = run_cli(["compare", "--seed", "1", "--count", "2", "--n", "2..3"], capsys)
+    assert code == 0
+    assert [row.split(",")[2] for row in out.splitlines()[1:7]] == ["2"] * 3 + ["3"] * 3
+    code, _, err = run_cli(["compare", "--n", "1..3"], capsys)
+    assert code == 2 and "bad --n range" in err
+
+
+def test_compare_accepts_count_1(capsys):
+    code, out, _ = run_cli(["compare", "--seed", "1", "--count", "1", "--n", "5"], capsys)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["t0"] * 3 + ["mean"] * 3
+
+
 def test_compare_reproduces_the_golden_csv_at_n_400(capsys):
     # The benchmark's `compare` job; the golden was written before the tree
     # scan was vectorised and the stage delay matrices were warm-started.
@@ -197,24 +210,26 @@ def test_run_writes_report_and_trace(tmp_path, capsys):
     assert trace.count("PKT ") == 2
 
 
-def test_run_formats_pkt_lines_only_for_a_trace(tmp_path, capsys, monkeypatch):
-    # SimReport.render formats every PKT line with _pkt_line.
-    calls = []
-    formatter = dcrsim.simulator._pkt_line
-
-    def counting(*args):
-        calls.append(formatter(*args))
-        return calls[-1]
-    monkeypatch.setattr(dcrsim.simulator, "_pkt_line", counting)
+def test_run_formats_pkt_lines_only_for_a_trace(tmp_path, capsys):
+    # Without --trace the walk renders no trace, and the run writes none.
+    t = load_topology(example_path("square.top"))
+    events = load_scenario(example_path("stretch.scn"))
+    report = Simulation(t, build_overlay(t, 3), events).run()
+    csv, text = report.render(trace=False)
+    assert text is None
     argv = ["run", example_path("square.top"), example_path("stretch.scn"),
             "--out", str(tmp_path / "r.csv")]
     assert run_cli(argv, capsys)[0] == 0
-    assert calls == []
+    assert (tmp_path / "r.csv").read_text() == csv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+    # With it, the trace holds one PKT line per CSV row, and the CSV is the same.
     assert run_cli(argv + ["--trace", str(tmp_path / "r.trace")], capsys)[0] == 0
-    packets = len((tmp_path / "r.csv").read_text().splitlines()) - 2
-    assert packets > 0 and len(calls) == packets
-    written = (tmp_path / "r.trace").read_text().splitlines()
-    assert [line for line in written if line.startswith("PKT ")] == calls
+    assert (tmp_path / "r.csv").read_text() == csv
+    written = (tmp_path / "r.trace").read_text()
+    assert written == report.render(trace=True)[1]
+    packets = len(csv.splitlines()) - 2
+    assert packets > 0
+    assert sum(line.startswith("PKT ") for line in written.splitlines()) == packets
 
 
 def test_run_accepts_prebuilt_overlay(tmp_path, capsys):

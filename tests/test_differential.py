@@ -37,9 +37,10 @@ def assert_same_output(topology, overlay, events, label):
         assert getattr(lazy, counter) == getattr(eager, counter), (label, counter)
     # The one walk as `dcrsim run` takes it, without and with --trace.
     for trace in (False, True):
-        csv, lines = Simulation(topology, overlay, events).run().render(trace=trace)
+        csv, text = Simulation(topology, overlay, events).run().render(trace=trace)
         assert csv == eager.to_csv(), label
-        assert lines == (eager.trace_lines if trace else None), label
+        assert text == ("".join(line + "\n" for line in eager.trace_lines)
+                        if trace else None), label
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -60,6 +61,60 @@ def test_users_at_negative_and_positive_zero_print_apart():
         "(-0.000000,1.000000)->dcr4:1.000000", "(0.000000,1.000000)->dcr4:1.000000",
         "(-0.000000,1.000000)->dcr4:1.000000"]
     assert lines == EagerSimulation(t, build_overlay(t, 3), events).run().trace_lines
+
+
+def assert_renders_as_the_eager_engine(topology, events):
+    """The run's CSV and trace text, checked against the eager engine's bytes."""
+    overlay = build_overlay(topology, 3)
+    csv, text = run_scenario(topology, overlay, events).render(trace=True)
+    eager = EagerSimulation(topology, overlay, events).run()
+    assert csv == eager.to_csv()
+    assert text == "".join(line + "\n" for line in eager.trace_lines)
+    return csv.splitlines(), text.splitlines()
+
+
+def test_render_prints_unicast_rows_percent_names_and_negative_zero_as_the_eager_engine():
+    # Names holding `%` go into the templates as values; the unicast rows are
+    # direct (tunneled=0), one delivered and one missed after its DC is gone.
+    t = load_topology(example_path("square.top"))
+    events = parse_scenario("0 user u%s -0.0 1\n0 user %(x)s 9.9 0.3\n"
+                            "0 create v%d%% 1 unicast\n0 create w 2 anycast-migrate\n"
+                            "1 send u%s v%d%% session %(x)s\n2 send %(x)s w session s%%\n"
+                            "20 destroy v%d%% 1\n20 migrate w 3\n"
+                            "21 send u%s v%d%%\n21 send u%s w\n")
+    rows, lines = assert_renders_as_the_eager_engine(t, events)
+    assert rows[1:5] == [
+        "0,2.000000,%(x)s,w,s%%,3,2,2,10.316228,1,1.063472,0.615712,9.700515,0",
+        "1,1.000000,u%s,v%d%%,%(x)s,,1,1,9.000000,0,1.000000,0.000000,9.000000,0",
+        "2,21.000000,u%s,w,,4,2,MISS,15.142136,1,,,,",
+        "3,21.000000,u%s,v%d%%,,,1,MISS,9.000000,0,,,,"]
+    assert lines == [
+        "PKT 2.000000 (9.900000,0.300000)->dcr3:0.316228 dcr3->dcr2:10.000000 "
+        "delay=10.316228 tunneled=1 result=dcr2",
+        "PKT 1.000000 (-0.000000,1.000000)->dcr1:9.000000 delay=9.000000 tunneled=0 result=dcr1",
+        "NOTIFY 0 MIGRATION 2:0 3",
+        "PKT 21.000000 (-0.000000,1.000000)->dcr4:1.000000 dcr4->dcr2:14.142136 "
+        "delay=15.142136 tunneled=1 result=MISS",
+        "PKT 21.000000 (-0.000000,1.000000)->dcr1:9.000000 delay=9.000000 tunneled=0 result=MISS"]
+
+
+def test_render_numbers_and_orders_rows_across_its_blocks():
+    # 2200 sends and 11 floods: render formats the stream in blocks (of 256
+    # entries), and neither the packet numbers nor the line order see the edges.
+    t = load_topology(example_path("square.top"))
+    lines = ["0 user u 1 1", "0 create v 1 anycast-migrate"]
+    lines += [f"{100 * k} migrate v {k % 4 + 1}" for k in range(1, 12)]
+    lines += [f"{1 + 0.5 * i} send u v" for i in range(2200)]
+    rows, trace = assert_renders_as_the_eager_engine(t, parse_scenario("\n".join(lines)))
+    assert [row.split(",")[0] for row in rows[1:-1]] == [str(i) for i in range(2200)]
+    assert len(trace) == 2211 and sum(line.startswith("NOTIFY ") for line in trace) == 11
+    # Stream entries 1023 and 1024, on either side of an edge.
+    assert trace[1023:1025] == [
+        f"PKT {time} (1.000000,1.000000)->dcr4:1.414214 dcr4->dcr1:10.000000 "
+        "delay=11.414214 tunneled=1 result=MISS" for time in ("510.000000", "510.500000")]
+    assert rows[1024:1026] == ["1023,512.500000,u,v,,4,1,MISS,11.414214,1,,,,",
+                               "1024,513.000000,u,v,,4,1,MISS,11.414214,1,,,,"]
+    assert rows[2048] == "2047,1024.500000,u,v,,4,3,3,11.414214,1,1.260489,2.358828,9.055385,0"
 
 
 def differential_runs():

@@ -279,6 +279,16 @@ def test_overlay_validates_structure():
         Overlay(nodes=(1, 2), edges={}, root=3)
 
 
+def test_overlay_refuses_a_self_loop_edge():
+    with pytest.raises(ConfigError, match="must be ordered"):
+        Overlay(nodes=(1, 2), edges={(1, 1): 5.0, (1, 2): 5.0}, root=1)
+
+
+def test_overlay_refuses_a_zero_cost_edge():
+    with pytest.raises(ConfigError, match="non-positive cost"):
+        Overlay(nodes=(1, 2), edges={(1, 2): 0.0}, root=1)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=20))
 def test_stagewise_metrics_never_regress(seed, n):

@@ -115,6 +115,11 @@ def test_generate_random_topology_rejects_bad_args():
         generate_random_topology(0, 5, extent=-1.0)
 
 
+def test_generate_random_topology_refuses_extent_zero():
+    with pytest.raises(ConfigError, match="extent must be positive"):
+        generate_random_topology(1, 5, 0.0)
+
+
 def test_topology_round_trips_through_text():
     t = generate_random_topology(7, 13)
     assert parse_topology(format_topology(t)) == t

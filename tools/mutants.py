@@ -74,6 +74,11 @@ MUTANTS = (
            "queue.append((events[j].time + hop, 0, j,",
            "lets a send that arrives when a change happens go first, by scenario index, "
            "where changes must go before sends at equal times"),
+    Mutant("settled-fast-path", "src/dcrsim/simulator.py",
+           "elif self._logs[k]:",
+           "elif False:",
+           "delivers against the settled register even while the VM has floods in "
+           "flight, so a packet never sees a flood that has reached its ingress"),
     Mutant("lookup-tie", "src/dcrsim/protocol.py",
            "(distance(ap, t.position(d)), d))",
            "(distance(ap, t.position(d)), -d))",
