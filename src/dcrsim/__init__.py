@@ -9,9 +9,8 @@ from .overlay import (Overlay, OverlayMetrics, add_wraparound, all_pairs_delay,
                       leaf_set, load_overlay, overlay_metrics, parse_overlay)
 from .protocol import (Notification, NotificationKind, Route, VmMode, VmRecord,
                        VmRegister, lookup, notification_origin, route_user_packet)
-from .simulator import (Delivery, EventKind, ScenarioEvent, SessionState,
-                        SimReport, Simulation, format_scenario, load_scenario,
-                        parse_scenario, run_scenario)
+from .simulator import (Delivery, EventKind, ScenarioEvent, SimReport, Simulation,
+                        format_scenario, load_scenario, parse_scenario, run_scenario)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress,
                        distance, format_topology, generate_random_topology,
                        load_topology, nearest_dcr, parse_topology)
@@ -22,7 +21,7 @@ __all__ = [
     "AnycastAddress", "ConfigError", "DcrId", "Delivery", "EventKind",
     "ModeConflict", "Notification", "NotificationKind",
     "Overlay", "OverlayError", "OverlayMetrics",
-    "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent", "SessionState",
+    "ParseError", "Point", "Route", "ScenarioError", "ScenarioEvent",
     "SimReport", "Simulation", "Topology", "UnicastAddress", "VmMode",
     "VmRecord", "VmRegister", "add_wraparound", "all_pairs_delay",
     "build_overlay", "build_tree", "connect_leaves", "distance",

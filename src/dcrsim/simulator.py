@@ -190,25 +190,6 @@ def load_scenario(path: str) -> list[ScenarioEvent]:
         return parse_scenario(f.read())
 
 
-@dataclass
-class SessionState:
-    """One long-lived connection, pinned to the DC that answered it first.
-
-    A session breaks when the connection cannot continue where it was: the
-    packet missed, or it was answered by a different replica of a replicated
-    VM (replicas share no connection state, so the peer resets). Migration
-    moves the VM's state along, so a migrated session re-pins without
-    breaking. A broken session is closed; later packets still route but are
-    no longer tracked.
-    """
-
-    session_id: str
-    user: str
-    vm: str
-    pinned_location: DcrId | None = None
-    open: bool = True
-
-
 class Delivery(NamedTuple):
     """One packet delivery: the scenario index of its send, and its route."""
 
@@ -230,6 +211,8 @@ _SUMMARY = ("# summary: packets=%s delivered=%s miss=%s session_breaks=%s notifi
             " duplicate_notifications=%s tunnel_header_bytes=%s mean_delay=%.6f max_delay=%.6f"
             " mean_stretch=%.6f max_stretch=%.6f mean_penalty=%.6f max_penalty=%.6f"
             " overlay_worst=%.6f overlay_avg=%.6f overlay_overhead=%.6f\n")
+# A broken session's entry in render's pins: closed, it never breaks again.
+_CLOSED = object()
 # Stream entries formatted by one `%`. This bounds the values alive at once,
 # and blocks this small kept a run's peak RSS below that of blocks of 1024.
 _BLOCK = 256
@@ -253,9 +236,17 @@ def _agg(values: list[float]) -> tuple[float, float]:
 @dataclass
 class SimReport:
     """What a run produced: one stream of its flooded notifications and
-    packet deliveries, in replay order. The counters and the sessions are
-    derived from the stream, and the CSV and the trace lines are rendered
-    from it in one walk (render)."""
+    packet deliveries, in replay order. The CSV, its summary row's counts
+    and the trace lines are all made from it in one walk (render).
+
+    A session is a long-lived connection, pinned to the DC that last
+    answered it. It breaks when the connection cannot continue there: its
+    packet missed, or a replicated VM answered it from a different replica
+    (replicas share no connection state, so the peer resets). Migration
+    moves the VM's state along, so a migrated session survives the move.
+    A broken session is closed: its later packets still route, but never
+    break it again. A VM's mode is that of its create.
+    """
 
     stream: list[Notification | Delivery]
     events: Sequence[ScenarioEvent]  # the scenario sorted by time, as Delivery.send indexes it
@@ -263,62 +254,8 @@ class SimReport:
     flood_duplicates: int  # duplicate receptions of each flooded notification
 
     @functools.cached_property
-    def _deliveries(self) -> list[Delivery]:
-        return [x for x in self.stream if type(x) is Delivery]
-
-    @property
-    def notifications(self) -> int:
-        return len(self.stream) - len(self._deliveries)
-
-    @property
-    def duplicate_notifications(self) -> int:
-        return self.notifications * self.flood_duplicates
-
-    @property
-    def tunnel_header_bytes(self) -> int:
-        """One tunnel header per packet that went through an ingress DCR."""
-        return TUNNEL_HEADER_BYTES * sum(1 for d in self._deliveries if d.route.ingress is not None)
-
-    @functools.cached_property
-    def sessions(self) -> dict[str, SessionState]:
-        """Each session's state after its packets, taken in delivery order
-        under SessionState's rules. A VM's mode is that of its create."""
-        events = self.events
-        modes = {ev.vm: ev.mode for ev in events if ev.kind is EventKind.CREATE_VM}
-        sessions: dict[str, SessionState] = {}
-        for send, route in self._deliveries:
-            ev = events[send]
-            if ev.session is None:
-                continue
-            st = sessions.get(ev.session)
-            if st is None:
-                st = sessions[ev.session] = SessionState(ev.session, ev.user, ev.vm)
-            if not st.open:
-                continue
-            at = route.delivered_at
-            if at is None or (st.pinned_location not in (None, at)
-                              and modes[ev.vm] is VmMode.ANYCAST_REPLICATED):
-                st.open = False
-            else:
-                st.pinned_location = at
-        return sessions
-
-    @property
-    def session_breaks(self) -> int:
-        """Every break closes its session, and a closed session never breaks."""
-        return sum(1 for st in self.sessions.values() if not st.open)
-
-    @functools.cached_property
     def trace_lines(self) -> list[str]:
         return self.render(trace=True)[1].split("\n")[:-1]
-
-    @property
-    def delivered(self) -> int:
-        return sum(1 for d in self._deliveries if d.route.delivered_at is not None)
-
-    @property
-    def missed(self) -> int:
-        return len(self._deliveries) - self.delivered
 
     def to_csv(self) -> str:
         return self.render()[0]
@@ -328,14 +265,18 @@ class SimReport:
         (else None), from one walk of the stream. The walk picks each row's
         and line's template and gathers its values, and each block of
         _BLOCK stream entries is formatted with one `%` per output. Each
-        placement's user hop is formatted once."""
+        placement's user hop is formatted once. The walk also makes every
+        count of the summary row, session breaks included."""
         csv, text = _CSV_HEADER, ""
         events, stream = self.events, self.stream
+        modes = {ev.vm: ev.mode for ev in events if ev.kind is EventKind.CREATE_VM}
+        # Each session's pinned DC, or _CLOSED once it has broken.
+        pins: dict[str, DcrId | object] = {}
         # Keyed on the identity of the user's Point, which the stream keeps
         # alive, and not on its value: -0.0 == 0.0, but they print apart.
         user_hops: dict[tuple[int, DcrId], str] = {}
         delays, stretches, penalties = [], [], []
-        packet = 0
+        packet = tunnels = breaks = 0
         for start in range(0, len(stream), _BLOCK):
             rows, row_values, lines, line_values = [], [], [], []
             for x in stream[start:start + _BLOCK]:
@@ -347,10 +288,19 @@ class SimReport:
                     continue
                 send, (user, ingress, target, at, hop_delays, direct) = x
                 ev = events[send]
+                session = ev.session
                 total, tunneled = sum(hop_delays), ingress is not None
-                row_values += (packet, ev.time, ev.user, ev.vm, ev.session or "",
+                row_values += (packet, ev.time, ev.user, ev.vm, session or "",
                                ingress if tunneled else "", target)
                 packet += 1
+                tunnels += tunneled
+                # A session's first packet pins it where it is delivered.
+                if session is not None and (pin := pins.get(session, at)) is not _CLOSED:
+                    if at is None or pin != at and modes[ev.vm] is VmMode.ANYCAST_REPLICATED:
+                        pins[session] = _CLOSED
+                        breaks += 1
+                    else:
+                        pins[session] = at
                 if at is None:
                     rows.append(_MISS_ROW)
                     row_values += (total, tunneled)
@@ -378,11 +328,11 @@ class SimReport:
             csv += "".join(rows) % tuple(row_values)
             if trace:
                 text += "".join(lines) % tuple(line_values)
-        o = self.overlay
-        csv += _SUMMARY % (packet, len(delays), packet - len(delays), self.session_breaks,
-                           self.notifications, self.duplicate_notifications,
-                           self.tunnel_header_bytes, *_agg(delays), *_agg(stretches),
-                           *_agg(penalties), o.worst_delay, o.avg_delay, o.flooding_overhead)
+        o, notifications = self.overlay, len(stream) - packet
+        csv += _SUMMARY % (packet, len(delays), packet - len(delays), breaks, notifications,
+                           notifications * self.flood_duplicates, TUNNEL_HEADER_BYTES * tunnels,
+                           *_agg(delays), *_agg(stretches), *_agg(penalties),
+                           o.worst_delay, o.avg_delay, o.flooding_overhead)
         return csv, text if trace else None
 
 

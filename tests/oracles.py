@@ -11,10 +11,12 @@ It routes, formats and reports each packet with its own copies of the
 library's per-packet code as it stood before deliveries became records, and
 starts and formats each flood with its own `notification_origin` and
 `format_notification_line`, so the report and trace bytes, NOTIFY lines
-included, are checked against an independent formatter. What it shares with
+included, are checked against an independent formatter. It tracks each
+session with its own `SessionState`, the per-session record the library kept
+before its report counted breaks in the render walk. What it shares with
 the library is the package's value types (`Notification` with its arity
-check, `VmRecord`, the addresses, `Point`, `SessionState`), `distance`, and
-the report summary's `overlay_metrics` and `flood_duplicate_count`.
+check, `VmRecord`, the addresses, `Point`), `distance`, and the report
+summary's `overlay_metrics` and `flood_duplicate_count`.
 `ScenarioEvent` and `parse_scenario` are the frozen dataclass and the parser
 as they stood before events became named tuples and sends took a fast path.
 `ForwardingTable` and `apply_notification` are the address-keyed table and
@@ -23,6 +25,7 @@ register; the eager loop writes its tables with them.
 `PacketTrace` and `PacketRecord` are the per-packet records the library kept
 before it reported from its delivery stream; `packet_records` reads a
 library report as such records, to compare with the eager loop's bit for bit.
+`summary` reads the counts and aggregates of a report's `# summary:` row.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import dcrsim
 from dcrsim import (AnycastAddress, DcrId, EventKind, Notification,
                     NotificationKind, Overlay, OverlayMetrics,
-                    ParseError, Point, ScenarioError, SessionState, UnicastAddress, VmMode,
+                    ParseError, Point, ScenarioError, UnicastAddress, VmMode,
                     VmRecord, distance, flood_duplicate_count, overlay_metrics)
 
 INF = float("inf")
@@ -338,6 +341,14 @@ def format_notification_line(n: Notification) -> str:
     return f"NOTIFY {n.seq} {n.kind.value} {n.vm} {addrs}"
 
 
+def summary(report):
+    """The `# summary:` row of report's CSV, as a dict of its values."""
+    row = report.to_csv().splitlines()[-1]
+    assert row.startswith("# summary: "), row
+    return {key: float(value) for key, _, value in
+            (item.partition("=") for item in row[len("# summary: "):].split())}
+
+
 _CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
                "total_delay,tunneled,stretch,penalty,reply_delay,reply_tunneled")
 
@@ -412,6 +423,25 @@ class EagerReport:
             f" overlay_avg={self.overlay.avg_delay:.6f}"
             f" overlay_overhead={self.overlay.flooding_overhead:.6f}")
         return "\n".join(rows) + "\n"
+
+
+@dataclass
+class SessionState:
+    """One long-lived connection, pinned to the DC that answered it first.
+
+    A session breaks when the connection cannot continue where it was: the
+    packet missed, or it was answered by a different replica of a replicated
+    VM (replicas share no connection state, so the peer resets). Migration
+    moves the VM's state along, so a migrated session re-pins without
+    breaking. A broken session is closed; later packets still route but are
+    no longer tracked.
+    """
+
+    session_id: str
+    user: str
+    vm: str
+    pinned_location: DcrId | None = None
+    open: bool = True
 
 
 class EagerSimulation:

@@ -4,9 +4,9 @@ The oracle writes every DCR's table on every flood; the simulator evaluates
 a table only when a packet reads it. The oracle also routes, formats and
 reports each packet with its own code, while the simulator records each
 delivery once and renders the report from the records. Both must give the
-same report and trace bytes, the same packet records, sessions and
-counters, and the same tables and in-flight counts wherever the run is
-paused.
+same report and trace bytes (the summary row holds every counter, session
+breaks included), the same packet records, and the same tables and
+in-flight counts wherever the run is paused.
 """
 
 import functools
@@ -21,7 +21,7 @@ from dcrsim import (EventKind, Point, ScenarioEvent, Simulation, VmMode,
 
 import scenariogen
 from conftest import example_path, golden_path
-from oracles import EagerSimulation, as_library_table, packet_records
+from oracles import EagerSimulation, as_library_table, packet_records, summary
 
 SCENARIOS = ("migration", "replication", "destruction", "stretch")
 
@@ -31,10 +31,6 @@ def assert_same_output(topology, overlay, events, label):
     eager = EagerSimulation(topology, overlay, events).run()
     assert lazy.to_csv() == eager.to_csv(), label
     assert lazy.trace_lines == eager.trace_lines, label
-    assert lazy.sessions == eager.sessions, label
-    for counter in ("notifications", "duplicate_notifications", "session_breaks",
-                    "tunnel_header_bytes"):
-        assert getattr(lazy, counter) == getattr(eager, counter), (label, counter)
     # The one walk as `dcrsim run` takes it, without and with --trace.
     for trace in (False, True):
         csv, text = Simulation(topology, overlay, events).run().render(trace=trace)
@@ -71,6 +67,21 @@ def assert_renders_as_the_eager_engine(topology, events):
     assert csv == eager.to_csv()
     assert text == "".join(line + "\n" for line in eager.trace_lines)
     return csv.splitlines(), text.splitlines()
+
+
+def test_a_session_shared_by_a_migrated_and_a_replicated_vm_matches_the_eager_engine():
+    # s pins at dcr1 on a, and moves with a to dcr2 without a break. Its send
+    # to b, which has replicated from dcr2 to dcr1, is answered at dcr1: a
+    # switch away from dcr2, by a replicated VM, which breaks s. Whether a
+    # send breaks its session depends on the mode of the VM it is sent to.
+    t = load_topology(example_path("square.top"))
+    events = parse_scenario("0 user u 1 1\n0 create a 1 anycast-migrate\n"
+                            "0 create b 2 anycast-replicate\n1 send u a session s\n"
+                            "10 migrate a 2\n50 send u a session s\n"
+                            "60 replicate b 2 1\n110 send u b session s\n")
+    rows, _ = assert_renders_as_the_eager_engine(t, events)
+    assert [row.split(",")[7] for row in rows[1:-1]] == ["1", "2", "1"]
+    assert " session_breaks=1 " in rows[-1]
 
 
 def test_render_prints_unicast_rows_percent_names_and_negative_zero_as_the_eager_engine():
@@ -138,7 +149,8 @@ def test_packet_records_match_the_eager_engine():
         assert len(records) == len(eager.packets), label
         for mine, theirs in zip(records, eager.packets):
             assert repr(mine) == repr(theirs), label
-        assert (lazy.delivered, lazy.missed) == (eager.delivered, eager.missed), label
+        counts = summary(lazy)
+        assert (counts["delivered"], counts["miss"]) == (eager.delivered, eager.missed), label
 
 
 def test_scenario_corpus_matches_the_eager_engine():

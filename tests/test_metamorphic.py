@@ -19,6 +19,7 @@ from dcrsim import (Delivery, EventKind, Point, Topology, build_overlay, leaf_se
                     run_scenario)
 
 import scenariogen
+from oracles import summary
 
 
 def scaled(gen, s):
@@ -49,7 +50,9 @@ def test_scaling_by_a_power_of_two_scales_every_length_exactly(k):
             assert overlay.edges[e] == cost * s, (seed, e)
         base = run_scenario(gen.topology, gen.overlay, gen.events)
         report = run_scenario(t, overlay, events)
-        assert (report.missed, report.session_breaks) == (base.missed, base.session_breaks)
+        counts, base_counts = summary(report), summary(base)
+        assert (counts["miss"], counts["session_breaks"]) == (
+            base_counts["miss"], base_counts["session_breaks"]), seed
         pairs = list(zip(deliveries(base), deliveries(report), strict=True))
         for (send, route), (send2, route2) in pairs:
             assert (send2, route2.ingress, route2.target, route2.delivered_at) == (

@@ -1,13 +1,14 @@
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import dcrsim.simulator
-from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConflict,
+from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConflict, Overlay,
                     ParseError, Point, ScenarioError, ScenarioEvent, Simulation, Topology,
                     UnicastAddress, VmMode, VmRegister,
                     build_overlay, format_scenario, generate_random_topology,
@@ -16,7 +17,7 @@ from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConfli
 import oracles
 import scenariogen
 from conftest import example_path
-from oracles import dijkstra_matrix, packet_records
+from oracles import dijkstra_matrix, packet_records, summary
 
 
 def square() -> Topology:
@@ -307,7 +308,9 @@ def test_mistyped_fields_fail_before_anything_runs(bad, message, monkeypatch):
 BAD_VALUES = [("time", math.nan, "event time must be finite, got nan"),
               ("time", math.inf, "event time must be finite, got inf"),
               ("time", -math.inf, "event time must be finite, got -inf"),
-              ("time", -1.0, "event time must be >= 0, got -1.0")]
+              ("time", -1.0, "event time must be >= 0, got -1.0"),
+              ("time", -sys.float_info.max,
+               re.escape(f"event time must be >= 0, got {-sys.float_info.max!r}"))]
 BAD_VALUES += [(axis, value, r"user u2 at \(.*\): coordinates must be finite")
                for axis in ("x", "y") for value in (math.nan, math.inf, -math.inf)]
 
@@ -382,9 +385,9 @@ def test_step_replays_one_change_or_delivery_at_a_time():
 def test_one_session_send_pins_without_a_break():
     report = sim_for(BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1",
                                 session="s9")]).run()
-    st = report.sessions["s9"]
-    assert (st.session_id, st.user, st.vm) == ("s9", "u1", "vm1")
-    assert st.pinned_location == 1 and report.session_breaks == 0 and st.open
+    row = report.to_csv().splitlines()[1].split(",")
+    assert (row[2], row[3], row[4], row[7]) == ("u1", "vm1", "s9", "1")
+    assert summary(report)["session_breaks"] == 0
 
 
 def test_a_report_taken_mid_run_keeps_its_sessions():
@@ -397,10 +400,11 @@ def test_a_report_taken_mid_run_keeps_its_sessions():
     early, untouched = sim.report(), sim.report()
     csv = early.to_csv()
     final = sim.run()
-    assert final.session_breaks == 1 and not final.sessions["s1"].open
+    assert summary(final)["session_breaks"] == 1
+    assert summary(early)["session_breaks"] == 0
+    assert summary(early)["packets"] == 1 and summary(final)["packets"] == 2
+    assert csv.splitlines()[1].split(",")[4:8] == ["s1", "4", "2", "2"]
     for report in (early, untouched):
-        assert report.sessions["s1"].open and report.sessions["s1"].pinned_location == 2
-        assert report.session_breaks == 0
         assert report.to_csv() == csv
 
 
@@ -430,6 +434,17 @@ def test_overlay_topology_mismatch():
     other = Topology(((1, Point(0, 0)), (2, Point(5, 5)), (3, Point(9, 1))))
     with pytest.raises(ConfigError):
         Simulation(t, build_overlay(other, 1), [])
+
+
+def test_overlay_edge_cost_may_differ_from_its_length_by_exactly_1e_6():
+    # 1.001e-06 - 1e-09 is exactly 1e-06 in floats; the next cost up is over.
+    t = Topology(((1, Point(0.0, 0.0)), (2, Point(1e-9, 0.0))))
+    assert 1.001e-06 - 1e-9 == 1e-6
+    Simulation(t, Overlay((1, 2), {(1, 2): 1.001e-06}, root=1), [])
+    over = math.nextafter(1.001e-06, math.inf)
+    with pytest.raises(ConfigError, match="^overlay edge 1 2 costs 1.0010000000000002e-06, "
+                                          "but DCRs 1 and 2 are 1e-09 apart$"):
+        Simulation(t, Overlay((1, 2), {(1, 2): over}, root=1), [])
 
 
 def test_packet_races_flood_and_misses():
@@ -585,8 +600,9 @@ def test_fresh_simulation_is_quiescent():
     assert sim.pending_floods() == 0
     report = sim.run()
     assert packet_records(report) == []
-    assert report.delivered == report.missed == 0
-    assert report.notifications == report.session_breaks == 0
+    counts = summary(report)
+    assert counts["delivered"] == counts["miss"] == 0
+    assert counts["notifications"] == counts["session_breaks"] == 0
     assert report.to_csv().splitlines()[-1].startswith("# summary: packets=0")
 
 
@@ -595,11 +611,11 @@ def test_migration_session_survives_relocation():
         ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1", session="s1"),
         ev(10, EventKind.MIGRATE_VM, vm="vm1", dc=2),
         ev(50, EventKind.SEND_PACKET, user="u1", vm="vm1", session="s1"),
+        ev(60, EventKind.SEND_PACKET, user="u1", vm="vm1", session="s1"),
     ]
     report = sim_for(events).run()
-    assert report.session_breaks == 0
-    assert report.sessions["s1"].pinned_location == 2
-    assert report.sessions["s1"].open
+    assert [p.trace.delivered_at for p in packet_records(report)] == [1, 2, 2]
+    assert summary(report)["session_breaks"] == 0
 
 
 def test_replica_switch_breaks_session_once():
@@ -612,8 +628,10 @@ def test_replica_switch_breaks_session_once():
         ev(60, EventKind.SEND_PACKET, user="u1", vm="vm1", session="s1"),
     ]
     report = sim_for(events).run()
-    assert report.session_breaks == 1
-    assert not report.sessions["s1"].open
+    # The second send switches to the replica at dcr3; the third, answered
+    # there too, finds the session closed and does not break it again.
+    assert [p.trace.delivered_at for p in packet_records(report)] == [2, 3, 3]
+    assert summary(report)["session_breaks"] == 1
 
 
 def test_miss_breaks_established_session():
@@ -624,7 +642,7 @@ def test_miss_breaks_established_session():
     ]
     report = sim_for(events).run()
     assert packet_records(report)[1].trace.delivered_at is None
-    assert report.session_breaks == 1
+    assert summary(report)["session_breaks"] == 1
 
 
 def test_miss_always_breaks_and_closes_the_session():
@@ -635,8 +653,8 @@ def test_miss_always_breaks_and_closes_the_session():
     ]
     report = sim_for(events).run()
     assert packet_records(report)[0].trace.delivered_at is None
-    assert report.session_breaks == 1  # closed after the first miss
-    assert not report.sessions["s1"].open
+    assert packet_records(report)[1].trace.delivered_at is None
+    assert summary(report)["session_breaks"] == 1  # closed after the first miss
 
 
 def test_user_can_move_between_sends():
@@ -679,8 +697,8 @@ def test_unicast_send_is_direct():
     assert not p.trace.tunneled
     assert p.trace.delivered_at == 2
     assert p.stretch == 1.0 and p.penalty == 0.0
-    assert report.tunnel_header_bytes == 0
-    assert report.notifications == 0
+    assert summary(report)["tunnel_header_bytes"] == 0
+    assert summary(report)["notifications"] == 0
 
 
 def test_unicast_destroy_floods_nothing():
@@ -691,7 +709,7 @@ def test_unicast_destroy_floods_nothing():
         ev(2, EventKind.SEND_PACKET, user="u1", vm="vm1"),
     ]
     report = sim_for(events).run()
-    assert report.notifications == 0
+    assert summary(report)["notifications"] == 0
     assert packet_records(report)[0].trace.delivered_at is None
 
 
@@ -703,10 +721,10 @@ def test_flood_accounting():
     ]
     report = sim_for(events, alg=3).run()
     # The alg-3 square overlay has 5 edges over 4 nodes: 4 duplicates/flood.
-    assert report.notifications == 2
-    assert report.duplicate_notifications == 8
+    assert summary(report)["notifications"] == 2
+    assert summary(report)["duplicate_notifications"] == 8
     report = sim_for(events, alg=1).run()
-    assert report.duplicate_notifications == 0
+    assert summary(report)["duplicate_notifications"] == 0
 
 
 def test_tunnel_header_accounting():
@@ -715,7 +733,7 @@ def test_tunnel_header_accounting():
         ev(2, EventKind.SEND_PACKET, user="u1", vm="vm1"),
     ]
     report = sim_for(events).run()
-    assert report.tunnel_header_bytes == 40
+    assert summary(report)["tunnel_header_bytes"] == 40
 
 
 def test_report_csv_shape():
@@ -752,10 +770,10 @@ def test_mean_delay_of_far_packets_does_not_overflow():
               ev(0, EventKind.CREATE_VM, vm="vm1", dc=2, mode=VmMode.ANYCAST_MIGRATABLE)]
     events += [ev(k, EventKind.SEND_PACKET, user="u1", vm="vm1") for k in range(1, 5)]
     report = run_scenario(t, build_overlay(t, 1), events)
-    assert report.delivered == 4
-    summary = report.to_csv().splitlines()[-1]
+    assert summary(report)["delivered"] == 4
+    row = report.to_csv().splitlines()[-1]
     total = 4e307 + 1e307
-    assert f"mean_delay={total:.6f} max_delay={total:.6f} " in summary
+    assert f"mean_delay={total:.6f} max_delay={total:.6f} " in row
 
 
 def test_run_scenario_matches_simulation_run():
@@ -826,4 +844,4 @@ def test_miss_count_matches_the_flood_race_predicted_from_geometry(seed, alg):
         if latest:
             t0, dst = latest[-1]
             predicted += arrival < t0 + delays[index[dst]][index[ingress]]
-    assert run_scenario(t, overlay, events).missed == predicted > 0
+    assert summary(run_scenario(t, overlay, events))["miss"] == predicted > 0

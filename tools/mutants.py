@@ -79,6 +79,16 @@ MUTANTS = (
            "elif False:",
            "delivers against the settled register even while the VM has floods in "
            "flight, so a packet never sees a flood that has reached its ingress"),
+    Mutant("session-mode", "src/dcrsim/simulator.py",
+           "pin != at and modes[ev.vm] is VmMode.ANYCAST_REPLICATED",
+           "pin != at",
+           "breaks a session whenever another DC answers it, so a migrated session "
+           "breaks on the move, which it must survive"),
+    Mutant("session-repin", "src/dcrsim/simulator.py",
+           "pins[session] = at",
+           "pins.setdefault(session, at)",
+           "keeps a session pinned where it was first answered, so a send to a "
+           "replicated VM at the DC a migrated VM of its session moved to breaks it"),
     Mutant("lookup-tie", "src/dcrsim/protocol.py",
            "(distance(ap, t.position(d)), d))",
            "(distance(ap, t.position(d)), -d))",
