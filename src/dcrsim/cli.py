@@ -9,11 +9,13 @@ for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import functools
+import operator
 import sys
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
 from .overlay import build_overlay, format_overlay, load_overlay, overlay_metrics, stages
-from .simulator import Simulation, load_scenario
+from .simulator import Simulation, _mean, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
 
 
@@ -65,7 +67,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     rows = ["topology,seed,n,alg,worst_delay,avg_delay,flooding_overhead"]
-    sums = {alg: [0.0, 0.0, 0.0] for alg in (1, 2, 3)}
+    columns: dict[int, list[tuple[float, float, float]]] = {alg: [] for alg in (1, 2, 3)}
     for i in range(args.count):
         seed = args.seed + i
         n = lo + i % (hi - lo + 1)
@@ -75,9 +77,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             m = overlay_metrics(o)
             values = (m.worst_delay, m.avg_delay, m.flooding_overhead)
             rows.append(f"t{i},{seed},{n},{alg}," + ",".join(f"{v:.6f}" for v in values))
-            sums[alg] = [s + v for s, v in zip(sums[alg], values)]
+            columns[alg].append(values)
     for alg in (1, 2, 3):
-        rows.append(f"mean,,,{alg}," + ",".join(f"{s / args.count:.6f}" for s in sums[alg]))
+        # Summed left to right, which sum() of floats is not on every Python.
+        means = [_mean(c, functools.reduce(operator.add, c, 0.0)) for c in zip(*columns[alg])]
+        rows.append(f"mean,,,{alg}," + ",".join(f"{m:.6f}" for m in means))
     _write("\n".join(rows) + "\n", args.out)
     return 0
 

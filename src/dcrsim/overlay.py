@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, OverlayError, ParseError
-from .topology import DcrId, Point, Topology, distance, nearest_among, nearest_dcr
+from .topology import DcrId, Point, Topology, distance, nearest_among, nearest_dcr, read_input
 
 Edge = tuple[DcrId, DcrId]
 
@@ -426,5 +426,4 @@ def parse_overlay(text: str) -> Overlay:
 
 
 def load_overlay(path: str) -> Overlay:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_overlay(f.read())
+    return parse_overlay(read_input(path))

@@ -29,7 +29,7 @@ from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_met
 from .protocol import (Notification, NotificationKind, Route, VmMode, VmRecord,
                        VmRegister, notification_origin, route_user_packet)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
-                       distance, nearest_among)
+                       distance, nearest_among, read_input)
 
 TUNNEL_HEADER_BYTES = 20
 
@@ -186,8 +186,7 @@ def _check_name(ev: ScenarioEvent, name: object) -> None:
 
 
 def load_scenario(path: str) -> list[ScenarioEvent]:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_scenario(f.read())
+    return parse_scenario(read_input(path))
 
 
 class Delivery(NamedTuple):
@@ -224,13 +223,15 @@ def _stretch_penalty(total: float, direct: float) -> tuple[float, float]:
     return (1.0 if direct == 0.0 else total / direct), total - direct
 
 
+def _mean(values: Sequence[float], total: float) -> float:
+    """The mean of finite values, given their sum, which may overflow
+    though their mean cannot."""
+    n = len(values)
+    return math.fsum(v / n for v in values) if total == math.inf else total / n
+
+
 def _agg(values: list[float]) -> tuple[float, float]:
-    if not values:
-        return 0.0, 0.0
-    mean = sum(values) / len(values)
-    if mean == math.inf:  # the sum overflowed, though a mean of finite values cannot
-        mean = math.fsum(v / len(values) for v in values)
-    return mean, max(values)
+    return (_mean(values, sum(values)), max(values)) if values else (0.0, 0.0)
 
 
 @dataclass
@@ -374,10 +375,12 @@ class Simulation:
         # creation. Compiling leaves each at its final hosts; the replay sets
         # them change by change.
         self._records: list[VmRecord] = []
-        # Each lifecycle change's Entry, and each send's (scenario index, its
-        # user's placement's index, VM number), which _queue makes an Entry of.
+        # Each lifecycle change's Entry; each placement's position, by its
+        # number; and each send's (time, scenario index, its user's placement
+        # number, VM, VM number), which _queue makes an Entry of.
         self._changes: list[Entry] = []
-        self._packets: list[tuple[int, int, int]] = []
+        self._users: list[Point] = []
+        self._sends: list[tuple[float, int, int, VmRecord, int]] = []
         self._compile()
         self._next = 0  # position in _queue of the next entry to replay
         # By VM number: the register of the notifications that have reached
@@ -398,9 +401,9 @@ class Simulation:
         host_numbers = collections.defaultdict(itertools.count)
         # No flood delay exceeds the overlay's total link cost.
         flood_reach = sum(self.overlay.edges.values())
-        # Each user's latest placement, with two diagonals of the box around
-        # the DCRs and the user, which bound a packet's two hops (user to
-        # ingress, then on).
+        # Each user's latest placement number, with two diagonals of the box
+        # around the DCRs and the user, which bound a packet's two hops (user
+        # to ingress, then on).
         placed: dict[str, tuple[int, float]] = {}
         numbers: dict[str, int] = {}  # each VM's number
         records, isfinite = self._records, math.isfinite
@@ -416,7 +419,7 @@ class Simulation:
                                         "its packet's arrival time overflows")
                 if ev.session is not None:
                     _check_name(ev, ev.session)
-                self._packets.append((i, user[0], k))
+                self._sends.append((ev.time, i, user[0], records[k], k))
                 continue
             fields = _GRAMMAR.get(ev.kind)
             if fields is None:
@@ -436,7 +439,8 @@ class Simulation:
                 if not math.isfinite(reach):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x!r}, {ev.y!r}) "
                                         "is too far from the DCRs: a packet's distance overflows")
-                placed[ev.user] = i, reach
+                placed[ev.user] = len(self._users), reach
+                self._users.append(Point(ev.x, ev.y))
                 continue
             # The DC ids the line names, which its notification carries too.
             dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is EventKind.REPLICATE_VM else (ev.dc,)
@@ -495,22 +499,15 @@ class Simulation:
         the sort never compares two steps' data. A send carries where its
         user was and the ingress chosen there, so a user who moves while its
         packet is in flight does not reroute it. Its first hop's delay times
-        its arrival, and routing reuses it; it is computed once per placement
-        and first DCR."""
-        events, topology = self._events, self.topology
-        users = {i: Point(ev.x, ev.y) for i, ev in enumerate(events)
-                 if ev.kind is EventKind.PLACE_USER}
-        points = list(users.values())
-        placements = dict(zip(users, zip(points, nearest_among(points, topology))))
-        queue, hops = self._changes.copy(), {}
-        for j, p, k in self._packets:
-            user, ingress = placements[p]
-            vm = self._records[k]
-            first = vm.address.dc if vm.mode is VmMode.UNICAST else ingress
-            hop = hops.get((p, first))
-            if hop is None:
-                hop = hops[p, first] = distance(user, topology.position(first))
-            queue.append((events[j].time + hop, 1, j, (user, ingress, hop, vm, k)))
+        its arrival, and routing reuses it."""
+        users, position = self._users, self.topology.position
+        ingresses = nearest_among(users, self.topology)
+        hops = [distance(user, position(d)) for user, d in zip(users, ingresses)]
+        queue = self._changes.copy()
+        for time, j, p, vm, k in self._sends:
+            user = users[p]
+            hop = distance(user, position(vm.address.dc)) if vm.mode is VmMode.UNICAST else hops[p]
+            queue.append((time + hop, 1, j, (user, ingresses[p], hop, vm, k)))
         queue.sort()
         return queue
 

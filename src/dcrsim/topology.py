@@ -236,6 +236,17 @@ def parse_topology(text: str) -> Topology:
     return Topology(tuple(dcrs))
 
 
+def read_input(path: str) -> str:
+    """The text of an input file (topology, overlay or scenario). A file
+    that is not UTF-8 is a ParseError naming it and its first bad byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}: line {line}: byte {e.start} is not UTF-8") from None
+
+
 def load_topology(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_topology(f.read())
+    return parse_topology(read_input(path))

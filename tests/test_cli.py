@@ -195,6 +195,20 @@ def test_compare_reproduces_the_golden_csv_at_n_400(capsys):
         assert out == f.read()
 
 
+def test_compare_means_stay_finite_where_their_sums_overflow(capsys):
+    # Every row is finite, but 60 rows of worst delays near 5e306 sum past
+    # the largest float.
+    code, out, _ = run_cli(["compare", "--extent", "5e306", "--count", "60", "--n", "3"],
+                           capsys)
+    assert code == 0
+    rows = [[float(v) for v in row.split(",")[4:]] for row in out.splitlines()[1:]]
+    for alg in (1, 2, 3):
+        column = rows[alg - 1:-3:3]
+        for c, mean in enumerate(rows[-4 + alg]):
+            values = [row[c] for row in column]
+            assert math.isfinite(mean) and min(values) <= mean <= max(values)
+
+
 def test_run_writes_report_and_trace(tmp_path, capsys):
     rep = tmp_path / "r.csv"
     trc = tmp_path / "r.trace"
@@ -451,6 +465,29 @@ def test_negative_scenario_time_fails_at_parse_time(tmp_path, capsys):
     assert code == 2
     assert "line 2: negative time" in err
     assert out == ""
+
+
+# A byte that is not UTF-8 in each kind of input file: the file's name and
+# bytes, the command that reads it ("{}" is its path), and the bad byte's
+# line and offset.
+NOT_UTF8 = [
+    ("bad.top", b"dcr 1 0 0\ndcr 2 1 \xff\n", ["run", "{}", example_path("migration.scn")],
+     2, 18),
+    ("bad.ovl", b"root 1\nedge 1 2 \xff\n", ["eval-overlay", "{}"], 2, 16),
+    ("bad.scn", b"0 user u1 1 1\n0 create \xe9vm 1 unicast\n",
+     ["run", example_path("square.top"), "{}"], 2, 23),
+]
+
+
+@pytest.mark.parametrize("name, data, args, line, byte", NOT_UTF8,
+                         ids=["topology", "overlay", "scenario"])
+def test_input_files_that_are_not_utf8_exit_2_naming_the_byte(name, data, args, line, byte,
+                                                              tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run_cli([str(path) if a == "{}" else a for a in args], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: line {line}: byte {byte} is not UTF-8\n"
 
 
 @pytest.mark.parametrize("text, line", [

@@ -70,10 +70,16 @@ MUTANTS = (
            "drops the nearest winner from the shortlist where squares underflow, as the "
            "rounding of a subnormal square exceeds the relative 1e-9"),
     Mutant("send-phase", "src/dcrsim/simulator.py",
-           "queue.append((events[j].time + hop, 1, j,",
-           "queue.append((events[j].time + hop, 0, j,",
+           "queue.append((time + hop, 1, j,",
+           "queue.append((time + hop, 0, j,",
            "lets a send that arrives when a change happens go first, by scenario index, "
            "where changes must go before sends at equal times"),
+    Mutant("unicast-first-hop", "src/dcrsim/simulator.py",
+           "hop = distance(user, position(vm.address.dc)) if vm.mode is VmMode.UNICAST "
+           "else hops[p]",
+           "hop = hops[p]",
+           "times a unicast packet's arrival by its user's hop to the nearest DCR, "
+           "not to the DC its address names, which it goes straight to"),
     Mutant("settled-fast-path", "src/dcrsim/simulator.py",
            "elif self._logs[k]:",
            "elif False:",
