@@ -139,29 +139,16 @@ def connect_leaves(o: Overlay, t: Topology) -> Overlay:
     if len(leaves) < 2:
         return o
     rp = t.position(o.root)
-
-    def angle(v: DcrId) -> float:
-        p = t.position(v)
-        return math.atan2(p.y - rp.y, p.x - rp.x)
-
-    ring = sorted(leaves, key=lambda v: (angle(v), v))
-    gaps = []
-    for i, a in enumerate(ring):
-        b = ring[(i + 1) % len(ring)]
-        gap = angle(b) - angle(a)
-        if i == len(ring) - 1:
-            gap += 2.0 * math.pi
-        gaps.append(gap)
-    skip = gaps.index(max(gaps))
-    added: dict[Edge, float] = {}
-    for i, a in enumerate(ring):
-        if i == skip:
-            continue
-        b = ring[(i + 1) % len(ring)]
-        key = _key(a, b)
-        if key not in o.edges:
-            added[key] = distance(t.position(a), t.position(b))
-    return _extend(o, added)
+    angle = {v: math.atan2(p.y - rp.y, p.x - rp.x)
+             for v, p in zip(leaves, map(t.position, leaves))}
+    ring = sorted(leaves, key=lambda v: (angle[v], v))
+    # Each leaf and its successor in the ring; the last pair wraps past the cut.
+    pairs = list(zip(ring, ring[1:] + ring[:1]))
+    gaps = [angle[b] - angle[a] for a, b in pairs]
+    gaps[-1] += 2.0 * math.pi
+    del pairs[gaps.index(max(gaps))]
+    return _extend(o, {_key(a, b): distance(t.position(a), t.position(b))
+                       for a, b in pairs if not o.has_edge(a, b)})
 
 
 def add_wraparound(o: Overlay, t: Topology) -> Overlay:

@@ -383,8 +383,8 @@ class Simulation:
         self._sends: list[tuple[float, int, int, VmRecord, int]] = []
         self._compile()
         self._next = 0  # position in _queue of the next entry to replay
-        # By VM number: the register of the notifications that have reached
-        # every DCR, and the log of those that may still be in flight.
+        # By VM number: the register of the notifications folded as settled, and
+        # the log of the rest: those in flight, and any settled since the last read.
         self._settled = [VmRegister() for _ in self._records]
         self._logs: list[list[LogEntry]] = [[] for _ in self._records]
         # Every flooded notification and packet delivery, in replay order.
@@ -522,25 +522,12 @@ class Simulation:
             kind, addrs, seq = flood
             n = Notification(kind, vm.address, addrs, seq)
             self._stream.append(n)
-            self._in_flight(k).append((self.now, i, notification_origin(n), n))
+            self._logs[k].append((self.now, i, notification_origin(n), n))
 
     @functools.cached_property
     def _longest(self) -> list[float]:
         """By origin id - 1, its flood's longest delay: when it has reached every DCR."""
         return self.overlay._delays.max(axis=1).tolist()
-
-    def _in_flight(self, k: int) -> list[LogEntry]:
-        """Fold VM k's notifications that reached every DCR before `now` into
-        its settled register, in place, and return the log of the rest."""
-        register, flying = self._settled[k], []
-        for entry in self._logs[k]:
-            emit, _, origin, n = entry
-            if emit + self._longest[origin - 1] < self.now:
-                register.apply(n)
-            else:
-                flying.append(entry)
-        self._logs[k] = flying
-        return flying
 
     def _reached(self, entry: LogEntry, dcr: DcrId, index: float) -> bool:
         """The arrival rule: entry's flood has reached dcr for the packet of send
@@ -551,12 +538,21 @@ class Simulation:
     def _read_table(self, dcr: DcrId, k: int, index: float) -> VmRegister:
         """VM k's entry in dcr's table as the packet of send `index`, arriving
         now, reads it: the notifications that have reached dcr (_reached).
-        The settled register itself unless one still in flight has reached
-        dcr, then a copy."""
-        register = self._settled[k]
-        for entry in self._in_flight(k):
+        Those that reached every DCR before `now` are first folded into the
+        settled register, in place, which is returned unless one still in
+        flight has reached dcr, then a copy."""
+        settled, flying = self._settled[k], []
+        for entry in self._logs[k]:
+            emit, _, origin, n = entry
+            if emit + self._longest[origin - 1] < self.now:
+                settled.apply(n)
+            else:
+                flying.append(entry)
+        self._logs[k] = flying
+        register = settled
+        for entry in flying:
             if self._reached(entry, dcr, index):
-                if register is self._settled[k]:
+                if register is settled:
                     register = register.copy()
                 register.apply(entry[3])
         return register

@@ -57,9 +57,14 @@ MUTANTS = (
            "if indirect > 1.25 * direct:",
            "keeps the nearest tree node when the detour is exactly 25% worse"),
     Mutant("widest-gap-tie", "src/dcrsim/overlay.py",
-           "skip = gaps.index(max(gaps))",
-           "skip = len(gaps) - 1 - gaps[::-1].index(max(gaps))",
+           "del pairs[gaps.index(max(gaps))]",
+           "del pairs[len(gaps) - 1 - gaps[::-1].index(max(gaps))]",
            "leaves the last of two equal widest leaf gaps open, not the first"),
+    Mutant("wrap-gap", "src/dcrsim/overlay.py",
+           "gaps[-1] += 2.0 * math.pi",
+           "gaps[-1] += 0.0",
+           "measures the ring's closing gap without its full turn, so the gap past "
+           "the branch cut is never the widest and the wrong pair stays open"),
     Mutant("midpoint-overflow", "src/dcrsim/overlay.py",
            "return mid if math.isfinite(mid) else a / 2.0 + b / 2.0",
            "return mid",
