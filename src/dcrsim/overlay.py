@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -25,6 +26,13 @@ from .errors import ConfigError, OverlayError, ParseError
 from .topology import DcrId, Point, Topology, distance, nearest_among, nearest_dcr, read_input
 
 Edge = tuple[DcrId, DcrId]
+
+
+def _cost_fault(cost: float) -> str | None:
+    """What rules a link cost out, if anything: it must be finite and positive."""
+    if 0 < cost <= sys.float_info.max:
+        return None
+    return "non-positive" if cost <= 0 else "non-finite"
 
 
 def _key(a: DcrId, b: DcrId) -> Edge:
@@ -57,8 +65,8 @@ class Overlay:
                 raise ConfigError(f"edge key ({a}, {b}) must be ordered a < b")
             if a not in nodes or b not in nodes:
                 raise ConfigError(f"edge ({a}, {b}) references a missing node")
-            if not (math.isfinite(cost) and cost > 0):
-                raise ConfigError(f"edge ({a}, {b}) has non-positive cost {cost}")
+            if fault := _cost_fault(cost):
+                raise ConfigError(f"edge ({a}, {b}) has {fault} cost {cost}")
         # No delay exceeds the total link cost, and a mean of delays sums
         # fewer than N^2 of them.
         total = sum(self.edges.values())
@@ -393,6 +401,8 @@ def parse_overlay(text: str) -> Overlay:
                 cost = float(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad edge in {raw!r}") from None
+            if fault := _cost_fault(cost):
+                raise ParseError(f"line {lineno}: edge {a} {b} has {fault} cost {parts[3]!r}")
             if a == b:
                 raise ParseError(f"line {lineno}: self-loop on {a}")
             key = _key(a, b)

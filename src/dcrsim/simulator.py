@@ -406,7 +406,7 @@ class Simulation:
         # to ingress, then on).
         placed: dict[str, tuple[int, float]] = {}
         numbers: dict[str, int] = {}  # each VM's number
-        records, isfinite = self._records, math.isfinite
+        records, isfinite, largest = self._records, math.isfinite, sys.float_info.max
         for i, ev in enumerate(self._events):
             if ev.kind is _SEND:
                 user, k = placed.get(ev.user), numbers.get(ev.vm)
@@ -432,7 +432,8 @@ class Simulation:
                     raise ScenarioError(f"{_where(ev)}{ev.kind.value} event {fault}")
             if ev.kind is EventKind.PLACE_USER:
                 _check_name(ev, ev.user)
-                if not (isfinite(ev.x) and isfinite(ev.y)):
+                # As for times, an int past the largest float is not finite.
+                if not (-largest <= ev.x <= largest and -largest <= ev.y <= largest):
                     raise ScenarioError(f"{_where(ev)}user {ev.user} at ({ev.x}, {ev.y}): "
                                         "coordinates must be finite")
                 reach = box_reach(min(x0, ev.x), max(x1, ev.x), min(y0, ev.y), max(y1, ev.y), 2)

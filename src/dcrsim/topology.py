@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,8 +177,9 @@ def generate_random_topology(seed: int, n: int, extent: float = 100.0) -> Topolo
     """
     if n < 2:
         raise ConfigError("a topology needs at least 2 DCRs")
-    if not (math.isfinite(extent) and extent > 0):
-        raise ConfigError(f"extent must be positive, got {extent}")
+    if not 0 < extent <= sys.float_info.max:
+        must = "positive" if extent <= 0 else "finite"
+        raise ConfigError(f"extent must be {must}, got {extent}")
     rng = random.Random(seed)
     taken: set[tuple[float, float]] = set()
     dcrs = []

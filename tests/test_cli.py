@@ -106,6 +106,19 @@ def test_eval_overlay_disconnected(tmp_path, capsys):
     assert "disconnected" in err
 
 
+@pytest.mark.parametrize("cost, fault", [("nan", "non-finite"), ("inf", "non-finite"),
+                                         ("-10", "non-positive")])
+def test_bad_overlay_cost_fails_at_parse_time_with_its_line(cost, fault, tmp_path, capsys):
+    ovl, top, scn = tmp_path / "o.ovl", tmp_path / "t.top", tmp_path / "s.scn"
+    ovl.write_text(f"root 1\nedge 1 2 {cost}\nedge 1 3 10\n")
+    top.write_text("dcr 1 0 0\ndcr 2 10 0\ndcr 3 0 10\n")
+    scn.write_text("0 user u 0 0\n")
+    for args in (["eval-overlay", str(ovl)], ["run", str(top), str(scn), "--overlay", str(ovl)]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: line 2: edge 1 2 has {fault} cost {cost!r}\n"
+
+
 def test_eval_overlay_without_edges_fails_at_parse_time(tmp_path, capsys):
     ovl = tmp_path / "o.ovl"
     ovl.write_text("root 1\n")

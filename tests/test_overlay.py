@@ -289,6 +289,12 @@ def test_overlay_refuses_a_zero_cost_edge():
         Overlay(nodes=(1, 2), edges={(1, 2): 0.0}, root=1)
 
 
+@pytest.mark.parametrize("cost", [math.nan, math.inf])
+def test_overlay_refuses_a_non_finite_cost_edge(cost):
+    with pytest.raises(ConfigError, match=f"^edge \\(1, 2\\) has non-finite cost {cost}$"):
+        Overlay(nodes=(1, 2), edges={(1, 2): cost}, root=1)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=20))
 def test_stagewise_metrics_never_regress(seed, n):

@@ -313,10 +313,20 @@ BAD_VALUES = [("time", math.nan, "event time must be finite, got nan"),
                re.escape(f"event time must be >= 0, got {-sys.float_info.max!r}"))]
 BAD_VALUES += [(axis, value, r"user u2 at \(.*\): coordinates must be finite")
                for axis in ("x", "y") for value in (math.nan, math.inf, -math.inf)]
+# An int compares with floats exactly, but one past the largest float is no float.
+BAD_VALUES += [(axis, value, r"user u2 at \(.*\): coordinates must be finite")
+               for axis in ("x", "y") for value in (10**400, -10**400)]
+
+
+def _case_id(field, value):
+    """The test id of a BAD_VALUES case, with an int past the largest float as 10**400."""
+    if type(value) is int:
+        return f"{field}-{'-' if value < 0 else ''}10**400"
+    return f"{field}-{value}"
 
 
 @pytest.mark.parametrize("field, value, message", BAD_VALUES,
-                         ids=[f"{field}-{value}" for field, value, _ in BAD_VALUES])
+                         ids=[_case_id(field, value) for field, value, _ in BAD_VALUES])
 def test_bad_times_and_coordinates_fail_before_anything_runs(field, value, message,
                                                              monkeypatch):
     # Built in code: parse_scenario rejects such a line itself. The event

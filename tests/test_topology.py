@@ -118,6 +118,9 @@ def test_generate_random_topology_rejects_bad_args():
 def test_generate_random_topology_refuses_extent_zero():
     with pytest.raises(ConfigError, match="extent must be positive"):
         generate_random_topology(1, 5, 0.0)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match=f"^extent must be finite, got {extent}$"):
+            generate_random_topology(1, 5, extent)
 
 
 def test_topology_round_trips_through_text():
