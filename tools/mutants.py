@@ -63,8 +63,8 @@ MUTANTS = (
     Mutant("wrap-gap", "src/dcrsim/overlay.py",
            "gaps[-1] += 2.0 * math.pi",
            "gaps[-1] += 0.0",
-           "measures the ring's closing gap without its full turn, so the gap past "
-           "the branch cut is never the widest and the wrong pair stays open"),
+           "measures the ring's closing gap without its full turn, so it is negative "
+           "and never left open, even where it is the widest"),
     Mutant("midpoint-overflow", "src/dcrsim/overlay.py",
            "return mid if math.isfinite(mid) else a / 2.0 + b / 2.0",
            "return mid",
