@@ -145,8 +145,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
+def _join_extent(words: list[str]) -> list[str]:
+    """words with each `--extent V` before any `--` as `--extent=V`: argparse
+    takes a V such as -inf or -nan for an option, and fails with `expected
+    one argument` before the extent check can say what is wrong with it."""
+    words = list(words)
+    end = words.index("--") if "--" in words else len(words)
+    for i in range(end - 2, -1, -1):
+        if words[i] == "--extent":
+            words[i:i + 2] = ["--extent=" + words[i + 1]]
+    return words
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(_join_extent(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (ConfigError, ParseError, OverlayError, ScenarioError, OSError) as e:

@@ -1,4 +1,4 @@
-"""The router model: notifications, forwarding-table entries and packet routing.
+"""The router model: notifications, forwarding-table entries and the host lookup.
 
 Each DCR keeps a forwarding table mapping anycast addresses to the DCRs that
 currently host the VM, one `VmRegister` per address. Lifecycle changes are
@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import hypot
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import ConfigError
-from .topology import AnycastAddress, DcrId, Point, Topology, UnicastAddress, distance
+from .topology import AnycastAddress, DcrId, Topology, UnicastAddress, distance
 
 
 class VmMode(enum.Enum):
@@ -25,18 +24,20 @@ class VmMode(enum.Enum):
     ANYCAST_MIGRATABLE = "anycast-migrate"
     ANYCAST_REPLICATED = "anycast-replicate"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
+
 
 class NotificationKind(enum.Enum):
     MIGRATION = "MIGRATION"
     REPLICATION = "REPLICATION"
     DESTRUCTION = "DESTRUCTION"
 
+    __hash__ = object.__hash__
 
-_ARITY = {
-    NotificationKind.MIGRATION: 1,
-    NotificationKind.REPLICATION: 2,
-    NotificationKind.DESTRUCTION: 1,
-}
+
+# Read once per notification or change: a module global is read faster than a member.
+_MIGRATION, _REPLICATION, _DESTRUCTION = NotificationKind  # in definition order
+_ARITY = {_MIGRATION: 1, _REPLICATION: 2, _DESTRUCTION: 1}
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class Notification:
 def notification_origin(n: Notification) -> DcrId:
     """The DCR whose router starts the flood: the destination for migration
     and replication, the departed DCR for destruction."""
-    return n.dcr_addrs[-1] if n.kind is NotificationKind.REPLICATION else n.dcr_addrs[0]
+    return n.dcr_addrs[-1] if n.kind is _REPLICATION else n.dcr_addrs[0]
 
 
 @dataclass(slots=True)
@@ -89,12 +90,12 @@ class VmRegister:
 
     def apply(self, n: Notification) -> None:
         """Merge one notification about this VM, in place."""
-        if n.kind is NotificationKind.MIGRATION:
+        if n.kind is _MIGRATION:
             if self.migration is not None and self.migration[0] >= n.seq:
                 return
             self.migration = (n.seq, n.dcr_addrs[0])
         else:
-            slot = self.adds if n.kind is NotificationKind.REPLICATION else self.removes
+            slot = self.adds if n.kind is _REPLICATION else self.removes
             for d in n.dcr_addrs:
                 if slot.get(d, -1) < n.seq:
                     slot[d] = n.seq
@@ -131,24 +132,6 @@ class VmRecord:
             raise ConfigError(f"{self.mode.value} VM must live in exactly one DC")
 
 
-class Route(NamedTuple):
-    """One user packet's path, as compact as the report needs.
-
-    ingress is None when the packet bypassed it (unicast goes straight to
-    its DC); otherwise the packet was tunnelled from there to target.
-    delivered_at is target, or None for a miss. delays holds each hop's
-    delay in hop order, and direct is the user's distance to target, which
-    is also the delay of the reply from target.
-    """
-
-    user: Point
-    ingress: DcrId | None
-    target: DcrId
-    delivered_at: DcrId | None
-    delays: tuple[float, ...]
-    direct: float
-
-
 def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:
     """Where router `at` forwards a packet for vm, given vm's register `entry`:
     the nearest live host (ties to the lowest id), or the address's own
@@ -158,28 +141,3 @@ def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> Dcr
         return next(iter(hosts), vm.subblock)
     ap = t.position(at)
     return min(hosts, key=lambda d: (distance(ap, t.position(d)), d))
-
-
-def route_user_packet(user: Point, ingress: DcrId, first_hop: float, vm: VmRecord,
-                      entry: VmRegister | None, t: Topology) -> Route:
-    """Route one user packet and report the path it took. first_hop is the
-    user's distance to its first DCR, which timed its arrival there.
-
-    Unicast goes straight to the address's DC, no tunnel, and reads no table
-    (pass None). Anycast enters the network at `ingress`, the DCR the user
-    attached to, which consults `entry`, the VM's register in its forwarding
-    table, and tunnels the packet to the chosen DCR. Delivery succeeds only
-    if the VM truly hosts there; otherwise the route records a miss.
-    """
-    if vm.mode is VmMode.UNICAST:
-        dc = vm.address.dc
-        return tuple.__new__(Route, (user, None, dc, dc if dc in vm.locations else None,
-                                     (first_hop,), first_hop))
-    target = lookup(entry, vm.address, ingress, t)
-    positions = t._pos  # type: ignore[attr-defined]
-    ip, tp = positions[ingress], positions[target]
-    # Both hops as distance() gives them, inline, and the Route without its
-    # constructor: this runs once per anycast packet.
-    return tuple.__new__(Route, (user, ingress, target, target if target in vm.locations else None,
-                                 (first_hop, hypot(ip.x - tp.x, ip.y - tp.y)),
-                                 hypot(user.x - tp.x, user.y - tp.y)))

@@ -13,6 +13,7 @@ randomness, so the same inputs always reproduce the same report byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import enum
 import functools
@@ -21,13 +22,14 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from math import hypot
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_metrics
-from .protocol import (Notification, NotificationKind, Route, VmMode, VmRecord,
-                       VmRegister, notification_origin, route_user_packet)
+from .protocol import (_DESTRUCTION, _MIGRATION, _REPLICATION, Notification, VmMode, VmRecord,
+                       VmRegister, lookup, notification_origin)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
                        distance, nearest_among, read_input)
 
@@ -35,7 +37,7 @@ TUNNEL_HEADER_BYTES = 20
 
 # One flooded notification: (emit time, scenario index, origin, notification).
 LogEntry = tuple[float, int, DcrId, Notification]
-# One step of the replay, with what it needs (see _change and _deliver).
+# One step of the replay, with what it needs (see _compile and _queue).
 Entry = tuple[float, int, int, tuple]  # time, phase, scenario index, change or send
 
 
@@ -76,7 +78,10 @@ class ScenarioEvent(NamedTuple):
 # Builds a named tuple (a ScenarioEvent, a Delivery) from all its fields in
 # order, faster than its keyword constructor.
 _new_tuple = tuple.__new__
-_SEND = EventKind.SEND_PACKET
+# The members read once per event or packet: a module global is read faster.
+_SEND, _CREATE, _PLACE = EventKind.SEND_PACKET, EventKind.CREATE_VM, EventKind.PLACE_USER
+_MIGRATE, _REPLICATE = EventKind.MIGRATE_VM, EventKind.REPLICATE_VM
+_UNICAST, _MIGRATABLE, _REPLICATED = VmMode  # an Enum iterates in definition order
 
 # Each kind of word on a scenario line: how it is read, how it is written
 # back, and what an event built in code may hold in its place.
@@ -149,7 +154,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
             ev = _new_tuple(ScenarioEvent, slots)
-            if kind is EventKind.PLACE_USER and not all(map(math.isfinite, (ev.x, ev.y))):
+            if kind is _PLACE and not all(map(math.isfinite, (ev.x, ev.y))):
                 raise ParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
         # Split never yields an empty name, so a name is bad iff it has a comma.
         if "," in raw:
@@ -190,10 +195,19 @@ def load_scenario(path: str) -> list[ScenarioEvent]:
 
 
 class Delivery(NamedTuple):
-    """One packet delivery: the scenario index of its send, and its route."""
+    """One packet delivery: its send's scenario index, its user's position,
+    and its path. ingress is None for unicast, which bypasses it; else the
+    packet was tunnelled from there to target. delivered_at is target, or
+    None for a miss. delays holds each hop's delay in hop order, and direct
+    is the user's distance to target, also the delay of the reply."""
 
     send: int
-    route: Route
+    user: Point
+    ingress: DcrId | None
+    target: DcrId
+    delivered_at: DcrId | None
+    delays: tuple[float, ...]
+    direct: float
 
 
 _CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
@@ -270,7 +284,7 @@ class SimReport:
         count of the summary row, session breaks included."""
         csv, text = _CSV_HEADER, ""
         events, stream = self.events, self.stream
-        modes = {ev.vm: ev.mode for ev in events if ev.kind is EventKind.CREATE_VM}
+        modes = {ev.vm: ev.mode for ev in events if ev.kind is _CREATE}
         # Each session's pinned DC, or _CLOSED once it has broken.
         pins: dict[str, DcrId | object] = {}
         # Keyed on the identity of the user's Point, which the stream keeps
@@ -287,7 +301,7 @@ class SimReport:
                         line_values += (x.seq, x.kind.value, x.vm,
                                         ",".join(map(str, x.dcr_addrs)))
                     continue
-                send, (user, ingress, target, at, hop_delays, direct) = x
+                send, user, ingress, target, at, hop_delays, direct = x
                 ev = events[send]
                 session = ev.session
                 total, tunneled = sum(hop_delays), ingress is not None
@@ -297,7 +311,7 @@ class SimReport:
                 tunnels += tunneled
                 # A session's first packet pins it where it is delivered.
                 if session is not None and (pin := pins.get(session, at)) is not _CLOSED:
-                    if at is None or pin != at and modes[ev.vm] is VmMode.ANYCAST_REPLICATED:
+                    if at is None or pin != at and modes[ev.vm] is _REPLICATED:
                         pins[session] = _CLOSED
                         breaks += 1
                     else:
@@ -430,7 +444,7 @@ class Simulation:
                     lacks = ", ".join(f for f, _ in fields if getattr(ev, f) is None)
                     fault = f"lacks its {lacks}" if lacks else f"has a bad {name}: {value!r}"
                     raise ScenarioError(f"{_where(ev)}{ev.kind.value} event {fault}")
-            if ev.kind is EventKind.PLACE_USER:
+            if ev.kind is _PLACE:
                 _check_name(ev, ev.user)
                 # As for times, an int past the largest float is not finite.
                 if not (-largest <= ev.x <= largest and -largest <= ev.y <= largest):
@@ -444,33 +458,33 @@ class Simulation:
                 self._users.append(Point(ev.x, ev.y))
                 continue
             # The DC ids the line names, which its notification carries too.
-            dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is EventKind.REPLICATE_VM else (ev.dc,)
+            dc_ids = (ev.src_dc, ev.dst_dc) if ev.kind is _REPLICATE else (ev.dc,)
             for dc in dc_ids:
                 if dc not in known:
                     raise ScenarioError(f"{_where(ev)}unknown DCR id {dc}")
             k = numbers.get(ev.vm)
             vm = None if k is None else records[k]
             kind = None
-            if ev.kind is EventKind.CREATE_VM:
+            if ev.kind is _CREATE:
                 if vm is not None:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} already exists")
                 _check_name(ev, ev.vm)
-                family = UnicastAddress if ev.mode is VmMode.UNICAST else AnycastAddress
+                family = UnicastAddress if ev.mode is _UNICAST else AnycastAddress
                 address = family(ev.dc, next(host_numbers[family, ev.dc]))
                 k = numbers[ev.vm] = len(records)
                 vm = VmRecord(address=address, mode=ev.mode, locations={ev.dc})
                 records.append(vm)
             elif vm is None:
                 raise ScenarioError(f"{_where(ev)}unknown vm {ev.vm}")
-            elif ev.kind is EventKind.MIGRATE_VM:
-                if vm.mode is not VmMode.ANYCAST_MIGRATABLE:
+            elif ev.kind is _MIGRATE:
+                if vm.mode is not _MIGRATABLE:
                     raise ModeConflict(f"{_where(ev)}cannot migrate {vm.mode.value} vm {ev.vm}")
                 if not vm.locations:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} has been destroyed")
                 vm.locations = {ev.dc}
-                kind = NotificationKind.MIGRATION
-            elif ev.kind is EventKind.REPLICATE_VM:
-                if vm.mode is not VmMode.ANYCAST_REPLICATED:
+                kind = _MIGRATION
+            elif ev.kind is _REPLICATE:
+                if vm.mode is not _REPLICATED:
                     raise ModeConflict(f"{_where(ev)}cannot replicate {vm.mode.value} vm {ev.vm}")
                 if ev.src_dc not in vm.locations:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} has no replica at DC {ev.src_dc}")
@@ -478,14 +492,14 @@ class Simulation:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} already has a replica "
                                         f"at DC {ev.dst_dc}")
                 vm.locations.add(ev.dst_dc)
-                kind = NotificationKind.REPLICATION
+                kind = _REPLICATION
             else:
                 if ev.dc not in vm.locations:
                     raise ScenarioError(f"{_where(ev)}vm {ev.vm} is not hosted at DC {ev.dc}")
                 vm.locations.discard(ev.dc)
-                kind = NotificationKind.DESTRUCTION
+                kind = _DESTRUCTION
             # Creations and unicast changes flood nothing: no table holds them.
-            floods = kind is not None and vm.mode is not VmMode.UNICAST
+            floods = kind is not None and vm.mode is not _UNICAST
             if floods and not math.isfinite(ev.time + flood_reach):
                 raise ScenarioError(f"{_where(ev)}{ev.kind.value} at {ev.time!r} is too late: "
                                     "its flood's arrival times overflow")
@@ -507,23 +521,10 @@ class Simulation:
         queue = self._changes.copy()
         for time, j, p, vm, k in self._sends:
             user = users[p]
-            hop = distance(user, position(vm.address.dc)) if vm.mode is VmMode.UNICAST else hops[p]
+            hop = distance(user, position(vm.address.dc)) if vm.mode is _UNICAST else hops[p]
             queue.append((time + hop, 1, j, (user, ingresses[p], hop, vm, k)))
         queue.sort()
         return queue
-
-    def _change(self, i: int, change: tuple) -> None:
-        """Apply lifecycle change i to the ground truth and flood it. The
-        flood is logged under i, which breaks ties with deliveries that reach
-        a DCR when it does. Its flood is (kind, DCR ids, seq), or None."""
-        k, name, hosts, flood = change  # VM number and name, hosts afterwards
-        vm = self.vms[name] = self._records[k]
-        vm.locations = set(hosts)
-        if flood is not None:
-            kind, addrs, seq = flood
-            n = Notification(kind, vm.address, addrs, seq)
-            self._stream.append(n)
-            self._logs[k].append((self.now, i, notification_origin(n), n))
 
     @functools.cached_property
     def _longest(self) -> list[float]:
@@ -558,31 +559,58 @@ class Simulation:
                 register.apply(entry[3])
         return register
 
-    def _deliver(self, j: int, send: tuple) -> None:
-        user, ingress, first_hop, vm, k = send  # k is the VM's number
-        if vm.mode is VmMode.UNICAST:
-            entry = None
-        elif self._logs[k]:
-            entry = self._read_table(ingress, k, j)
-        else:  # no flood in flight: every table holds the settled register
-            entry = self._settled[k]
-        route = route_user_packet(user, ingress, first_hop, vm, entry, self.topology)
-        self._stream.append(_new_tuple(Delivery, (j, route)))
+    def _replay(self, stop: int) -> None:
+        """Replay _queue[_next:stop], the one replay loop. If an entry
+        raises, _next stays at it."""
+        logs, settled, records, vms = self._logs, self._settled, self._records, self.vms
+        append, read_table, topology = self._stream.append, self._read_table, self.topology
+        positions = topology._pos  # type: ignore[attr-defined]
+        done = self._next
+        try:
+            for self.now, phase, index, payload in itertools.islice(self._queue, done, stop):
+                if not phase:
+                    # A change sets its VM's hosts and logs its flood under its
+                    # index, which breaks ties with deliveries at a DCR it reaches.
+                    k, name, hosts, flood = payload  # flood: (kind, DCR ids, seq) or None
+                    vm = vms[name] = records[k]
+                    vm.locations = set(hosts)
+                    if flood is not None:
+                        n = Notification(flood[0], vm.address, flood[1], flood[2])
+                        append(n)
+                        logs[k].append((self.now, index, notification_origin(n), n))
+                else:
+                    # A packet: unicast goes straight to its VM's DC; anycast is
+                    # tunnelled from its ingress to where the ingress's table says.
+                    user, ingress, first_hop, vm, k = payload
+                    if vm.mode is _UNICAST:
+                        ingress, target = None, vm.address.dc
+                        delays, direct = (first_hop,), first_hop
+                    else:
+                        # With no flood in flight, every table holds the settled register.
+                        register = read_table(ingress, k, index) if logs[k] else settled[k]
+                        target = lookup(register, vm.address, ingress, topology)
+                        ip, tp = positions[ingress], positions[target]  # as distance() does
+                        delays = (first_hop, hypot(ip.x - tp.x, ip.y - tp.y))
+                        direct = hypot(user.x - tp.x, user.y - tp.y)
+                    append(_new_tuple(Delivery, (index, user, ingress, target,
+                                                 target if target in vm.locations else None,
+                                                 delays, direct)))
+                done += 1
+        finally:
+            self._next = done
 
     def step(self) -> bool:
         """Replay one lifecycle change or delivery; False when none is left."""
-        queue = self._queue
-        if self._next == len(queue):
+        if self._next == len(self._queue):
             return False
-        self.now, phase, index, payload = queue[self._next]
-        self._next += 1
-        (self._deliver if phase else self._change)(index, payload)
+        self._replay(self._next + 1)
         return True
 
     def run_until(self, time: float) -> None:
         """Replay every change and delivery with timestamp <= time."""
-        while self._next < len(self._queue) and self._queue[self._next][0] <= time:
-            self.step()
+        # Up to the first entry whose time is not <= time: for nan, the next.
+        self._replay(bisect.bisect_left(self._queue, True, self._next,
+                                        key=lambda entry: not entry[0] <= time))
         self.now = max(self.now, time)
 
     @property
@@ -608,8 +636,7 @@ class Simulation:
                    if not self._reached(entry, d, math.inf))
 
     def run(self) -> SimReport:
-        while self.step():
-            pass
+        self._replay(len(self._queue))
         return self.report()
 
     def report(self) -> SimReport:

@@ -270,15 +270,14 @@ class PacketRecord:
 
 
 def packet_records(report: dcrsim.SimReport) -> list[PacketRecord]:
-    """A library report's deliveries as packet records: each Route as its
+    """A library report's deliveries as packet records: each path as its
     hops, and a delivered packet's reply straight back from where it was
     delivered, `direct` away. Stretch and penalty come from the library's own
     formula, so the records hold the values its report summarises."""
     out = []
     deliveries = [x for x in report.stream if type(x) is dcrsim.Delivery]
-    for k, (send, route) in enumerate(deliveries):
+    for k, (send, user, ingress, target, at, delays, direct) in enumerate(deliveries):
         ev = report.events[send]
-        user, ingress, target, at, delays, direct = route
         hops = (((user, target, delays[0]),) if ingress is None else
                 ((user, ingress, delays[0]), (ingress, target, delays[1])))
         stretch = penalty = reply = None

@@ -585,3 +585,17 @@ def test_gen_topology_with_too_few_points_in_its_extent_exits_2(capsys):
     code, out, err = run_cli(["gen-topology", "--n", "5", "--extent", "5e-324"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot place DCR 5 of 5")
+
+
+@pytest.mark.parametrize("subcommand", (["gen-topology", "--n", "3"],
+                                        ["compare", "--n", "3", "--count", "1"]),
+                         ids=("gen-topology", "compare"))
+def test_a_negative_infinite_or_nan_extent_reaches_the_extent_check(subcommand, capsys):
+    for value, fault in (("-inf", "positive, got -inf"), ("-nan", "finite, got nan")):
+        code, out, err = run_cli(subcommand + ["--extent", value], capsys)
+        assert (code, out, err) == (2, "", f"error: extent must be {fault}\n")
+    # Other options keep argparse's own reading.
+    with pytest.raises(SystemExit) as exc:
+        main(subcommand + ["--seed", "-inf"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected one argument" in capsys.readouterr().err

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrsim import (AnycastAddress, ConfigError, Notification, NotificationKind, Point,
-                    Topology, UnicastAddress, VmMode, VmRecord, VmRegister, build_overlay,
-                    distance, lookup, notification_origin, parse_scenario,
-                    route_user_packet, run_scenario)
+from dcrsim import (AnycastAddress, ConfigError, Delivery, Notification, NotificationKind,
+                    Point, Topology, UnicastAddress, VmMode, VmRecord, VmRegister, build_overlay,
+                    distance, lookup, notification_origin, parse_scenario, run_scenario)
 
 VM = AnycastAddress(1, 0)
 
@@ -22,6 +21,11 @@ def square_run(scenario):
     `scenario`."""
     t = square()
     return run_scenario(t, build_overlay(t, 3), parse_scenario("0 user u 1 1\n" + scenario))
+
+
+def last_delivery(scenario):
+    """The last packet delivery of square_run(scenario)."""
+    return [x for x in square_run(scenario).stream if type(x) is Delivery][-1]
 
 
 def apply_all(notifications):
@@ -173,10 +177,7 @@ def test_a_copy_of_a_register_applies_without_changing_it():
 
 
 def test_route_unicast_packet_direct():
-    t = square()
-    vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
-    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(2)), vm,
-                              None, t)
+    trace = last_delivery("0 create v 2 unicast\n1 send u v\n")
     assert trace.ingress is None
     assert (trace.ingress, trace.target, len(trace.delays)) == (None, 2, 1)
     assert trace.delivered_at == 2
@@ -184,20 +185,13 @@ def test_route_unicast_packet_direct():
 
 
 def test_route_unicast_packet_misses_destroyed_vm():
-    t = square()
-    vm = VmRecord(address=UnicastAddress(2, 0), mode=VmMode.UNICAST, locations={2})
-    vm.locations.clear()
-    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(2)), vm,
-                              None, t)
+    trace = last_delivery("0 create v 2 unicast\n0.5 destroy v 2\n1 send u v\n")
     assert trace.delivered_at is None
 
 
 def test_route_anycast_packet_tunnels_via_ingress():
-    t = square()
-    vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={2})
-    entry = apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
-    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
-                              entry, t)
+    # Created at dcr1, v migrates to dcr2, whose flood has settled by 100.
+    trace = last_delivery("0 create v 1 anycast-migrate\n1 migrate v 2\n100 send u v\n")
     assert trace.ingress is not None
     assert (trace.ingress, trace.target, len(trace.delays)) == (4, 2, 2)
     assert trace.delivered_at == 2
@@ -206,11 +200,10 @@ def test_route_anycast_packet_tunnels_via_ingress():
 
 
 def test_route_anycast_packet_miss_when_table_is_stale():
-    t = square()
-    vm = VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={3})
-    entry = apply_all([Notification(NotificationKind.MIGRATION, VM, (2,), 0)])
-    trace = route_user_packet(Point(1, 1), 4, distance(Point(1, 1), t.position(4)), vm,
-                              entry, t)
+    # The packet reaches dcr4 sqrt(2) after the move to dcr3, whose flood,
+    # 10 away, has not: dcr4 still sends it to dcr2.
+    trace = last_delivery("0 create v 1 anycast-migrate\n1 migrate v 2\n"
+                          "100 migrate v 3\n100 send u v\n")
     assert trace.delivered_at is None
     assert trace.target == 2
 

@@ -392,6 +392,91 @@ def test_step_replays_one_change_or_delivery_at_a_time():
     assert not sim.step()
 
 
+def replay_state(sim):
+    return list(sim._stream), sim.now, dict(sim.tables), sim.pending_floods()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_step_run_until_and_run_replay_alike_at_every_stop(seed):
+    gen = scenariogen.generate(seed)
+
+    def new():
+        return Simulation(gen.topology, gen.overlay, gen.events)
+
+    stepped, paused = new(), new()
+    times = [entry[0] for entry in stepped._queue]
+    # After each entry, as one step at a time leaves it.
+    states = []
+    while stepped.step():
+        states.append(replay_state(stepped))
+    assert len(states) == len(times) and stepped._next == len(times)
+    for i, time in enumerate(times):
+        if i + 1 < len(times) and times[i + 1] == time:
+            continue  # run_until replays every entry at its time
+        paused.run_until(time)
+        assert replay_state(paused) == states[i], (i, time)
+        if i + 1 < len(times):
+            # Between two entries, as a fresh run_until to that time leaves it.
+            between = (time + times[i + 1]) / 2
+            paused.run_until(between)
+            fresh = new()
+            fresh.run_until(between)
+            assert replay_state(paused) == replay_state(fresh)
+            assert paused._stream == states[i][0] and paused.now == between
+    ran = new()
+    report = ran.run()
+    assert replay_state(ran) == states[-1]
+    assert report.stream == states[-1][0]
+
+
+def test_run_until_replays_the_entries_at_its_time_and_no_later():
+    # u's packet arrives at dcr4, 5 away, at 6, just as v migrates: both
+    # are replayed at 6, the change first, and neither just before 6.
+    sim = sim_for(parse_scenario("0 user u 3 4\n0 create v 1 anycast-migrate\n"
+                                 "1 send u v\n6 migrate v 2\n"))
+    sim.run_until(math.nextafter(6.0, 0.0))
+    assert sim._stream == [] and sim._next == 1
+    sim.run_until(6.0)
+    assert [type(x) for x in sim._stream] == [dcrsim.Notification, Delivery]
+    assert sim._next == len(sim._queue) and sim.now == 6.0
+
+
+def test_run_until_before_now_or_at_nan_replays_nothing_and_at_inf_everything():
+    sim = sim_for(parse_scenario("0 user u 3 4\n0 create v 1 anycast-migrate\n"
+                                 "1 send u v\n6 migrate v 2\n9 send u v\n"))
+    sim.run_until(7.0)
+    replayed = list(sim._stream)
+    for time in (3.0, math.nan):
+        sim.run_until(time)
+        assert (sim._stream, sim.now) == (replayed, 7.0)
+    sim.run_until(math.inf)
+    assert sim._next == len(sim._queue) and sim.now == math.inf
+    assert len(sim._stream) == len(replayed) + 1
+    assert not sim.step() and sim.now == math.inf  # a step past the end leaves `now`
+
+
+def test_a_replay_that_raises_resumes_at_the_entry_it_failed_on(monkeypatch):
+    events = parse_scenario("0 user u 1 1\n0 create v 1 anycast-migrate\n1 send u v\n"
+                            "2 migrate v 2\n3 send u v\n4 send u v\n")
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("lookup failed")
+        return dcrsim.protocol.lookup(*args)
+
+    sim = sim_for(events)
+    monkeypatch.setattr(dcrsim.simulator, "lookup", failing)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    # The create, the send at 1 and the migration are replayed; the send at
+    # 3, whose lookup raised, is not.
+    assert sim._next == 3 and sim._queue[3][1:3] == (1, 4)
+    monkeypatch.undo()
+    assert sim.run().to_csv() == sim_for(events).run().to_csv()
+
+
 def test_one_session_send_pins_without_a_break():
     report = sim_for(BASE + [ev(1, EventKind.SEND_PACKET, user="u1", vm="vm1",
                                 session="s9")]).run()
@@ -536,7 +621,7 @@ def test_a_read_in_flight_leaves_the_settled_tables_as_the_eager_engine_has_them
     sim.run_until(12.0)
     eager.run_until(12.0)
     (delivery,) = [x for x in sim.report().stream if isinstance(x, Delivery)]
-    assert delivery.route.ingress == 2 and delivery.route.delivered_at == 2
+    assert delivery.ingress == 2 and delivery.delivered_at == 2
     assert sim.pending_floods() > 0
     addr = sim.vms["vm1"].address
     assert sim.tables[2][addr].hosts() == frozenset({2})

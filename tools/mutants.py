@@ -80,18 +80,18 @@ MUTANTS = (
            "lets a send that arrives when a change happens go first, by scenario index, "
            "where changes must go before sends at equal times"),
     Mutant("unicast-first-hop", "src/dcrsim/simulator.py",
-           "hop = distance(user, position(vm.address.dc)) if vm.mode is VmMode.UNICAST "
+           "hop = distance(user, position(vm.address.dc)) if vm.mode is _UNICAST "
            "else hops[p]",
            "hop = hops[p]",
            "times a unicast packet's arrival by its user's hop to the nearest DCR, "
            "not to the DC its address names, which it goes straight to"),
     Mutant("settled-fast-path", "src/dcrsim/simulator.py",
-           "elif self._logs[k]:",
-           "elif False:",
+           "register = read_table(ingress, k, index) if logs[k] else settled[k]",
+           "register = settled[k]",
            "delivers against the settled register even while the VM has floods in "
            "flight, so a packet never sees a flood that has reached its ingress"),
     Mutant("session-mode", "src/dcrsim/simulator.py",
-           "pin != at and modes[ev.vm] is VmMode.ANYCAST_REPLICATED",
+           "pin != at and modes[ev.vm] is _REPLICATED",
            "pin != at",
            "breaks a session whenever another DC answers it, so a migrated session "
            "breaks on the move, which it must survive"),
@@ -100,6 +100,10 @@ MUTANTS = (
            "pins.setdefault(session, at)",
            "keeps a session pinned where it was first answered, so a send to a "
            "replicated VM at the DC a migrated VM of its session moved to breaks it"),
+    Mutant("run-until-tie", "src/dcrsim/simulator.py",
+           "key=lambda entry: not entry[0] <= time",
+           "key=lambda entry: not entry[0] < time",
+           "stops run_until before the entries at exactly its time, which it must replay"),
     Mutant("lookup-tie", "src/dcrsim/protocol.py",
            "(distance(ap, t.position(d)), d))",
            "(distance(ap, t.position(d)), -d))",
