@@ -9,8 +9,6 @@ for fixed arguments.
 from __future__ import annotations
 
 import argparse
-import functools
-import operator
 import sys
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
@@ -79,8 +77,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             rows.append(f"t{i},{seed},{n},{alg}," + ",".join(f"{v:.6f}" for v in values))
             columns[alg].append(values)
     for alg in (1, 2, 3):
-        # Summed left to right, which sum() of floats is not on every Python.
-        means = [_mean(c, functools.reduce(operator.add, c, 0.0)) for c in zip(*columns[alg])]
+        means = [_mean(c) for c in zip(*columns[alg])]
         rows.append(f"mean,,,{alg}," + ",".join(f"{m:.6f}" for m in means))
     _write("\n".join(rows) + "\n", args.out)
     return 0

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class Overlay:
     edges: dict[Edge, float]
     root: DcrId
     parents: dict[DcrId, DcrId] = field(default_factory=dict)
+    total_cost: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
@@ -67,11 +69,11 @@ class Overlay:
                 raise ConfigError(f"edge ({a}, {b}) references a missing node")
             if fault := _cost_fault(cost):
                 raise ConfigError(f"edge ({a}, {b}) has {fault} cost {cost}")
-        # No delay exceeds the total link cost, and a mean of delays sums
-        # fewer than N^2 of them.
-        total = sum(self.edges.values())
-        if not math.isfinite(len(self.nodes) ** 2 * total):
-            raise ConfigError(f"overlay link costs sum to {total!r}: the sums of "
+        # Added left to right, as simulator._mean adds. No delay exceeds the
+        # total link cost, and a mean of delays sums fewer than N^2 of them.
+        object.__setattr__(self, "total_cost", reduce(operator.add, self.edges.values(), 0.0))
+        if not math.isfinite(len(self.nodes) ** 2 * self.total_cost):
+            raise ConfigError(f"overlay link costs sum to {self.total_cost!r}: the sums of "
                               f"delays over {len(self.nodes)} nodes overflow")
 
     def has_edge(self, a: DcrId, b: DcrId) -> bool:
@@ -347,14 +349,13 @@ class OverlayMetrics:
 
 
 def overlay_metrics(o: Overlay) -> OverlayMetrics:
-    """Worst and average delay over unordered node pairs, plus the total cost
-    of one flood (every overlay link carries the notification once per
-    direction that forwards it, i.e. the sum of all link costs)."""
+    """Worst and average delay over unordered node pairs, plus the sum of
+    all link costs, which is what one flood sends only on a tree: a link off
+    the origin's first-arrival tree carries the flood both ways."""
     vals = np.concatenate([row[i + 1:] for i, row in enumerate(o._delays)])
-    overhead = float(sum(o.edges.values()))
     return OverlayMetrics(worst_delay=float(vals.max()),
                           avg_delay=float(vals.mean()),
-                          flooding_overhead=overhead)
+                          flooding_overhead=o.total_cost)
 
 
 def flood_duplicate_count(o: Overlay) -> int:

@@ -237,15 +237,16 @@ def _stretch_penalty(total: float, direct: float) -> tuple[float, float]:
     return (1.0 if direct == 0.0 else total / direct), total - direct
 
 
-def _mean(values: Sequence[float], total: float) -> float:
-    """The mean of finite values, given their sum, which may overflow
-    though their mean cannot."""
+def _mean(values: Sequence[float]) -> float:
+    """The mean of finite values, added left to right, as sum() does not on
+    every Python. Their sum may overflow though their mean cannot."""
     n = len(values)
+    total = functools.reduce(operator.add, values, 0.0)
     return math.fsum(v / n for v in values) if total == math.inf else total / n
 
 
 def _agg(values: list[float]) -> tuple[float, float]:
-    return (_mean(values, sum(values)), max(values)) if values else (0.0, 0.0)
+    return (_mean(values), max(values)) if values else (0.0, 0.0)
 
 
 @dataclass
@@ -414,7 +415,7 @@ class Simulation:
         # By address family and DC: the host numbers of the VMs created there.
         host_numbers = collections.defaultdict(itertools.count)
         # No flood delay exceeds the overlay's total link cost.
-        flood_reach = sum(self.overlay.edges.values())
+        flood_reach = self.overlay.total_cost
         # Each user's latest placement number, with two diagonals of the box
         # around the DCRs and the user, which bound a packet's two hops (user
         # to ingress, then on).

@@ -239,12 +239,12 @@ def parse_topology(text: str) -> Topology:
 
 
 def read_input(path: str) -> str:
-    """The text of an input file (topology, overlay or scenario). A file
-    that is not UTF-8 is a ParseError naming it and its first bad byte."""
+    """The text of an input file (topology, overlay or scenario), less a leading
+    BOM. A file that is not UTF-8 is a ParseError naming it and its first bad byte."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise ParseError(f"{path}: line {line}: byte {e.start} is not UTF-8") from None

@@ -382,7 +382,10 @@ class EagerReport:
     def _agg(self, values):
         if not values:
             return 0.0, 0.0
-        return sum(values) / len(values), max(values)
+        total = 0.0
+        for v in values:  # left to right, which sum() of floats is not on every Python
+            total += v
+        return total / len(values), max(values)
 
     def to_csv(self):
         rows = [_CSV_HEADER]

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import dcrsim.cli
 from dcrsim import (ParseError, ScenarioError, Simulation, build_overlay,
-                    generate_random_topology, load_scenario, load_topology, overlay_metrics,
-                    parse_overlay, parse_scenario, parse_topology)
+                    generate_random_topology, load_overlay, load_scenario, load_topology,
+                    overlay_metrics, parse_overlay, parse_scenario, parse_topology)
 from dcrsim.cli import main
 
 from conftest import example_path, golden_path
@@ -482,10 +482,12 @@ def test_negative_scenario_time_fails_at_parse_time(tmp_path, capsys):
 
 # A byte that is not UTF-8 in each kind of input file: the file's name and
 # bytes, the command that reads it ("{}" is its path), and the bad byte's
-# line and offset.
+# line and offset. A byte-order mark counts in the offset.
 NOT_UTF8 = [
     ("bad.top", b"dcr 1 0 0\ndcr 2 1 \xff\n", ["run", "{}", example_path("migration.scn")],
      2, 18),
+    ("bom.top", b"\xef\xbb\xbfdcr 1 0 0\ndcr 2 1 \xff\n",
+     ["run", "{}", example_path("migration.scn")], 2, 21),
     ("bad.ovl", b"root 1\nedge 1 2 \xff\n", ["eval-overlay", "{}"], 2, 16),
     ("bad.scn", b"0 user u1 1 1\n0 create \xe9vm 1 unicast\n",
      ["run", example_path("square.top"), "{}"], 2, 23),
@@ -493,7 +495,7 @@ NOT_UTF8 = [
 
 
 @pytest.mark.parametrize("name, data, args, line, byte", NOT_UTF8,
-                         ids=["topology", "overlay", "scenario"])
+                         ids=["topology", "topology-bom", "overlay", "scenario"])
 def test_input_files_that_are_not_utf8_exit_2_naming_the_byte(name, data, args, line, byte,
                                                               tmp_path, capsys):
     path = tmp_path / name
@@ -501,6 +503,21 @@ def test_input_files_that_are_not_utf8_exit_2_naming_the_byte(name, data, args, 
     code, out, err = run_cli([str(path) if a == "{}" else a for a in args], capsys)
     assert code == 2 and out == ""
     assert err == f"error: {path}: line {line}: byte {byte} is not UTF-8\n"
+
+
+@pytest.mark.parametrize("path, load", [
+    (example_path("square.top"), load_topology),
+    (golden_path("square.alg3.overlay"), load_overlay),
+    (example_path("migration.scn"), load_scenario),
+], ids=["topology", "overlay", "scenario"])
+def test_input_files_read_alike_after_a_byte_order_mark(path, load, tmp_path):
+    # The scenario's first line is a comment, which the mark used to turn
+    # into `line 1: bad time '\ufeff#'`.
+    with open(path, "rb") as f:
+        data = f.read()
+    bom = tmp_path / os.path.basename(path)
+    bom.write_bytes(b"\xef\xbb\xbf" + data)
+    assert load(str(bom)) == load(path)
 
 
 @pytest.mark.parametrize("text, line", [

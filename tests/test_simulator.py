@@ -1,3 +1,5 @@
+import builtins
+import gc
 import math
 import random
 import re
@@ -7,12 +9,15 @@ from fractions import Fraction
 
 import pytest
 
+import dcrsim.overlay
 import dcrsim.simulator
 from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConflict, Overlay,
                     ParseError, Point, ScenarioError, ScenarioEvent, Simulation, Topology,
                     UnicastAddress, VmMode, VmRegister,
-                    build_overlay, format_scenario, generate_random_topology,
-                    load_topology, parse_scenario, run_scenario)
+                    build_overlay, format_scenario, format_topology, generate_random_topology,
+                    load_topology, overlay_metrics, parse_scenario, parse_topology,
+                    run_scenario)
+from dcrsim.overlay import stages
 
 import oracles
 import scenariogen
@@ -869,6 +874,64 @@ def test_mean_delay_of_far_packets_does_not_overflow():
     row = report.to_csv().splitlines()[-1]
     total = 4e307 + 1e307
     assert f"mean_delay={total:.6f} max_delay={total:.6f} " in row
+
+
+def compensated_sum(values):
+    """sum() as Python 3.12 and later add floats: with a running
+    compensation (Neumaier's), so 1e16 + 1.0 + 1.0 sums to 1e16 + 2, where
+    adding left to right gives 1e16. Ints still add exactly."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return builtins.sum(values)
+    total, c = 0.0, 0.0
+    for v in values:
+        t = total + v
+        c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_printed_sums_add_left_to_right_whatever_sum_does(monkeypatch):
+    # The summary's means and an overlay's total link cost print the same
+    # bytes on a Python whose sum() of floats is compensated.
+    for module in (dcrsim.simulator, dcrsim.overlay):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert compensated_sum([1e16, 1.0, 1.0]) == 1e16 + 2 != 1e16 + 1.0 + 1.0
+    t = Topology(((1, Point(0.0, 0.0)), (2, Point(10.0, 0.0))))
+    events = [ev(0, EventKind.PLACE_USER, user="far", x=-1e16, y=0.0),
+              ev(0, EventKind.PLACE_USER, user="near", x=-1.0, y=0.0),
+              ev(0, EventKind.CREATE_VM, vm="vm1", dc=1, mode=VmMode.UNICAST)]
+    # Delivered in the order far, near, near: packets replay by arrival time.
+    events += [ev(time, EventKind.SEND_PACKET, user=user, vm="vm1")
+               for time, user in ((1, "far"), (2e16, "near"), (3e16, "near"))]
+    row = run_scenario(t, build_overlay(t, 1), events).to_csv().splitlines()[-1]
+    assert " delivered=3 " in row and " mean_delay=3333333333333333.500000 " in row
+    o = Overlay(nodes=(1, 2, 3, 4), edges={(1, 2): 1e16, (2, 3): 1.0, (3, 4): 1.0}, root=1)
+    assert o.total_cost == overlay_metrics(o).flooding_overhead == 1e16
+
+
+def _run_and_compare() -> None:
+    gen = scenariogen.generate(8)
+    t = parse_topology(format_topology(gen.topology))
+    events = parse_scenario(format_scenario(gen.events))
+    csv, trace = Simulation(t, build_overlay(t, gen.alg), events).run().render(trace=True)
+    assert "# summary:" in csv and "PKT " in trace
+    for seed in (1, 2):
+        metrics = [overlay_metrics(o) for o in stages(generate_random_topology(seed, 40))]
+        assert len(metrics) == 3
+
+
+def test_a_run_and_a_compare_leave_no_reference_cycles():
+    # All that a run makes is freed by reference counting alone.
+    gc.collect()  # earlier tests' garbage does not count
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _run_and_compare()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_run_scenario_matches_simulation_run():

@@ -104,6 +104,16 @@ MUTANTS = (
            "key=lambda entry: not entry[0] <= time",
            "key=lambda entry: not entry[0] < time",
            "stops run_until before the entries at exactly its time, which it must replay"),
+    Mutant("mean-sum-order", "src/dcrsim/simulator.py",
+           "functools.reduce(operator.add, values, 0.0)",
+           "sum(values)",
+           "sums a printed mean with sum(), which is compensated from Python 3.12 on, "
+           "so the summary's means print apart on 3.11 and 3.12"),
+    Mutant("overhead-sum-order", "src/dcrsim/overlay.py",
+           "reduce(operator.add, self.edges.values(), 0.0)",
+           "sum(self.edges.values())",
+           "totals an overlay's link costs with sum(), which is compensated from Python "
+           "3.12 on, so flooding_overhead prints apart on 3.11 and 3.12"),
     Mutant("lookup-tie", "src/dcrsim/protocol.py",
            "(distance(ap, t.position(d)), d))",
            "(distance(ap, t.position(d)), -d))",
