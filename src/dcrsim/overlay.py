@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -24,7 +25,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, OverlayError, ParseError
-from .topology import DcrId, Point, Topology, distance, nearest_among, nearest_dcr, read_input
+from .topology import (DcrId, Point, Topology, distance, input_lines, nearest_among, nearest_dcr,
+                       read_input)
 
 Edge = tuple[DcrId, DcrId]
 
@@ -44,17 +46,13 @@ def _key(a: DcrId, b: DcrId) -> Edge:
 class Overlay:
     """Undirected weighted graph over the DCR ids.
 
-    parents describes the spanning-tree skeleton and is only populated by
-    build_tree (and preserved by the later stages); parsed overlays leave it
-    empty. The delay kernel starts from the skeleton's exact delays when it
-    spans the overlay over its links. Treat instances as immutable: the delay
-    matrix is computed once per instance, on first use, and cached.
+    Treat instances as immutable: the delay matrix is computed once per
+    instance, on first use, and cached.
     """
 
     nodes: tuple[DcrId, ...]
     edges: dict[Edge, float]
     root: DcrId
-    parents: dict[DcrId, DcrId] = field(default_factory=dict)
     total_cost: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -128,13 +126,13 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
                 attach = m
         parents[j] = attach
         edges[_key(j, attach)] = distance(jp, t.position(attach))
-    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root, parents=parents)
+    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root)
 
 
 def leaf_set(o: Overlay) -> set[DcrId]:
-    """Non-root nodes with no children in the spanning tree."""
-    interior = set(o.parents.values())
-    return {v for v in o.nodes if v != o.root and v not in interior}
+    """Non-root nodes with exactly one link: on a tree, the nodes with no children."""
+    degree = Counter(v for e in o.edges for v in e)
+    return {v for v in o.nodes if v != o.root and degree[v] == 1}
 
 
 def connect_leaves(o: Overlay, t: Topology) -> Overlay:
@@ -179,11 +177,11 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
 
 def _extend(o: Overlay, added: dict[Edge, float]) -> Overlay:
     """o plus the added links. If o's delay matrix is already computed, the
-    new overlay's matrix starts from it (see _delay_matrix)."""
+    new overlay's matrix starts from it, in its sweep order (see _delay_matrix)."""
     new = replace(o, edges={**o.edges, **added})
     base = vars(o).get("_delays")
     if base is not None:
-        object.__setattr__(new, "_warm", (base, {v for e in added for v in e}))
+        object.__setattr__(new, "_warm", (base, o._order, {v for e in added for v in e}))
     return new
 
 
@@ -210,7 +208,7 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
 
     Each delay is a sum of link costs added from the source outward, as a
     single-source Dijkstra adds them. A cold start takes the exact delays of
-    a spanning tree of o's links (see _visit_tree), with the sources in its
+    o's minimum spanning tree (see _visit_tree), with the sources in its
     preorder so that each subtree's sources are one slice. Children first, a
     node's delays from its subtree are its child's plus the link; then
     parents first, its other delays are its parent's plus the link. Sweeps
@@ -226,12 +224,13 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     takes no sweep.
 
     Warm start: connect_leaves and add_wraparound only add links, and when
-    their input's matrix was already computed they hand it on. The sweeps
-    then start from a copy of it, with only the added links' endpoints
-    pending, from all their neighbours. Every old entry is such a sum along
-    a path the new overlay also has, so the sweeps reach the same fixed
-    point. The hand-off is dropped once this matrix is computed; until then,
-    an extended overlay keeps its base's matrix alive.
+    their input's matrix was already computed they hand it on, with its
+    sweep order, so no tree is built. The sweeps then start from a copy of
+    it, with only the added links' endpoints pending, from all their
+    neighbours. Every old entry is such a sum along a path the new overlay
+    also has, so the sweeps reach the same fixed point. The hand-off is
+    dropped once this matrix is computed; until then, an extended overlay
+    keeps its base's matrix alive.
     """
     warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
@@ -240,8 +239,8 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     links: list[dict[int, float]] = [{} for _ in o.nodes]
     for (a, b), cost in sorted(o.edges.items()):
         links[index[a]][index[b]] = links[index[b]][index[a]] = cost
-    order, parent = _visit_tree(o, index, links)
     if warm is None:
+        order, parent = _visit_tree(o, index, links)
         # dt[w, pos[s]] is the delay from s to w; w's subtree is pos[w]:pos[w] + size[w].
         perm, size = np.argsort(order), [1] * n
         pos = perm.tolist()
@@ -261,7 +260,7 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
         pending = [{u: c for u, c in ls.items() if u != parent.get(w) and parent.get(u) != w}
                    for w, ls in enumerate(links)]
     else:
-        base, ends = warm
+        base, order, ends = warm
         dt = base.T.copy()
         rows = list(dt)
         pending = [dict(ls) if v in ends else {} for v, ls in zip(o.nodes, links)]
@@ -286,6 +285,7 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
                     improved = True
                     for u, c in links[w].items():
                         pending[u][w] = c
+    object.__setattr__(o, "_order", order)
     mat = dt.T
     mat.flags.writeable = False
     return mat
@@ -293,45 +293,36 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
 
 def _visit_tree(o: Overlay, index: dict[DcrId, int],
                 nbrs: list[dict[int, float]]) -> tuple[list[int], dict[int, int]]:
-    """Node indices in depth-first preorder, children in id order, and each
-    non-root node's parent index, of o's skeleton if it spans o over o's links,
-    else of o's hop-BFS tree from the root. Raises OverlayError if o is
-    disconnected."""
+    """Node indices in depth-first preorder from the root, children in id
+    order, and each non-root node's parent index, of o's minimum spanning
+    tree: Kruskal's, taking links by cost, ties to the lower (a, b). Raises
+    OverlayError if o is disconnected."""
+    comp = list(range(len(nbrs)))  # union-find: a node's parent, or itself at the top
 
-    def preorder(children: list[list[int]], start: int) -> list[int]:
-        order, stack = [], [start]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(children[v]))
-        return order
+    def find(v: int) -> int:
+        while comp[v] != v:
+            comp[v] = comp[comp[v]]
+            v = comp[v]
+        return v
 
-    def hop_tree(start: int) -> list[list[int]]:
-        children: list[list[int]] = [[] for _ in nbrs]
-        seen, frontier = {start}, [start]
-        for w in frontier:
-            for u in nbrs[w]:  # in id order, as the edges were sorted
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-                    children[w].append(u)
-        return children
-
-    # Each node has one parent and the root none, so no walk from the root repeats
-    # a node; a skeleton with a cycle, a stray node or a link o lacks spans less.
-    root = index[o.root]
-    children: list[list[int]] = [[] for _ in nbrs]
-    for child, p in sorted(o.parents.items()):
-        if child != o.root and child in index and p in index and o.has_edge(child, p):
-            children[index[p]].append(index[child])
-    order = preorder(children, root)
-    if len(order) < len(nbrs):
-        order = preorder(children := hop_tree(root), root)
-    if len(order) < len(nbrs):
-        reached = set(preorder(hop_tree(0), 0))
-        missing = [v for i, v in enumerate(o.nodes) if i not in reached]
+    tree: list[list[int]] = [[] for _ in nbrs]
+    for _, i, j in sorted((c, i, j) for i, ls in enumerate(nbrs) for j, c in ls.items() if i < j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            comp[ri] = rj
+            tree[i].append(j)
+            tree[j].append(i)
+    missing = [v for i, v in enumerate(o.nodes) if find(i) != find(0)]
+    if missing:
         raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
-    return order, {ch: p for p, chs in enumerate(children) for ch in chs}
+    order, parent, stack = [], {}, [index[o.root]]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        children = sorted(u for u in tree[v] if u != parent.get(v))
+        parent.update(dict.fromkeys(children, v))
+        stack.extend(reversed(children))
+    return order, parent
 
 
 def all_pairs_delay(o: Overlay) -> np.ndarray:
@@ -384,7 +375,7 @@ def parse_overlay(text: str) -> Overlay:
     """Strict parser for the format written by format_overlay."""
     root: DcrId | None = None
     edges: dict[Edge, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(input_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -65,9 +65,9 @@ class Notification:
 
 
 def notification_origin(n: Notification) -> DcrId:
-    """The DCR whose router starts the flood: the destination for migration
-    and replication, the departed DCR for destruction."""
-    return n.dcr_addrs[-1] if n.kind is _REPLICATION else n.dcr_addrs[0]
+    """The DCR whose router starts the flood, n's last DCR address: a migration's
+    or a replication's destination (after its source), a destruction's departed DCR."""
+    return n.dcr_addrs[-1]
 
 
 @dataclass(slots=True)

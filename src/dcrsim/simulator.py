@@ -31,7 +31,7 @@ from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_met
 from .protocol import (_DESTRUCTION, _MIGRATION, _REPLICATION, Notification, VmMode, VmRecord,
                        VmRegister, lookup, notification_origin)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
-                       distance, nearest_among, read_input)
+                       distance, input_lines, nearest_among, read_input)
 
 TUNNEL_HEADER_BYTES = 20
 
@@ -118,7 +118,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
     stably by time). Blank lines and `#` comments are ignored."""
     events: list[ScenarioEvent] = []
     append = events.append
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(input_lines(text), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue

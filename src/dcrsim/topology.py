@@ -212,7 +212,7 @@ def parse_topology(text: str) -> Topology:
     dcrs: list[tuple[DcrId, Point]] = []
     seen: set[DcrId] = set()
     box = [math.inf, -math.inf, math.inf, -math.inf]  # x0, x1, y0, y1 so far
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(input_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -238,6 +238,14 @@ def parse_topology(text: str) -> Topology:
     return Topology(tuple(dcrs))
 
 
+def input_lines(text: str) -> list[str]:
+    """An input text's lines, broken only at \\n, \\r\\n and \\r: a form feed, U+2028
+    or another break of str.splitlines() is whitespace within a line, for str.split()."""
+    if "\r" in text:  # this scan is fast, and replace() is slow even where nothing matches
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def read_input(path: str) -> str:
     """The text of an input file (topology, overlay or scenario), less a leading
     BOM. A file that is not UTF-8 is a ParseError naming it and its first bad byte."""
@@ -246,7 +254,7 @@ def read_input(path: str) -> str:
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
+        line = len(input_lines(data[:e.start].decode("utf-8")))
         raise ParseError(f"{path}: line {line}: byte {e.start} is not UTF-8") from None
 
 

@@ -18,7 +18,8 @@ the library is the package's value types (`Notification` with its arity
 check, `VmRecord`, the addresses, `Point`), `distance`, and the report
 summary's `overlay_metrics` and `flood_duplicate_count`.
 `ScenarioEvent` and `parse_scenario` are the frozen dataclass and the parser
-as they stood before events became named tuples and sends took a fast path.
+as they stood before events became named tuples and sends took a fast path;
+the parser breaks lines only at \n, \r\n and \r, as the input formats do.
 `ForwardingTable` and `apply_notification` are the address-keyed table and
 its copying merge as they stood before each VM's entry became one in-place
 register; the eager loop writes its tables with them.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import dcrsim
@@ -148,7 +150,7 @@ def scalar_build_tree(t, root=None):
         parents[j] = attach
         edges[(min(j, attach), max(j, attach))] = distance(jp, t.position(attach))
         in_tree.append(j)
-    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root, parents=parents)
+    return Overlay(nodes=tuple(t.ids()), edges=edges, root=root)
 
 
 @dataclass(frozen=True)
@@ -631,7 +633,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
     """Parse a scenario file; events stay in file order (the engine sorts
     stably by time). Blank lines and `#` comments are ignored."""
     events: list[ScenarioEvent] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -491,11 +491,13 @@ NOT_UTF8 = [
     ("bad.ovl", b"root 1\nedge 1 2 \xff\n", ["eval-overlay", "{}"], 2, 16),
     ("bad.scn", b"0 user u1 1 1\n0 create \xe9vm 1 unicast\n",
      ["run", example_path("square.top"), "{}"], 2, 23),
+    ("cr.scn", b"0 user u1 1 1\r0 create \xe9vm 1 unicast\r",
+     ["run", example_path("square.top"), "{}"], 2, 23),
 ]
 
 
 @pytest.mark.parametrize("name, data, args, line, byte", NOT_UTF8,
-                         ids=["topology", "topology-bom", "overlay", "scenario"])
+                         ids=["topology", "topology-bom", "overlay", "scenario", "scenario-cr"])
 def test_input_files_that_are_not_utf8_exit_2_naming_the_byte(name, data, args, line, byte,
                                                               tmp_path, capsys):
     path = tmp_path / name

@@ -78,8 +78,9 @@ def angles_apart(gen, margin=1e-9):
     of two widest gaps; distances keep their bits, so their ties break the
     same way."""
     root = gen.topology.position(gen.overlay.root)
+    leaves = leaf_set(build_overlay(gen.topology, 1))
     angles = sorted(math.atan2(p.y - root.y, p.x - root.x)
-                    for p in map(gen.topology.position, leaf_set(gen.overlay)))
+                    for p in map(gen.topology.position, leaves))
     gaps = sorted(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 2 * math.pi]))
     return min(gaps) > margin and (len(gaps) < 2 or gaps[-1] - gaps[-2] > margin)
 

@@ -11,7 +11,7 @@ import dcrsim.overlay
 from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
                     Point, ScenarioEvent, Simulation, Topology, VmMode, VmRegister,
                     add_wraparound, all_pairs_delay, build_overlay,
-                    build_tree, connect_leaves, distance, flood_duplicate_count,
+                    build_tree, connect_leaves, flood_duplicate_count,
                     format_overlay, generate_random_topology, leaf_set,
                     overlay_metrics, parse_overlay)
 from dcrsim.topology import NEAREST_BLOCK
@@ -41,13 +41,11 @@ def test_build_tree_keeps_nearest_when_detour_is_cheap():
     o = build_tree(line3(), root=1)
     assert o.root == 1
     assert o.edges == {(1, 2): 10.0, (2, 3): 8.0}
-    assert o.parents == {2: 1, 3: 2}
 
 
 def test_build_tree_rewires_to_parent_when_detour_is_pricey():
     o = build_tree(kite3(), root=1)
     assert o.edges == {(1, 2): 10.0, (1, 3): 12.0}
-    assert o.parents == {2: 1, 3: 1}
 
 
 def test_build_tree_rewires_to_parent_when_detour_is_exactly_25_percent_worse():
@@ -56,7 +54,7 @@ def test_build_tree_rewires_to_parent_when_detour_is_exactly_25_percent_worse():
     t = Topology(((1, Point(8, 5)), (2, Point(1, 3)), (3, Point(1, 0)), (4, Point(0, 5)),
                   (5, Point(4, 8))))
     o = build_tree(t, root=2)
-    assert o.parents == {4: 2, 3: 2, 5: 4, 1: 4}
+    assert set(o.edges) == {(2, 4), (2, 3), (4, 5), (1, 4)}
     assert "edge 1 4 8.000000" in format_overlay(o).splitlines()
     assert build_overlay(t, 1) == o == scalar_build_tree(t)
 
@@ -78,7 +76,6 @@ def test_build_tree_is_spanning():
         t = generate_random_topology(seed, 9)
         o = build_tree(t)
         assert len(o.edges) == t.n - 1
-        assert len(o.parents) == t.n - 1
         mat = all_pairs_delay(o)  # raises if disconnected
         assert mat.shape == (9, 9)
 
@@ -114,9 +111,21 @@ def test_connect_leaves_two_leaves_single_chain_edge():
 
 
 def test_connect_leaves_no_leaves_to_chain():
+    # The root has one link too, but it is not a leaf.
     t = Topology(((1, Point(0, 0)), (2, Point(10, 0))))
     o = build_tree(t, root=1)
+    assert leaf_set(o) == {2}
     assert connect_leaves(o, t) is o
+
+
+def test_a_parsed_tree_has_the_built_tree_s_leaves_and_leaf_chain():
+    for seed, n in ((3, 12), (4, 40), (5, 100)):
+        t = generate_random_topology(seed, n)
+        tree = build_overlay(t, 1)
+        parsed = parse_overlay(format_overlay(tree))
+        assert leaf_set(parsed) == leaf_set(tree)
+        chain = set(connect_leaves(tree, t).edges) - set(tree.edges)
+        assert set(connect_leaves(parsed, t).edges) - set(parsed.edges) == chain
 
 
 def plus_topology() -> Topology:
@@ -347,14 +356,11 @@ def test_delays_equal_scalar_dijkstra_on_scenario_corpus():
 
 
 def test_delays_equal_scalar_dijkstra_after_a_file_round_trip():
-    # Parsed costs are rounded to 6 decimals, and parsed overlays have no
-    # spanning-tree skeleton.
+    # Parsed costs are rounded to 6 decimals.
     for seed in range(5):
         t = generate_random_topology(seed, 40)
         for alg in (1, 2, 3):
-            o = parse_overlay(format_overlay(build_overlay(t, alg)))
-            assert not o.parents
-            assert_same_as_dijkstra(o)
+            assert_same_as_dijkstra(parse_overlay(format_overlay(build_overlay(t, alg))))
 
 
 @pytest.mark.parametrize("alg", (1, 2, 3))
@@ -408,8 +414,8 @@ def test_disconnected_overlay_raises_from_every_reader(root):
 def test_build_tree_equals_the_scalar_oracle(n, seeds):
     for seed in range(seeds):
         t = generate_random_topology(seed, n)
-        # Overlay equality compares the edges with their costs, the root, the
-        # parents and the insertion order.
+        # Overlay equality compares the nodes, the edges with their costs and
+        # the root.
         assert build_tree(t) == scalar_build_tree(t)
 
 
@@ -507,51 +513,40 @@ def test_extending_an_uncomputed_overlay_starts_cold():
     assert_same_as_dijkstra(o3)
 
 
-def unusable_skeletons(o, t):
-    """Skeletons whose preorder from the root misses nodes, so the kernel
-    starts from o's hop-BFS tree instead; one with a cycle through the root,
-    whose preorder still spans o; and one that spans o but gives its last
-    joiner, a leaf, a parent that no stage links it to, so the kernel must
-    again take the hop-BFS tree. Their nodes are picked in the order the
-    tree's nodes joined it: by distance from the root, ties to the lowest id."""
-    rp = t.position(o.root)
-    joiners = sorted((v for v in o.nodes if v != o.root),
-                     key=lambda v: (distance(rp, t.position(v)), v))
-    first, second, last = joiners[0], joiners[1], joiners[-1]
-    yield {}
-    yield {c: p for c, p in o.parents.items() if c != first}
-    yield {**o.parents, first: second, second: first}
-    yield {**o.parents, o.root: last}
-    full = build_overlay(t, 3)
-    stranger = next(v for v in joiners if v != last and not full.has_edge(v, last))
-    yield {**o.parents, last: stranger}
+def test_stages_build_one_tree_per_topology(monkeypatch):
+    # Stage 1 starts cold from its tree; stages 2 and 3 start warm, in its order.
+    visit_tree = dcrsim.overlay._visit_tree
+    calls = []
 
+    def counted(*args):
+        calls.append(args)
+        return visit_tree(*args)
 
-def restaged(t, parents):
-    """The three stages as `staged` builds them, with another skeleton."""
-    tree = build_tree(t)
-    o = replace(tree, parents=parents)
-    overlay_metrics(o)
-    yield o
-    for alg in (2, 3):
-        full = build_overlay(t, alg)
-        o = dcrsim.overlay._extend(o, {e: c for e, c in full.edges.items() if e not in o.edges})
-        overlay_metrics(o)
-        yield o
+    monkeypatch.setattr(dcrsim.overlay, "_visit_tree", counted)
+    for seed in range(3):
+        t = generate_random_topology(seed, 40)
+        built = []
+        for o in dcrsim.overlay.stages(t):  # as `dcrsim compare` reads them
+            overlay_metrics(o)
+            built.append(o)
+        assert len({len(o.edges) for o in built}) == 3  # each stage added links
+        assert len(calls) == seed + 1
 
 
 @pytest.mark.parametrize("n", (40, 400))
 def test_visit_order_changes_no_bits(n):
+    # The sweeps visit the kernel's tree in preorder from the root, so each
+    # root gives another visit order, and the delays keep every bit.
     t = generate_random_topology(9, n)
     overlays = [build_overlay(t, alg) for alg in (1, 2, 3)]
-    wanted = []
-    for o in overlays:
-        oracle = np.array(dijkstra_matrix(list(o.nodes), dict(o.edges)))
-        assert np.array_equal(all_pairs_delay(o), oracle)
-        wanted.append(oracle)
-    for parents in unusable_skeletons(overlays[0], t):
-        for o, oracle in zip(overlays, wanted):  # cold
-            assert np.array_equal(all_pairs_delay(replace(o, parents=parents)), oracle)
-        for o, oracle in zip(restaged(t, parents), wanted):  # warm-started
-            assert o.parents == parents
+    wanted = [np.array(dijkstra_matrix(list(o.nodes), dict(o.edges))) for o in overlays]
+    nodes = overlays[0].nodes
+    for root in (overlays[0].root, nodes[0], nodes[n // 2], nodes[-1]):
+        cold = [replace(o, root=root) for o in overlays]
+        for o, oracle in zip(cold, wanted):
+            assert np.array_equal(all_pairs_delay(o), oracle)
+        o = cold[0]
+        for full, oracle in zip(overlays[1:], wanted[1:]):  # warm-started from cold[0]
+            o = dcrsim.overlay._extend(o, {e: c for e, c in full.edges.items() if e not in o.edges})
+            assert "_warm" in vars(o)
             assert np.array_equal(all_pairs_delay(o), oracle)

@@ -15,6 +15,7 @@ import operator
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -68,9 +69,9 @@ def test_golden_and_corpus_scenarios_parse_as_before():
 
 
 # Line soup: tokens of every kind joined by runs of whitespace, Unicode
-# whitespace and line breaks among them.
-# Mostly plain spaces, so that more lines stay in one piece: \x1c, \x85 and
-# \u2028 also break lines, and \u200b is not whitespace.
+# whitespace among them. Mostly plain spaces; \x1c, \x85 and \u2028 are
+# whitespace within a line, where str.splitlines() would break it, and \u200b
+# is not whitespace.
 _WS = st.one_of(*[st.just(" ")] * 3, st.sampled_from([
     "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\x1f", "\x85", "\u2028", "\v", "\f",
     "\u200b"]))
@@ -127,6 +128,27 @@ _SCENARIO_TEXT = _text(
     _fields(_TIMES, st.sampled_from(["migrate", "destroy"]), _NAMES, _IDS),
     _fields(_TIMES, st.just("replicate"), _NAMES, _IDS, _IDS),
     _line(st.tuples(_TIMES, _WORDS), st.one_of(_NAMES, _NUMBERS, _MODES), 5))
+
+
+# Where str.splitlines() breaks a line and the input formats do not.
+_NOT_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("char", _NOT_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("newline", ("\n", "\r\n", "\r"), ids=("LF", "CRLF", "CR"))
+def test_lines_break_only_at_newlines(char, newline):
+    # The character sits inside a comment on line 1; the bad line is line 3.
+    def text(good):
+        return newline.join([f"# a comment{char}with a break", good, "bad line", ""])
+
+    scenario = text("0 user u 1 1")
+    with pytest.raises(ParseError, match="^line 3: bad time 'bad'$"):
+        parse_scenario(scenario)
+    assert_parsers_agree(scenario)
+    with pytest.raises(ParseError, match="^line 3: expected `dcr <id> <x> <y>`, got 'bad line'$"):
+        parse_topology(text("dcr 1 0 0"))
+    with pytest.raises(ParseError, match="^line 3: expected root or edge line, got 'bad line'$"):
+        parse_overlay(text("root 1"))
 
 
 @settings(max_examples=200)

@@ -60,6 +60,11 @@ MUTANTS = (
            "del pairs[gaps.index(max(gaps))]",
            "del pairs[len(gaps) - 1 - gaps[::-1].index(max(gaps))]",
            "leaves the last of two equal widest leaf gaps open, not the first"),
+    Mutant("leaf-root", "src/dcrsim/overlay.py",
+           "v != o.root and degree[v] == 1",
+           "degree[v] == 1",
+           "counts a root with one link as a leaf, so connect_leaves chains it to "
+           "the tree's leaves"),
     Mutant("wrap-gap", "src/dcrsim/overlay.py",
            "gaps[-1] += 2.0 * math.pi",
            "gaps[-1] += 0.0",
