@@ -9,6 +9,7 @@ for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
@@ -146,24 +147,30 @@ _PARSER = build_parser()
 
 
 def _join_extent(words: list[str]) -> list[str]:
-    """words with each `--extent V` before any `--` as `--extent=V`: argparse
-    takes a V such as -inf or -nan for an option, and fails with `expected
-    one argument` before the extent check can say what is wrong with it."""
+    """words with each `--extent V` before any `--`, or an abbreviation such as
+    `--ext V`, joined by `=`: argparse takes a V such as -inf for an option,
+    and fails before the extent check can say what is wrong with it."""
     words = list(words)
     end = words.index("--") if "--" in words else len(words)
     for i in range(end - 2, -1, -1):
-        if words[i] == "--extent":
-            words[i:i + 2] = ["--extent=" + words[i + 1]]
+        if len(words[i]) > 2 and "--extent".startswith(words[i]):
+            words[i:i + 2] = [words[i] + "=" + words[i + 1]]
     return words
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(_join_extent(sys.argv[1:] if argv is None else argv))
+    # A command makes no reference cycles (tests/test_cli.py), so the cyclic GC finds none.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (ConfigError, ParseError, OverlayError, ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

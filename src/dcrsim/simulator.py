@@ -28,8 +28,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
 from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_metrics
-from .protocol import (_DESTRUCTION, _MIGRATION, _REPLICATION, Notification, VmMode, VmRecord,
-                       VmRegister, lookup, notification_origin)
+from .protocol import (_DESTRUCTION, _MIGRATION, _REPLICATION, Notification, NotificationKind,
+                       VmMode, VmRecord, VmRegister, lookup, notification_origin)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
                        distance, input_lines, nearest_among, read_input)
 
@@ -216,7 +216,9 @@ _CSV_HEADER = ("packet,time,user,vm,session,ingress,target,result,"
 # and ids go in as %s, times and delays as %.6f and the tunnel flag as %d.
 _DELIVERED_ROW = "%s,%.6f,%s,%s,%s,%s,%s,%s,%.6f,%d,%.6f,%.6f,%.6f,0\n"
 _MISS_ROW = "%s,%.6f,%s,%s,%s,%s,%s,MISS,%.6f,%d,,,,\n"
-_NOTIFY = "NOTIFY %s %s %s %s\n"
+# A NOTIFY line's template by its DCR id count less one, and each kind's word.
+_NOTIFY = ("NOTIFY %s %s %s %s\n", "NOTIFY %s %s %s %s,%s\n")
+_KIND_WORDS = {kind: kind.value for kind in NotificationKind}
 _USER_HOP = "(%.6f,%.6f)->dcr%s:%.6f"
 _TUNNELED_PKT = "PKT %.6f %s dcr%s->dcr%s:%.6f delay=%.6f tunneled=1 result=%s%s\n"
 _DIRECT_PKT = "PKT %.6f %s delay=%.6f tunneled=0 result=%s%s\n"
@@ -298,9 +300,9 @@ class SimReport:
             for x in stream[start:start + _BLOCK]:
                 if type(x) is not Delivery:
                     if trace:
-                        lines.append(_NOTIFY)
-                        line_values += (x.seq, x.kind.value, x.vm,
-                                        ",".join(map(str, x.dcr_addrs)))
+                        addrs = x.dcr_addrs
+                        lines.append(_NOTIFY[len(addrs) - 1])
+                        line_values += (x.seq, _KIND_WORDS[x.kind], x.vm) + addrs
                     continue
                 send, user, ingress, target, at, hop_delays, direct = x
                 ev = events[send]

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import math
 import operator
@@ -611,10 +612,78 @@ def test_gen_topology_with_too_few_points_in_its_extent_exits_2(capsys):
                          ids=("gen-topology", "compare"))
 def test_a_negative_infinite_or_nan_extent_reaches_the_extent_check(subcommand, capsys):
     for value, fault in (("-inf", "positive, got -inf"), ("-nan", "finite, got nan")):
-        code, out, err = run_cli(subcommand + ["--extent", value], capsys)
-        assert (code, out, err) == (2, "", f"error: extent must be {fault}\n")
+        # --ext is argparse's abbreviation of --extent.
+        for option in ("--extent", "--ext"):
+            code, out, err = run_cli(subcommand + [option, value], capsys)
+            assert (code, out, err) == (2, "", f"error: extent must be {fault}\n")
     # Other options keep argparse's own reading.
     with pytest.raises(SystemExit) as exc:
         main(subcommand + ["--seed", "-inf"])
     assert exc.value.code == 2
     assert "argument --seed: expected one argument" in capsys.readouterr().err
+
+
+# Each command of the no-cycle check: its words, with {top}, {scn}, {ovl} and
+# {tmp} to fill in, and its exit code. {tmp}/ghost.scn sends to an unknown VM.
+_NO_CYCLE_COMMANDS = {
+    "gen-topology": (["gen-topology", "--n", "30", "--out", "{tmp}/t.top"], 0),
+    "build-overlay": (["build-overlay", "{top}", "--out", "{tmp}/o.overlay"], 0),
+    "eval-overlay": (["eval-overlay", "{ovl}"], 0),
+    "run-trace": (["run", "{top}", "{scn}", "--alg", "3", "--trace", "{tmp}/r.trace"], 0),
+    "run-overlay": (["run", "{top}", "{scn}", "--overlay", "{ovl}"], 0),
+    "compare": (["compare", "--n", "30..40"], 0),
+    "unknown-vm": (["run", "{top}", "{tmp}/ghost.scn"], 2),
+    "missing-scenario": (["run", "{top}", "{tmp}/absent.scn"], 2),
+    "extent-inf": (["gen-topology", "--extent", "-inf"], 2),
+    "compare-n-x": (["compare", "--n", "x"], 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_NO_CYCLE_COMMANDS))
+def test_a_command_leaves_no_reference_cycles(name, tmp_path, capsys):
+    # main runs each handler with the cyclic GC off, so a cycle a command
+    # made would live until the process ends.
+    words, code = _NO_CYCLE_COMMANDS[name]
+    (tmp_path / "ghost.scn").write_text("0 user u1 1 1\n1 send u1 ghost\n", encoding="utf-8")
+    paths = dict(top=example_path("square.top"), scn=example_path("migration.scn"),
+                 ovl=golden_path("square.alg3.overlay"), tmp=tmp_path)
+    argv = [w.format(**paths) for w in words]
+    gc.collect()  # earlier tests' garbage does not count
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+@pytest.mark.parametrize("outcome", ("exit 0", "exit 2", "raises"))
+def test_main_runs_its_handler_with_the_gc_off_and_restores_it(enabled, outcome,
+                                                               monkeypatch, capsys):
+    seen = []
+
+    def generate(*args):
+        seen.append(gc.isenabled())
+        if outcome == "raises":
+            raise RuntimeError("not a package error")
+        return generate_random_topology(*args)
+
+    monkeypatch.setattr(dcrsim.cli, "generate_random_topology", generate)
+    argv = ["gen-topology", "--n", "3"] + (["--extent", "-1"] if outcome == "exit 2" else [])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="not a package error"):
+                main(argv)
+        else:
+            assert main(argv) == int(outcome[-1])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after is enabled

@@ -119,6 +119,16 @@ MUTANTS = (
            "sum(self.edges.values())",
            "totals an overlay's link costs with sum(), which is compensated from Python "
            "3.12 on, so flooding_overhead prints apart on 3.11 and 3.12"),
+    Mutant("gc-on", "src/dcrsim/cli.py",
+           "gc.disable()",
+           "pass",
+           "runs every command's handler with the cyclic GC on, which walks what the "
+           "run keeps alive and finds nothing to collect"),
+    Mutant("gc-restore", "src/dcrsim/cli.py",
+           "gc.enable()",
+           "pass",
+           "leaves the cyclic GC off after main returns, for a caller in the same "
+           "process that had it on"),
     Mutant("lookup-tie", "src/dcrsim/protocol.py",
            "(distance(ap, t.position(d)), d))",
            "(distance(ap, t.position(d)), -d))",
