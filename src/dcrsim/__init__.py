@@ -13,7 +13,7 @@ from .simulator import (Delivery, EventKind, ScenarioEvent, SimReport, Simulatio
                         format_scenario, load_scenario, parse_scenario, run_scenario)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress,
                        distance, format_topology, generate_random_topology,
-                       load_topology, nearest_dcr, parse_topology)
+                       load_topology, nearest_among, parse_topology)
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,6 @@ __all__ = [
     "all_pairs_delay", "build_overlay", "build_tree", "connect_leaves", "distance",
     "flood_duplicate_count", "format_overlay", "format_scenario", "format_topology",
     "generate_random_topology", "leaf_set", "load_overlay", "load_scenario",
-    "load_topology", "lookup", "nearest_dcr", "notification_origin", "overlay_metrics",
+    "load_topology", "lookup", "nearest_among", "notification_origin", "overlay_metrics",
     "parse_overlay", "parse_scenario", "parse_topology", "run_scenario",
 ]

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, OverlayError, ParseError
-from .topology import (DcrId, Point, Topology, distance, input_lines, nearest_among, nearest_dcr,
+from .topology import (DcrId, Point, Topology, by_distance, distance, input_lines, nearest_among,
                        read_input)
 
 Edge = tuple[DcrId, DcrId]
@@ -74,9 +74,6 @@ class Overlay:
             raise ConfigError(f"overlay link costs sum to {self.total_cost!r}: the sums of "
                               f"delays over {len(self.nodes)} nodes overflow")
 
-    def has_edge(self, a: DcrId, b: DcrId) -> bool:
-        return _key(a, b) in self.edges
-
     @cached_property
     def _delays(self) -> np.ndarray:
         """Read-only all-pairs delay matrix, see _delay_matrix."""
@@ -87,11 +84,6 @@ def _midpoint(a: float, b: float) -> float:
     """(a + b) / 2, and finite where only the sum a + b overflows."""
     mid = (a + b) / 2.0
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
-
-
-def _center_root(t: Topology) -> DcrId:
-    x0, x1, y0, y1 = t.box
-    return nearest_dcr(Point(_midpoint(x0, x1), _midpoint(y0, y1)), t)
 
 
 def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
@@ -105,12 +97,10 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
     direct link j-m, j attaches to k, otherwise j attaches to m.
     """
     if root is None:
-        root = _center_root(t)
-    else:
-        t.position(root)  # raises ConfigError for unknown ids
-    rp = t.position(root)
-    pending = sorted((i for i in t.ids() if i != root),
-                     key=lambda i: (distance(rp, t.position(i)), i))
+        x0, x1, y0, y1 = t.box
+        root = nearest_among([Point(_midpoint(x0, x1), _midpoint(y0, y1))], t)[0]
+    # t.position raises ConfigError for an unknown root id.
+    pending = sorted((i for i in t.ids() if i != root), key=by_distance(t.position(root), t))
     # Each joiner's nearest node among those that joined before it.
     nearest = nearest_among([t.position(j) for j in pending], t, [root] + pending)
     parents: dict[DcrId, DcrId] = {}
@@ -155,8 +145,7 @@ def connect_leaves(o: Overlay, t: Topology) -> Overlay:
     gaps = [angle[b] - angle[a] for a, b in pairs]
     gaps[-1] += 2.0 * math.pi
     del pairs[gaps.index(max(gaps))]
-    return _extend(o, {_key(a, b): distance(t.position(a), t.position(b))
-                       for a, b in pairs if not o.has_edge(a, b)})
+    return _extend(o, t, pairs)
 
 
 def add_wraparound(o: Overlay, t: Topology) -> Overlay:
@@ -168,16 +157,19 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
     """
     x0, x1, y0, y1 = t.box
     mid_y = _midpoint(y0, y1)
-    west = nearest_dcr(Point(x0, mid_y), t)
-    east = nearest_dcr(Point(x1, mid_y), t)
-    if west == east or o.has_edge(west, east):
+    west, east = nearest_among([Point(x0, mid_y), Point(x1, mid_y)], t)
+    return o if west == east else _extend(o, t, [(west, east)])
+
+
+def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
+    """o plus a link for each of the pairs that o does not link yet, costing the
+    distance between its two DCRs; o itself if there is none. If o's delay
+    matrix is already computed, the new overlay's matrix starts from it, in its
+    sweep order (see _delay_matrix)."""
+    added = {_key(a, b): distance(t.position(a), t.position(b))
+             for a, b in pairs if _key(a, b) not in o.edges}
+    if not added:
         return o
-    return _extend(o, {_key(west, east): distance(t.position(west), t.position(east))})
-
-
-def _extend(o: Overlay, added: dict[Edge, float]) -> Overlay:
-    """o plus the added links. If o's delay matrix is already computed, the
-    new overlay's matrix starts from it, in its sweep order (see _delay_matrix)."""
     new = replace(o, edges={**o.edges, **added})
     base = vars(o).get("_delays")
     if base is not None:
@@ -364,10 +356,12 @@ def flood_duplicate_count(o: Overlay) -> int:
 
 def format_overlay(o: Overlay) -> str:
     """Text form: `root <id>` then `edge <a> <b> <cost>` lines, a < b,
-    lexicographically sorted, costs with 6 decimals."""
+    lexicographically sorted, costs with 6 decimals. A cost under 5e-7, which
+    those round to 0.000000, is written by repr, so that it parses back."""
     lines = [f"root {o.root}"]
-    for a, b in sorted(o.edges):
-        lines.append(f"edge {a} {b} {o.edges[(a, b)]:.6f}")
+    for (a, b), cost in sorted(o.edges.items()):
+        text = f"{cost:.6f}"
+        lines.append(f"edge {a} {b} {text if text != '0.000000' else repr(cost)}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import ConfigError
-from .topology import AnycastAddress, DcrId, Topology, UnicastAddress, distance
+from .topology import AnycastAddress, DcrId, Topology, UnicastAddress, by_distance
 
 
 class VmMode(enum.Enum):
@@ -24,15 +24,13 @@ class VmMode(enum.Enum):
     ANYCAST_MIGRATABLE = "anycast-migrate"
     ANYCAST_REPLICATED = "anycast-replicate"
 
-    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
-
 
 class NotificationKind(enum.Enum):
     MIGRATION = "MIGRATION"
     REPLICATION = "REPLICATION"
     DESTRUCTION = "DESTRUCTION"
 
-    __hash__ = object.__hash__
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
 
 
 # Read once per notification or change: a module global is read faster than a member.
@@ -139,5 +137,4 @@ def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> Dcr
     hosts = entry.hosts()
     if len(hosts) < 2:
         return next(iter(hosts), vm.subblock)
-    ap = t.position(at)
-    return min(hosts, key=lambda d: (distance(ap, t.position(d)), d))
+    return min(hosts, key=by_distance(t.position(at), t))

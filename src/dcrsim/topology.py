@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,11 @@ class Point:
 def distance(a: Point, b: Point) -> float:
     """Propagation delay between two positions."""
     return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def by_distance(p: Point, t: Topology) -> Callable[[DcrId], tuple[float, DcrId]]:
+    """The key that orders t's DCRs by distance from p, ties to the lowest id."""
+    return lambda i: (distance(p, t.position(i)), i)
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,7 @@ class Topology:
         object.__setattr__(self, "_pos", dict(dcrs))
         xs, ys = [p.x for _, p in dcrs], [p.y for _, p in dcrs]
         object.__setattr__(self, "box", (min(xs), max(xs), min(ys), max(ys)))
-        # The ids and their coordinates, for vectorised nearest-DCR scans.
-        object.__setattr__(self, "_ids", np.array(ids, dtype=np.intp))
+        # The coordinates, by id - 1, for vectorised nearest-DCR scans.
         object.__setattr__(self, "_xs", np.array(xs))
         object.__setattr__(self, "_ys", np.array(ys))
 
@@ -87,8 +92,8 @@ NEAREST_BLOCK = 128  # query points per numpy pass of nearest_among
 def nearest_among(points: list[Point], t: Topology,
                   joined: list[DcrId] | None = None) -> list[DcrId]:
     """For each of points, the DCR nearest it by the exact key
-    (distance(point, position), id), so ties go to the lowest id. Any DCR
-    of t may win, or, given joined, points[r] may pick only joined[:r + 1].
+    by_distance(point, t), so ties go to the lowest id. Any DCR of t may
+    win, or, given joined, points[r] may pick only joined[:r + 1].
 
     Blocks of NEAREST_BLOCK points each take one numpy pass, which shortlists
     the DCRs whose squared distance is within a relative 1e-9 of the row's
@@ -98,7 +103,7 @@ def nearest_among(points: list[Point], t: Topology,
     still shortlists, since the test subtracts nothing; the shortlist is then
     masked to the allowed DCRs, as an all-inf row shortlists the others too.
     """
-    ids = t._ids if joined is None else np.array(joined)  # type: ignore[attr-defined]
+    ids = np.arange(1, t.n + 1) if joined is None else np.array(joined)
     xs, ys = t._xs[ids - 1], t._ys[ids - 1]  # type: ignore[attr-defined]
     qx, qy = np.array([p.x for p in points]), np.array([p.y for p in points])
     out: list[DcrId] = []
@@ -122,13 +127,8 @@ def nearest_among(points: list[Point], t: Topology,
             continue
         shortlists = np.split(ids[cols], np.searchsorted(rows, np.arange(1, r1 - r0)))
         for p, shortlist in zip(points[r0:r1], shortlists):
-            out.append(min(shortlist.tolist(), key=lambda i: (distance(p, t.position(i)), i)))
+            out.append(min(shortlist.tolist(), key=by_distance(p, t)))
     return out
-
-
-def nearest_dcr(p: Point, t: Topology) -> DcrId:
-    """The DCR a client at p attaches to; distance ties go to the lowest id."""
-    return nearest_among([p], t)[0]
 
 
 def box_reach(x0: float, x1: float, y0: float, y1: float, hops: int = 1) -> float:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 
 import pytest
@@ -27,6 +28,16 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_star_import_binds_exactly_the_public_names():
+    # A name left in __all__ after its function is gone fails the star import.
+    namespace = {}
+    exec("from dcrsim import *", namespace)
+    public = {name for name, value in vars(dcrsim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(dcrsim.__all__) == sorted(public)
+    assert set(namespace) - {"__builtins__"} == public
 
 
 def test_gen_topology_writes_parseable_file(tmp_path, capsys):
@@ -62,6 +73,24 @@ def test_build_overlay_round_trip(tmp_path, capsys):
     assert code == 0
     o = parse_overlay(ovl.read_text())
     assert len(o.nodes) == 9
+
+
+@pytest.mark.parametrize("text", [
+    "dcr 1 0 0\ndcr 2 3e-7 0\ndcr 3 0 5\n",
+    "dcr 1 0 0\ndcr 2 5e-324 0\ndcr 3 0 5e-324\n",  # one subnormal step
+], ids=["3e-7", "5e-324"])
+def test_build_overlay_writes_costs_under_5e_7_that_parse_back(text, tmp_path, capsys):
+    # Six decimals round such a cost to 0.000000, which parse_overlay rejects.
+    top, ovl = tmp_path / "t.top", tmp_path / "o.ovl"
+    top.write_text(text)
+    assert run_cli(["build-overlay", str(top), "--out", str(ovl)], capsys) == (0, "", "")
+    tiny = build_overlay(parse_topology(text), 3).edges[(1, 2)]
+    assert 0 < tiny < 5e-7
+    assert parse_overlay(ovl.read_text()).edges[(1, 2)] == tiny  # bit for bit
+    assert run_cli(["eval-overlay", str(ovl)], capsys)[::2] == (0, "")
+    code, _, err = run_cli(["run", str(top), example_path("migration.scn"),
+                            "--overlay", str(ovl)], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_build_overlay_rejects_bad_alg(capsys):

@@ -547,6 +547,6 @@ def test_visit_order_changes_no_bits(n):
             assert np.array_equal(all_pairs_delay(o), oracle)
         o = cold[0]
         for full, oracle in zip(overlays[1:], wanted[1:]):  # warm-started from cold[0]
-            o = dcrsim.overlay._extend(o, {e: c for e, c in full.edges.items() if e not in o.edges})
+            o = dcrsim.overlay._extend(o, t, list(full.edges))
             assert "_warm" in vars(o)
             assert np.array_equal(all_pairs_delay(o), oracle)

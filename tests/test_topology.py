@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from dcrsim import (AnycastAddress, ConfigError, ParseError, Point, ScenarioError,
                     Simulation, Topology, UnicastAddress, build_overlay, distance,
-                    format_topology, generate_random_topology, nearest_dcr,
+                    format_topology, generate_random_topology, nearest_among,
                     parse_scenario, parse_topology)
 from dcrsim.overlay import build_tree
-from dcrsim.topology import nearest_among
 
 from oracles import scalar_build_tree, scalar_nearest_dcr
 
@@ -71,13 +70,12 @@ def test_topology_position_unknown_id():
 
 
 def test_nearest_dcr_picks_closest():
-    assert nearest_dcr(Point(1, 1), square()) == 4
-    assert nearest_dcr(Point(9, 9), square()) == 2
+    assert nearest_among([Point(1, 1), Point(9, 9)], square()) == [4, 2]
 
 
 def test_nearest_dcr_tie_goes_to_lowest_id():
     # (5, 5) is equidistant from all four corners.
-    assert nearest_dcr(Point(5.0, 5.0), square()) == 1
+    assert nearest_among([Point(5.0, 5.0)], square()) == [1]
 
 
 def test_address_plan_rejects_unknown_dc():
@@ -152,8 +150,7 @@ def test_nearest_dcr_equals_the_scalar_scan():
     rng = random.Random(8)
     points = [Point(rng.uniform(-20, 120), rng.uniform(-20, 120)) for _ in range(2000)]
     points += [p for _, p in t.dcrs]  # distance 0 to one DCR
-    for p in points:
-        assert nearest_dcr(p, t) == scalar_nearest_dcr(p, t)
+    assert nearest_among(points, t) == [scalar_nearest_dcr(p, t) for p in points]
 
 
 def test_nearest_dcr_ties_on_a_lattice_go_to_the_lowest_id():
@@ -162,10 +159,8 @@ def test_nearest_dcr_ties_on_a_lattice_go_to_the_lowest_id():
     ids = list(range(1, 37))
     random.Random(1).shuffle(ids)
     t = Topology(tuple((ids[k], Point(float(k % 6), float(k // 6))) for k in range(36)))
-    for i in range(11):
-        for j in range(11):
-            p = Point(i / 2.0, j / 2.0)
-            assert nearest_dcr(p, t) == scalar_nearest_dcr(p, t)
+    points = [Point(i / 2.0, j / 2.0) for i in range(11) for j in range(11)]
+    assert nearest_among(points, t) == [scalar_nearest_dcr(p, t) for p in points]
 
 
 @pytest.mark.parametrize("text, line", [
@@ -192,7 +187,7 @@ def test_nearest_among_does_not_overflow_at_the_largest_finite_distance():
         warnings.simplefilter("error")
         # Its square overflows to inf, which must still shortlist DCR 2.
         assert nearest_among([Point(0.0, 0.0)], t, [2]) == [2]
-        assert nearest_dcr(Point(0.0, top), t) == 2
+        assert nearest_among([Point(0.0, top)], t) == [2]
 
 
 # Squares underflow below about 1.5e-154 and overflow above about 1.34e154.
@@ -220,8 +215,7 @@ def test_nearest_rule_is_exact_at_every_scale(scale):
                        for _ in range(20)]
             points += [Point(p.x / 2 + q.x / 2, p.y / 2 + q.y / 2)  # between two DCRs
                        for p, q in zip(points, points[1:t.n])]
-            for p in points:
-                assert nearest_dcr(p, t) == scalar_nearest_dcr(p, t), (seed, p)
+            assert nearest_among(points, t) == [scalar_nearest_dcr(p, t) for p in points], seed
 
 
 def test_nearest_among_shortlists_by_the_absolute_term_where_squares_underflow():
@@ -232,7 +226,7 @@ def test_nearest_among_shortlists_by_the_absolute_term_where_squares_underflow()
     t = Topology(((1, near), (2, far)))
     assert distance(Point(0.0, 0.0), near) < distance(Point(0.0, 0.0), far)
     assert near.x * near.x + near.y * near.y > far.x * far.x
-    assert nearest_dcr(Point(0.0, 0.0), t) == 1 == scalar_nearest_dcr(Point(0.0, 0.0), t)
+    assert nearest_among([Point(0.0, 0.0)], t) == [1] == [scalar_nearest_dcr(Point(0.0, 0.0), t)]
 
 
 def unbounded_random_topology(seed, n, extent):

@@ -129,10 +129,20 @@ MUTANTS = (
            "pass",
            "leaves the cyclic GC off after main returns, for a caller in the same "
            "process that had it on"),
-    Mutant("lookup-tie", "src/dcrsim/protocol.py",
-           "(distance(ap, t.position(d)), d))",
-           "(distance(ap, t.position(d)), -d))",
-           "sends a packet to the highest of two equally near hosts, not the lowest id"),
+    Mutant("nearest-tie", "src/dcrsim/topology.py",
+           "(distance(p, t.position(i)), i)",
+           "(distance(p, t.position(i)), -i)",
+           "breaks distance ties to the highest id, not the lowest, wherever DCRs are "
+           "ranked by distance: a packet's host, a user's DCR, a tree's join order"),
+    Mutant("tiny-cost", "src/dcrsim/overlay.py",
+           "text if text != '0.000000' else repr(cost)",
+           "text",
+           "writes a link cost under 5e-7 as 0.000000, which parse_overlay rejects"),
+    Mutant("extend-skip", "src/dcrsim/overlay.py",
+           "for a, b in pairs if _key(a, b) not in o.edges}",
+           "for a, b in pairs}",
+           "adds again a link the overlay already has, so an extension that adds "
+           "nothing returns a new overlay"),
 )
 
 # Equivalent to the original, so not run.
