@@ -9,7 +9,9 @@ for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import os
 import sys
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
@@ -18,24 +20,28 @@ from .simulator import Simulation, _mean, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) to its path, or to stdout where it is None.
+    Every path is opened before any text is written, so a path that cannot
+    be opened leaves no byte of any output."""
+    with contextlib.ExitStack() as stack:
+        files = [sys.stdout if path is None
+                 else stack.enter_context(open(path, "w", encoding="utf-8"))
+                 for _, path in outputs]
+        for (text, _), f in zip(outputs, files):
             f.write(text)
 
 
 def cmd_gen_topology(args: argparse.Namespace) -> int:
     t = generate_random_topology(args.seed, args.n, args.extent)
-    _write(format_topology(t), args.out)
+    _write((format_topology(t), args.out))
     return 0
 
 
 def cmd_build_overlay(args: argparse.Namespace) -> int:
     t = load_topology(args.topology)
     o = build_overlay(t, args.alg)
-    _write(format_overlay(o), args.out)
+    _write((format_overlay(o), args.out))
     return 0
 
 
@@ -80,11 +86,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for alg in (1, 2, 3):
         means = [_mean(c) for c in zip(*columns[alg])]
         rows.append(f"mean,,,{alg}," + ",".join(f"{m:.6f}" for m in means))
-    _write("\n".join(rows) + "\n", args.out)
+    _write(("\n".join(rows) + "\n", args.out))
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # Two open files on one path would overwrite each other's bytes.
+    if args.out is not None and args.trace is not None and (
+            os.path.realpath(args.out) == os.path.realpath(args.trace)):
+        raise ConfigError(f"--out and --trace name the same file: {args.trace}")
     t = load_topology(args.topology)
     events = load_scenario(args.scenario)
     if args.overlay is not None:
@@ -92,9 +102,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         o = build_overlay(t, args.alg)
     csv, trace = Simulation(t, o, events).run().render(trace=args.trace is not None)
-    _write(csv, args.out)
-    if trace is not None:
-        _write(trace, args.trace)
+    if trace is None:
+        _write((csv, args.out))
+    else:
+        _write((csv, args.out), (trace, args.trace))
     return 0
 
 

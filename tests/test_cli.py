@@ -267,6 +267,29 @@ def test_run_writes_report_and_trace(tmp_path, capsys):
     assert trace.count("PKT ") == 2
 
 
+@pytest.mark.parametrize("out", [None, "r.csv"], ids=["stdout", "out"])
+def test_run_writes_no_report_when_the_trace_cannot_be_opened(out, tmp_path, capsys):
+    trace = tmp_path / "missing" / "r.trace"
+    argv = ["run", example_path("square.top"), example_path("migration.scn"),
+            "--trace", str(trace)] + ([] if out is None else ["--out", str(tmp_path / out)])
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and str(trace) in err
+    if out is not None:
+        assert (tmp_path / out).read_text() == ""
+
+
+def test_run_refuses_one_file_for_the_report_and_the_trace(tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    path.write_text("kept\n")
+    code, out, err = run_cli(["run", example_path("square.top"), example_path("migration.scn"),
+                              "--out", str(path), "--trace", str(tmp_path / "." / "r.txt")],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --out and --trace name the same file: {tmp_path / '.' / 'r.txt'}\n"
+    assert path.read_text() == "kept\n"
+
+
 def test_run_formats_pkt_lines_only_for_a_trace(tmp_path, capsys):
     # Without --trace the walk renders no trace, and the run writes none.
     t = load_topology(example_path("square.top"))
@@ -345,19 +368,35 @@ def test_run_bad_scenario_exits_nonzero(tmp_path, capsys):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("user_line", ["{} user u1 1 1", "0 user u1 {} 1", "0 user u1 1 {}"],
-                         ids=["time", "x", "y"])
-def test_non_finite_scenario_numbers_fail_at_parse_time(user_line, value, tmp_path, capsys):
-    text = f"0 create vm1 1 anycast-migrate\n{user_line.format(value)}\n1 send u1 vm1\n"
-    with pytest.raises(ParseError, match="line 2: non-finite"):
-        parse_scenario(text)
-    scn = tmp_path / "bad.scn"
+# A bad value in each field of the test's three lines that can hold one:
+# the field, the value, and the compiler's error, which names the line.
+VALUE_FAULTS = (
+    [("time", "-1", "line 2: event time must be >= 0, got -1.0")]
+    + [("time", v, f"line 2: event time must be finite, got {v}") for v in ("nan", "inf", "-inf")]
+    + [("x", v, f"line 2: user u1 at ({v}, 1.0): coordinates must be finite")
+       for v in ("nan", "inf", "-inf")]
+    + [("y", v, f"line 2: user u1 at (1.0, {v}): coordinates must be finite")
+       for v in ("nan", "inf", "-inf")]
+    + [(field, name, f"line {line}: bad identifier {name!r}")
+       for field, line in (("vm", 1), ("user", 2), ("session", 3)) for name in ("a,b", 'a"b')])
+
+
+@pytest.mark.parametrize("field, value, fault", VALUE_FAULTS,
+                         ids=[f"{field}-{value}" for field, value, _ in VALUE_FAULTS])
+def test_bad_scenario_values_fail_before_anything_runs(field, value, fault, tmp_path, capsys):
+    word = {"vm": "vm1", "time": "0", "user": "u1", "x": "1", "y": "1", "session": "s1",
+            field: value}
+    text = (f"0 create {word['vm']} 1 anycast-migrate\n"
+            f"{word['time']} user {word['user']} {word['x']} {word['y']}\n"
+            f"1 send {word['user']} {word['vm']} session {word['session']}\n")
+    # The parser reads every value; checking them is the compiler's part.
+    assert len(parse_scenario(text)) == 3
+    scn, report, trace = tmp_path / "bad.scn", tmp_path / "r.csv", tmp_path / "r.trace"
     scn.write_text(text)
-    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
-    assert code == 2
-    assert "line 2: non-finite" in err
-    assert out == ""
+    code, out, err = run_cli(["run", example_path("square.top"), str(scn),
+                              "--out", str(report), "--trace", str(trace)], capsys)
+    assert (code, out, err) == (2, "", f"error: {fault}\n")
+    assert not report.exists() and not trace.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -499,15 +538,6 @@ def test_topology_whose_distances_overflow_fails_at_parse_time(tmp_path, capsys)
     code, out, err = run_cli(["build-overlay", str(top), "--alg", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: line 3: DCR 3 ")
-
-
-def test_negative_scenario_time_fails_at_parse_time(tmp_path, capsys):
-    scn = tmp_path / "bad.scn"
-    scn.write_text("0 create vm1 1 anycast-migrate\n-1 user u1 0 0\n")
-    code, out, err = run_cli(["run", example_path("square.top"), str(scn)], capsys)
-    assert code == 2
-    assert "line 2: negative time" in err
-    assert out == ""
 
 
 # A byte that is not UTF-8 in each kind of input file: the file's name and

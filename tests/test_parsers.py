@@ -38,6 +38,12 @@ TALL_TOPOLOGY = f"dcr 1 0.0 0.0\ndcr 2 0.0 {LARGEST}\n"
 TINY_TOPOLOGY = "dcr 1 0 0\ndcr 2 5e-324 0\ndcr 3 0 5e-324\n"
 
 
+FIELDS = operator.attrgetter(*ScenarioEvent._fields)
+# Stands in for a NaN field: two NaNs never compare equal, but a NaN field
+# read by both parsers is the same field.
+NAN = object()
+
+
 def outcome(parse, text):
     """What parse makes of text: each event's repr and fields, or the type and
     message of what it raised."""
@@ -45,7 +51,7 @@ def outcome(parse, text):
         events = parse(text)
     except Exception as e:  # noqa: BLE001 - the type is what is compared
         return type(e), str(e)
-    return [(repr(ev), tuple(getattr(ev, f) for f in ScenarioEvent._fields)) for ev in events]
+    return [(repr(ev), tuple(NAN if v != v else v for v in FIELDS(ev))) for ev in events]
 
 
 def assert_parsers_agree(text):

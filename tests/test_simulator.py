@@ -82,9 +82,17 @@ def test_parse_scenario_errors_carry_line_numbers():
         parse_scenario("0 create vm1 1 broadcast\n")
 
 
-def test_parse_scenario_rejects_negative_time():
-    with pytest.raises(ParseError, match="line 1: negative time"):
-        parse_scenario("-1 user u1 0 0\n")
+def test_parse_scenario_reads_a_negative_time_that_simulation_rejects():
+    events = parse_scenario("-1 user u1 0 0\n")
+    assert events == [ev(-1.0, EventKind.PLACE_USER, user="u1", x=0.0, y=0.0, line=1)]
+    with pytest.raises(ScenarioError, match=r"^line 1: event time must be >= 0, got -1\.0$"):
+        sim_for(events)
+
+
+def test_a_send_naming_a_user_no_line_can_place_fails_as_an_unknown_user():
+    events = parse_scenario("0 create vm1 1 unicast\n1 send a,b vm1\n")
+    with pytest.raises(ScenarioError, match="^line 2: unknown user a,b$"):
+        sim_for(events)
 
 
 # Every kind and every mode, one event a line.
@@ -229,18 +237,19 @@ def events_naming(field, bad):
 
 @pytest.mark.parametrize("field, line", NAMED_FIELDS)
 def test_names_with_a_comma_fail_before_anything_runs(field, line):
-    # Built in code, past parse_scenario's own check: each would split its
-    # CSV row into 15 fields.
+    # Each would split its CSV row into 15 fields.
     with pytest.raises(ScenarioError, match=f"^line {line}: bad identifier 'a,b'$"):
         sim_for(events_naming(field, "a,b"))
 
 
-@pytest.mark.parametrize("bad", ["u 1\n2", "", "a\tb", " a", "a\u00a0b"])
+@pytest.mark.parametrize("bad", ["u 1\n2", "", "a\tb", " a", "a\u00a0b", 'a"b', '"u'])
 @pytest.mark.parametrize("field, line", NAMED_FIELDS)
 def test_names_with_whitespace_or_empty_fail_before_anything_runs(field, line, bad):
     # parse_scenario splits lines on whitespace, so it never reads such a
     # name. Built in code, user 'u 1\n2' would split its CSV row over two
-    # lines, and session '' would be dropped by format_scenario.
+    # lines, and session '' would be dropped by format_scenario. A quote,
+    # which the parser does read, would open a quoted CSV field that runs on
+    # past the field's end.
     with pytest.raises(ScenarioError,
                        match=f"^line {line}: bad identifier {re.escape(repr(bad))}$"):
         sim_for(events_naming(field, bad))

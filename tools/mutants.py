@@ -143,6 +143,16 @@ MUTANTS = (
            "for a, b in pairs}",
            "adds again a link the overlay already has, so an extension that adds "
            "nothing returns a new overlay"),
+    Mutant("name-quote", "src/dcrsim/simulator.py",
+           """or "," in text or '"' in text:""",
+           """or "," in text:""",
+           "lets a name hold a quote, which opens a quoted CSV field that runs on past "
+           "its row's next commas"),
+    Mutant("outputs-first", "src/dcrsim/cli.py",
+           "_write((csv, args.out), (trace, args.trace))",
+           "_write((csv, args.out)); _write((trace, args.trace))",
+           "writes the whole report before the trace path is opened, so a trace that "
+           "cannot be opened leaves a report behind, and exits 2"),
 )
 
 # Equivalent to the original, so not run.
