@@ -12,7 +12,10 @@ import argparse
 import contextlib
 import gc
 import os
+import stat
 import sys
+import tempfile
+from typing import IO
 
 from .errors import ConfigError, OverlayError, ParseError, ScenarioError
 from .overlay import build_overlay, format_overlay, load_overlay, overlay_metrics, stages
@@ -20,16 +23,59 @@ from .simulator import Simulation, _mean, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
 
 
+def _stage(path: str) -> tuple[IO[str], str, str | None]:
+    """An open file for path's text, its name, and the path it replaces: a
+    new temporary file beside path, with the mode open(path, "w") leaves
+    path with. A path that exists but is not a writable regular file, such
+    as /dev/null, is opened itself, and replaces nothing."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        mode = 0o666 & ~mask
+    else:
+        if not stat.S_ISREG(st.st_mode) or not os.access(path, os.W_OK):
+            return open(path, "w", encoding="utf-8"), path, None
+        mode = stat.S_IMODE(st.st_mode)
+    target = os.path.realpath(path)
+    try:
+        fd, name = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                    dir=os.path.dirname(target))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None  # names path, not the temporary file
+    os.fchmod(fd, mode)
+    return open(fd, "w", encoding="utf-8"), name, target
+
+
 def _write(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) to its path, or to stdout where it is None.
-    Every path is opened before any text is written, so a path that cannot
-    be opened leaves no byte of any output."""
-    with contextlib.ExitStack() as stack:
-        files = [sys.stdout if path is None
-                 else stack.enter_context(open(path, "w", encoding="utf-8"))
-                 for _, path in outputs]
-        for (text, _), f in zip(outputs, files):
+
+    Every path is staged (see _stage) before any text is written, and the
+    temporary files replace their paths only once every text is written to
+    them, so an output that fails leaves every path as it was and its
+    temporary file removed. Stdout is written last."""
+    files = [(text, path) for text, path in outputs if path is not None]
+    staged: list[tuple[IO[str], str, str | None]] = []
+    try:
+        for _, path in files:
+            staged.append(_stage(path))
+        for (f, _, _), (text, _) in zip(staged, files):
             f.write(text)
+            f.close()
+        for _, name, target in staged:
+            if target is not None:
+                os.replace(name, target)
+    except BaseException:
+        for f, name, target in staged:
+            f.close()
+            if target is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(name)
+        raise
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def cmd_gen_topology(args: argparse.Namespace) -> int:

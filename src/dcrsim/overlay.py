@@ -101,21 +101,23 @@ def build_tree(t: Topology, root: DcrId | None = None) -> Overlay:
         root = nearest_among([Point(_midpoint(x0, x1), _midpoint(y0, y1))], t)[0]
     # t.position raises ConfigError for an unknown root id.
     pending = sorted((i for i in t.ids() if i != root), key=by_distance(t.position(root), t))
+    pos = t._pos  # type: ignore[attr-defined]
+    points = [pos[j] for j in pending]
     # Each joiner's nearest node among those that joined before it.
-    nearest = nearest_among([t.position(j) for j in pending], t, [root] + pending)
+    nearest = nearest_among(points, t, [root] + pending)
     parents: dict[DcrId, DcrId] = {}
     edges: dict[Edge, float] = {}
-    for j, k in zip(pending, nearest):
-        jp = t.position(j)
-        attach = k
+    for j, jp, k in zip(pending, points, nearest):
+        kp = pos[k]
+        attach, cost = k, distance(jp, kp)
         if k != root:
             m = parents[k]
-            direct = distance(jp, t.position(m))
-            indirect = distance(jp, t.position(k)) + distance(t.position(k), t.position(m))
+            mp = pos[m]
+            direct, indirect = distance(jp, mp), cost + distance(kp, mp)
             if indirect >= 1.25 * direct:
-                attach = m
+                attach, cost = m, direct
         parents[j] = attach
-        edges[_key(j, attach)] = distance(jp, t.position(attach))
+        edges[_key(j, attach)] = cost
     return Overlay(nodes=tuple(t.ids()), edges=edges, root=root)
 
 
@@ -165,7 +167,7 @@ def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
     """o plus a link for each of the pairs that o does not link yet, costing the
     distance between its two DCRs; o itself if there is none. If o's delay
     matrix is already computed, the new overlay's matrix starts from it, in its
-    sweep order (see _delay_matrix)."""
+    sweep order and from its neighbour lists (see _delay_matrix)."""
     added = {_key(a, b): distance(t.position(a), t.position(b))
              for a, b in pairs if _key(a, b) not in o.edges}
     if not added:
@@ -173,7 +175,7 @@ def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
     new = replace(o, edges={**o.edges, **added})
     base = vars(o).get("_delays")
     if base is not None:
-        object.__setattr__(new, "_warm", (base, o._order, {v for e in added for v in e}))
+        object.__setattr__(new, "_warm", (base, o._order, o._links, added))
     return new
 
 
@@ -203,9 +205,10 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     o's minimum spanning tree (see _visit_tree), with the sources in its
     preorder so that each subtree's sources are one slice. Children first, a
     node's delays from its subtree are its child's plus the link; then
-    parents first, its other delays are its parent's plus the link. Sweeps
-    then relax the other links. A visit to node w relaxes the delays from
-    every source to w at once, from the rows of the neighbours that improved
+    parents first, its other delays are its parent's plus the link. The
+    columns go back to id order a block of rows at a time. Sweeps then relax
+    the other links. A visit to node w relaxes the delays from every source
+    to w at once, in place, from the rows of the neighbours that improved
     since w's last visit (the others' cannot improve w's); sweeps visit the
     tree's preorder, reversed then forward, skipping nodes with no such
     neighbour, until nothing improves. Float addition is monotone and costs
@@ -217,22 +220,28 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
 
     Warm start: connect_leaves and add_wraparound only add links, and when
     their input's matrix was already computed they hand it on, with its
-    sweep order, so no tree is built. The sweeps then start from a copy of
-    it, with only the added links' endpoints pending, from all their
-    neighbours. Every old entry is such a sum along a path the new overlay
-    also has, so the sweeps reach the same fixed point. The hand-off is
-    dropped once this matrix is computed; until then, an extended overlay
-    keeps its base's matrix alive.
+    sweep order and neighbour lists, so no tree is built and no link is
+    listed again. The sweeps then start from a copy of the matrix, and of
+    the lists with the added links, with only the added links' endpoints
+    pending, from all their neighbours. Every old entry is such a sum along
+    a path the new overlay also has, so the sweeps reach the same fixed
+    point. The hand-off is dropped once this matrix is computed; until then,
+    an extended overlay keeps its base's matrix alive.
     """
     warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
     index = {v: i for i, v in enumerate(o.nodes)}
-    # Per node: its neighbours, in id order, with their link costs.
-    links: list[dict[int, float]] = [{} for _ in o.nodes]
-    for (a, b), cost in sorted(o.edges.items()):
-        links[index[a]][index[b]] = links[index[b]][index[a]] = cost
     if warm is None:
-        order, parent = _visit_tree(o, index, links)
+        new, links = o.edges, [{} for _ in o.nodes]
+    else:
+        base, order, base_links, new = warm
+        links = [dict(ls) for ls in base_links]
+    # Per node: its neighbours with their link costs, each a 0-d array, which
+    # numpy adds without converting a Python float.
+    for (a, b), cost in new.items():
+        links[index[a]][index[b]] = links[index[b]][index[a]] = np.array(cost)
+    if warm is None:
+        order, parent = _visit_tree(o, index)
         # dt[w, pos[s]] is the delay from s to w; w's subtree is pos[w]:pos[w] + size[w].
         perm, size = np.argsort(order), [1] * n
         pos = perm.tolist()
@@ -247,15 +256,15 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
             p, end = parent[w], pos[w] + size[w]
             np.add(rows[p][:pos[w]], links[w][p], out=rows[w][:pos[w]])
             np.add(rows[p][end:], links[w][p], out=rows[w][end:])
-        for row in rows:  # dt[w, s] is the delay from s to w
-            row[:] = row[perm]
-        pending = [{u: c for u, c in ls.items() if u != parent.get(w) and parent.get(u) != w}
+        for r in range(0, n, 64):  # dt[w, s] is the delay from s to w
+            dt[r:r + 64] = dt[r:r + 64, perm]
+        pending = [{u: c for u, c in ls.items() if u != parent[w] and parent[u] != w}
                    for w, ls in enumerate(links)]
     else:
-        base, order, ends = warm
         dt = base.T.copy()
         rows = list(dt)
-        pending = [dict(ls) if v in ends else {} for v, ls in zip(o.nodes, links)]
+        ends = {index[v] for e in new for v in e}
+        pending = [dict(ls) if w in ends else {} for w, ls in enumerate(links)]
     # pending[w]: the neighbours whose rows improved since w's last visit,
     # with their link costs; w's row is already no worse than the others'.
     cand, scratch = np.empty(n), np.empty(n)
@@ -270,26 +279,27 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
                 for u, c in others:
                     np.minimum(cand, np.add(rows[u], c, out=scratch), out=cand)
                 row = rows[w]
-                # No delay is -0.0 or nan: the bytes differ iff a candidate is less.
-                np.minimum(row, cand, out=cand)
-                if cand.tobytes() != row.tobytes():
-                    row[...] = cand
+                # No delay is -0.0 or nan: the bytes change iff a candidate is less.
+                before = row.tobytes()
+                np.minimum(row, cand, out=row)
+                if row.tobytes() != before:
                     improved = True
                     for u, c in links[w].items():
                         pending[u][w] = c
     object.__setattr__(o, "_order", order)
+    object.__setattr__(o, "_links", links)
     mat = dt.T
     mat.flags.writeable = False
     return mat
 
 
-def _visit_tree(o: Overlay, index: dict[DcrId, int],
-                nbrs: list[dict[int, float]]) -> tuple[list[int], dict[int, int]]:
+def _visit_tree(o: Overlay, index: dict[DcrId, int]) -> tuple[list[int], list[int]]:
     """Node indices in depth-first preorder from the root, children in id
-    order, and each non-root node's parent index, of o's minimum spanning
-    tree: Kruskal's, taking links by cost, ties to the lower (a, b). Raises
-    OverlayError if o is disconnected."""
-    comp = list(range(len(nbrs)))  # union-find: a node's parent, or itself at the top
+    order, and each node's parent index (-1 for the root), of o's minimum
+    spanning tree: Kruskal's, taking links by cost, ties to the lower (a, b).
+    Raises OverlayError if o is disconnected."""
+    n = len(o.nodes)
+    comp = list(range(n))  # union-find: a node's parent, or itself at the top
 
     def find(v: int) -> int:
         while comp[v] != v:
@@ -297,23 +307,28 @@ def _visit_tree(o: Overlay, index: dict[DcrId, int],
             v = comp[v]
         return v
 
-    tree: list[list[int]] = [[] for _ in nbrs]
-    for _, i, j in sorted((c, i, j) for i, ls in enumerate(nbrs) for j, c in ls.items() if i < j):
+    tree: list[list[int]] = [[] for _ in o.nodes]
+    unions = 0
+    for _, i, j in sorted((c, index[a], index[b]) for (a, b), c in o.edges.items()):
         ri, rj = find(i), find(j)
         if ri != rj:
             comp[ri] = rj
+            unions += 1
             tree[i].append(j)
             tree[j].append(i)
-    missing = [v for i, v in enumerate(o.nodes) if find(i) != find(0)]
-    if missing:
+    if unions < n - 1:
+        missing = [v for i, v in enumerate(o.nodes) if find(i) != find(0)]
         raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
-    order, parent, stack = [], {}, [index[o.root]]
+    order, parent, stack = [], [-1] * n, [index[o.root]]
+    for adjacent in tree:
+        adjacent.sort(reverse=True)
     while stack:
         v = stack.pop()
         order.append(v)
-        children = sorted(u for u in tree[v] if u != parent.get(v))
-        parent.update(dict.fromkeys(children, v))
-        stack.extend(reversed(children))
+        for u in tree[v]:
+            if u != parent[v]:
+                parent[u] = v
+                stack.append(u)
     return order, parent
 
 

@@ -275,8 +275,60 @@ def test_run_writes_no_report_when_the_trace_cannot_be_opened(out, tmp_path, cap
     code, stdout, err = run_cli(argv, capsys)
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and str(trace) in err
-    if out is not None:
-        assert (tmp_path / out).read_text() == ""
+    assert list(tmp_path.iterdir()) == []  # no report, no temporary file
+
+
+def test_run_keeps_the_old_report_when_the_trace_cannot_be_opened(tmp_path, capsys):
+    keep = tmp_path / "keep.csv"
+    keep.write_text("old\n")
+    argv = ["run", example_path("square.top"), example_path("migration.scn"),
+            "--out", str(keep), "--trace", str(tmp_path / "missing" / "x")]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'x'}'\n"
+    assert keep.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
+def test_a_write_that_fails_part_way_changes_no_output(tmp_path, capsys):
+    # The trace's lone surrogate cannot be encoded, after the report is written.
+    report, trace = tmp_path / "r.csv", tmp_path / "r.trace"
+    report.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        dcrsim.cli._write(("new\n", str(report)), ("\ud800", str(trace)), ("out\n", None))
+    assert report.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+    assert capsys.readouterr().out == ""
+
+
+def test_outputs_get_the_modes_open_gives_them(tmp_path):
+    old = tmp_path / "old.csv"
+    old.write_text("old\n")
+    old.chmod(0o604)
+    mask = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open", "w"):
+            pass
+        dcrsim.cli._write(("a\n", str(tmp_path / "new.csv")), ("b\n", str(old)))
+    finally:
+        os.umask(mask)
+    mode = os.stat(tmp_path / "by_open").st_mode
+    assert mode & 0o777 == 0o640
+    assert os.stat(tmp_path / "new.csv").st_mode == mode
+    assert os.stat(old).st_mode & 0o777 == 0o604 and old.read_text() == "b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["by_open", "new.csv", "old.csv"]
+
+
+def test_outputs_write_through_links_and_refuse_a_directory(tmp_path, capsys):
+    # A link keeps pointing at its file, which gets the text; a path that is
+    # not a regular file is opened itself, so a directory fails as open fails.
+    (tmp_path / "r.csv").write_text("old\n")
+    (tmp_path / "link").symlink_to("r.csv")
+    dcrsim.cli._write(("new\n", str(tmp_path / "link")))
+    assert (tmp_path / "link").is_symlink() and (tmp_path / "r.csv").read_text() == "new\n"
+    argv = ["gen-topology", "--n", "3", "--out", str(tmp_path)]
+    assert run_cli(argv, capsys) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "r.csv"]
 
 
 def test_run_refuses_one_file_for_the_report_and_the_trace(tmp_path, capsys):

@@ -504,6 +504,23 @@ def test_warm_start_leaves_the_base_matrix_alone():
     assert not np.array_equal(o2._delays, before)  # the leaf chain shortened some paths
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_base_hands_on_its_neighbour_lists_twice_unchanged(seed):
+    # Stage 1 is extended twice, by stage 2's links and by stage 3's
+    # wraparound alone; each warm start copies the base's neighbour lists.
+    t = generate_random_topology(seed, 60)
+    o1, o2, o3 = (build_overlay(t, alg) for alg in (1, 2, 3))
+    overlay_metrics(o1)
+    before = all_pairs_delay(o1)
+    links = [{u: float(c) for u, c in ls.items()} for ls in o1._links]
+    for pairs in (set(o2.edges) - set(o1.edges), set(o3.edges) - set(o2.edges)):
+        o = dcrsim.overlay._extend(o1, t, sorted(pairs))
+        assert "_warm" in vars(o) and len(o.edges) == len(o1.edges) + len(pairs)
+        assert_same_as_dijkstra(o)
+    assert np.array_equal(o1._delays, before)
+    assert [{u: float(c) for u, c in ls.items()} for ls in o1._links] == links
+
+
 def test_extending_an_uncomputed_overlay_starts_cold():
     t = generate_random_topology(5, 40)
     o2 = connect_leaves(build_tree(t), t)

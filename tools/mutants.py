@@ -153,6 +153,26 @@ MUTANTS = (
            "_write((csv, args.out)); _write((trace, args.trace))",
            "writes the whole report before the trace path is opened, so a trace that "
            "cannot be opened leaves a report behind, and exits 2"),
+    Mutant("replace-as-written", "src/dcrsim/cli.py",
+           "        for (f, _, _), (text, _) in zip(staged, files):\n"
+           "            f.write(text)\n"
+           "            f.close()\n"
+           "        for _, name, target in staged:\n",
+           "        for (f, name, target), (text, _) in zip(staged, files):\n"
+           "            f.write(text)\n"
+           "            f.close()\n",
+           "replaces each output file as soon as its text is written, so a later "
+           "output that fails part-way leaves the earlier ones replaced"),
+    Mutant("links-copy", "src/dcrsim/overlay.py",
+           "links = [dict(ls) for ls in base_links]",
+           "links = base_links",
+           "adds a warm start's new links to its base's neighbour lists, so a second "
+           "extension of the same base relaxes over links it does not have"),
+    Mutant("union-count", "src/dcrsim/overlay.py",
+           "if unions < n - 1:",
+           "if False:",
+           "skips the connectivity test, so a disconnected overlay gets a delay matrix "
+           "of unset rows instead of an OverlayError"),
 )
 
 # Equivalent to the original, so not run.
