@@ -23,11 +23,16 @@ from .simulator import Simulation, _mean, load_scenario
 from .topology import format_topology, generate_random_topology, load_topology
 
 
+# A command's outputs, as (text, path) pairs; a None path is stdout.
+Outputs = list[tuple[str, str | None]]
+
+
 def _stage(path: str) -> tuple[IO[str], str, str | None]:
     """An open file for path's text, its name, and the path it replaces: a
     new temporary file beside path, with the mode open(path, "w") leaves
     path with. A path that exists but is not a writable regular file, such
-    as /dev/null, is opened itself, and replaces nothing."""
+    as /dev/null, or whose directory takes no new file, is opened itself,
+    and replaces nothing."""
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -42,19 +47,33 @@ def _stage(path: str) -> tuple[IO[str], str, str | None]:
     try:
         fd, name = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
                                     dir=os.path.dirname(target))
+    except PermissionError:  # a directory that takes no new file, where open may still write
+        return open(path, "w", encoding="utf-8"), path, None
     except OSError as e:
         raise OSError(e.errno, e.strerror, path) from None  # names path, not the temporary file
     os.fchmod(fd, mode)
     return open(fd, "w", encoding="utf-8"), name, target
 
 
+def _names_stdout(path: str) -> bool:
+    """Whether path names the file open as stdout, as /dev/stdout does: staging
+    that file would replace it under stdout, which a shell redirect may share."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _write(*outputs: tuple[str, str | None]) -> None:
-    """Write each (text, path) to its path, or to stdout where it is None.
+    """Write each (text, path) to its path, or to stdout where it is None or
+    names stdout's own file.
 
     Every path is staged (see _stage) before any text is written, and the
     temporary files replace their paths only once every text is written to
     them, so an output that fails leaves every path as it was and its
-    temporary file removed. Stdout is written last."""
+    temporary file removed. Stdout is written last, in output order."""
+    outputs = tuple((text, None if path is None or _names_stdout(path) else path)
+                    for text, path in outputs)
     files = [(text, path) for text, path in outputs if path is not None]
     staged: list[tuple[IO[str], str, str | None]] = []
     try:
@@ -78,25 +97,22 @@ def _write(*outputs: tuple[str, str | None]) -> None:
             sys.stdout.write(text)
 
 
-def cmd_gen_topology(args: argparse.Namespace) -> int:
+def cmd_gen_topology(args: argparse.Namespace) -> Outputs:
     t = generate_random_topology(args.seed, args.n, args.extent)
-    _write((format_topology(t), args.out))
-    return 0
+    return [(format_topology(t), args.out)]
 
 
-def cmd_build_overlay(args: argparse.Namespace) -> int:
+def cmd_build_overlay(args: argparse.Namespace) -> Outputs:
     t = load_topology(args.topology)
     o = build_overlay(t, args.alg)
-    _write((format_overlay(o), args.out))
-    return 0
+    return [(format_overlay(o), args.out)]
 
 
-def cmd_eval_overlay(args: argparse.Namespace) -> int:
+def cmd_eval_overlay(args: argparse.Namespace) -> Outputs:
     o = load_overlay(args.overlay)
     m = overlay_metrics(o)
-    print(f"worst={m.worst_delay:.2f} avg={m.avg_delay:.2f} "
-          f"overhead={m.flooding_overhead:.2f}")
-    return 0
+    return [(f"worst={m.worst_delay:.2f} avg={m.avg_delay:.2f} "
+             f"overhead={m.flooding_overhead:.2f}\n", None)]
 
 
 def _parse_n_spec(spec: str) -> tuple[int, int]:
@@ -113,7 +129,7 @@ def _parse_n_spec(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Outputs:
     lo, hi = _parse_n_spec(args.n)
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
@@ -132,11 +148,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for alg in (1, 2, 3):
         means = [_mean(c) for c in zip(*columns[alg])]
         rows.append(f"mean,,,{alg}," + ",".join(f"{m:.6f}" for m in means))
-    _write(("\n".join(rows) + "\n", args.out))
-    return 0
+    return [("\n".join(rows) + "\n", args.out)]
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> Outputs:
     # Two open files on one path would overwrite each other's bytes.
     if args.out is not None and args.trace is not None and (
             os.path.realpath(args.out) == os.path.realpath(args.trace)):
@@ -148,11 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         o = build_overlay(t, args.alg)
     csv, trace = Simulation(t, o, events).run().render(trace=args.trace is not None)
-    if trace is None:
-        _write((csv, args.out))
-    else:
-        _write((csv, args.out), (trace, args.trace))
-    return 0
+    return [(csv, args.out)] + ([] if trace is None else [(trace, args.trace)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,13 +232,14 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        _write(*args.handler(args))
     except (ConfigError, ParseError, OverlayError, ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:
         if enabled:
             gc.enable()
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Union
 
 from .errors import ConfigError
 from .topology import AnycastAddress, DcrId, Topology, UnicastAddress, by_distance
@@ -114,20 +113,12 @@ class VmRegister:
 
 @dataclass
 class VmRecord:
-    """Ground truth for one VM: its address, mode, and true hosting DCs."""
+    """Ground truth for one VM: its address, mode, and true hosting DCs (the compiler
+    builds each record and is the one checker of its rules)."""
 
-    address: Union[AnycastAddress, UnicastAddress]
+    address: AnycastAddress | UnicastAddress
     mode: VmMode
     locations: set[DcrId]
-
-    def __post_init__(self) -> None:
-        if not self.locations:
-            raise ConfigError("a VM must be created somewhere")
-        is_unicast = isinstance(self.address, UnicastAddress)
-        if is_unicast != (self.mode is VmMode.UNICAST):
-            raise ConfigError(f"address family does not match mode {self.mode.value}")
-        if self.mode is not VmMode.ANYCAST_REPLICATED and len(self.locations) != 1:
-            raise ConfigError(f"{self.mode.value} VM must live in exactly one DC")
 
 
 def lookup(entry: VmRegister, vm: AnycastAddress, at: DcrId, t: Topology) -> DcrId:

@@ -52,13 +52,15 @@ class Topology:
     box: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dcrs = tuple(sorted(self.dcrs))
+        dcrs = tuple(sorted(self.dcrs, key=lambda d: d[0]))  # Points have no order
         object.__setattr__(self, "dcrs", dcrs)
         ids = [i for i, _ in dcrs]
         if len(ids) < 2:
             raise ConfigError("a topology needs at least 2 DCRs")
-        if ids != list(range(1, len(ids) + 1)):
-            raise ConfigError("DCR ids must be exactly 1..N with no gaps or duplicates")
+        for want, i in enumerate(ids, start=1):
+            if i != want:
+                raise ConfigError("DCR ids must be exactly 1..N with no gaps or duplicates: "
+                                  f"id {i} is where {want} belongs")
         seen: dict[tuple[float, float], DcrId] = {}
         for i, p in dcrs:
             key = (p.x, p.y)

@@ -331,6 +331,52 @@ def test_outputs_write_through_links_and_refuse_a_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "r.csv"]
 
 
+def test_outputs_that_are_not_regular_files_are_written_in_place(tmp_path, capsys):
+    trace = tmp_path / "r.trace"
+    argv = ["run", example_path("square.top"), example_path("migration.scn"),
+            "--out", os.devnull, "--trace", str(trace)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    with open(golden_path("migration.trace.txt"), encoding="utf-8") as f:
+        assert trace.read_text(encoding="utf-8") == f.read()
+    assert run_cli(["gen-topology", "--out", os.devnull], capsys) == (0, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.trace"]
+
+
+def test_an_output_whose_directory_takes_no_new_file_is_written_in_place(tmp_path,
+                                                                        monkeypatch):
+    # As where the directory is read-only: open(path, "w") can still write an
+    # existing writable file there, though no temporary file can be made.
+    old = tmp_path / "r.csv"
+    old.write_text("old\n")
+    inode = old.stat().st_ino
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    dcrsim.cli._write(("new\n", str(old)))
+    assert old.read_text() == "new\n" and old.stat().st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+
+
+def test_a_path_naming_stdout_is_written_to_stdout_in_output_order(tmp_path):
+    # Under a shell redirect, /dev/stdout names the redirect's file: staging
+    # it would replace that file under stdout, dropping what was written
+    # before the command and what the command writes to stdout.
+    out = tmp_path / "out.txt"
+    src = os.path.dirname(os.path.dirname(dcrsim.cli.__file__))
+    with open(out, "w", encoding="utf-8") as f:
+        f.write("first-line\n")
+        f.flush()
+        subprocess.run([sys.executable, "-m", "dcrsim", "run", example_path("square.top"),
+                        example_path("migration.scn"), "--trace", "/dev/stdout"],
+                       env=dict(os.environ, PYTHONPATH=src), stdout=f, check=True)
+    with open(golden_path("migration.report.csv"), "rb") as report, \
+            open(golden_path("migration.trace.txt"), "rb") as trace:
+        assert out.read_bytes() == b"first-line\n" + report.read() + trace.read()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
 def test_run_refuses_one_file_for_the_report_and_the_trace(tmp_path, capsys):
     path = tmp_path / "r.txt"
     path.write_text("kept\n")

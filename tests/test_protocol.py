@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcrsim import (AnycastAddress, ConfigError, Delivery, Notification, NotificationKind,
-                    Point, Topology, UnicastAddress, VmMode, VmRecord, VmRegister, build_overlay,
+                    Point, Topology, VmRegister, build_overlay,
                     distance, lookup, notification_origin, parse_scenario, run_scenario)
 
 VM = AnycastAddress(1, 0)
@@ -214,19 +214,6 @@ def test_route_reply_is_direct_and_untunneled():
     reply_delay, reply_tunneled = report.to_csv().splitlines()[1].split(",")[-2:]
     assert reply_tunneled == "0"
     assert float(reply_delay) == pytest.approx(distance(Point(10, 10), Point(1, 1)))
-
-
-def test_vm_record_validation():
-    with pytest.raises(ConfigError):
-        VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations=set())
-    with pytest.raises(ConfigError):
-        VmRecord(address=VM, mode=VmMode.UNICAST, locations={1})
-    with pytest.raises(ConfigError):
-        VmRecord(address=UnicastAddress(1, 0), mode=VmMode.ANYCAST_MIGRATABLE,
-                 locations={1})
-    with pytest.raises(ConfigError):
-        VmRecord(address=VM, mode=VmMode.ANYCAST_MIGRATABLE, locations={1, 2})
-    VmRecord(address=VM, mode=VmMode.ANYCAST_REPLICATED, locations={1, 2})
 
 
 def test_format_notification_line():

@@ -53,10 +53,13 @@ def test_topology_needs_two_dcrs():
 
 
 def test_topology_ids_must_be_dense():
-    with pytest.raises(ConfigError):
-        Topology(((1, Point(0, 0)), (3, Point(1, 1))))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="id 3 is where 2 belongs"):
+        Topology(((1, Point(0, 0)), (3, Point(1, 1)), (4, Point(2, 2))))
+    with pytest.raises(ConfigError, match="id 0 is where 1 belongs"):
         Topology(((0, Point(0, 0)), (1, Point(1, 1))))
+    # A duplicate id is sorted by id alone: Points have no order to break the tie.
+    with pytest.raises(ConfigError, match="id 1 is where 2 belongs"):
+        Topology(((1, Point(0, 0)), (1, Point(1, 1)), (2, Point(2, 2))))
 
 
 def test_topology_rejects_shared_position():

@@ -149,10 +149,15 @@ MUTANTS = (
            "lets a name hold a quote, which opens a quoted CSV field that runs on past "
            "its row's next commas"),
     Mutant("outputs-first", "src/dcrsim/cli.py",
-           "_write((csv, args.out), (trace, args.trace))",
-           "_write((csv, args.out)); _write((trace, args.trace))",
+           "_write(*args.handler(args))",
+           "for output in args.handler(args): _write(output)",
            "writes the whole report before the trace path is opened, so a trace that "
            "cannot be opened leaves a report behind, and exits 2"),
+    Mutant("stdout-file", "src/dcrsim/cli.py",
+           "None if path is None or _names_stdout(path) else path",
+           "path",
+           "stages a path that names stdout's own file, such as /dev/stdout under a "
+           "shell redirect, so the redirect's file is replaced under stdout"),
     Mutant("replace-as-written", "src/dcrsim/cli.py",
            "        for (f, _, _), (text, _) in zip(staged, files):\n"
            "            f.write(text)\n"
