@@ -207,26 +207,29 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     node's delays from its subtree are its child's plus the link; then
     parents first, its other delays are its parent's plus the link. The
     columns go back to id order a block of rows at a time. Sweeps then relax
-    the other links. A visit to node w relaxes the delays from every source
-    to w at once, in place, from the rows of the neighbours that improved
-    since w's last visit (the others' cannot improve w's); sweeps visit the
-    tree's preorder, reversed then forward, skipping nodes with no such
-    neighbour, until nothing improves. Float addition is monotone and costs
-    are positive, so the fixed point is Dijkstra's, bit for bit, whatever the
-    visit order; summing path segments in another order (Floyd-Warshall,
-    min-plus squaring) would not be. The tree delays are a fixed point over
-    the tree's links, so only the other links start pending, and a tree
-    takes no sweep.
+    the other links. A visit to node w relaxes each link to a neighbour whose
+    row improved since w's last visit (the others' cannot improve w's): one
+    add of the link cost to that row, the delays from every source at once,
+    and one minimum into w's row, in place. Sweeps visit the tree's
+    preorder, reversed then forward, skipping nodes with no such link, until
+    nothing improves; a row that changes pends all its links at their other
+    ends. Float addition is monotone and costs are positive, so the fixed
+    point is Dijkstra's, bit for bit, whatever the visit order; summing path
+    segments in another order (Floyd-Warshall, min-plus squaring) would not
+    be. The tree delays are a fixed point over the tree's links, so only the
+    other links start pending, and a tree takes no sweep.
 
     Warm start: connect_leaves and add_wraparound only add links, and when
     their input's matrix was already computed they hand it on, with its
     sweep order and neighbour lists, so no tree is built and no link is
     listed again. The sweeps then start from a copy of the matrix, and of
-    the lists with the added links, with only the added links' endpoints
-    pending, from all their neighbours. Every old entry is such a sum along
-    a path the new overlay also has, so the sweeps reach the same fixed
-    point. The hand-off is dropped once this matrix is computed; until then,
-    an extended overlay keeps its base's matrix alive.
+    the lists with the added links, with only the added links pending, from
+    both ends. The base matrix is its own overlay's fixed point, so no old
+    link can improve a row until some row changes, and that change pends it.
+    Every old entry is such a sum along a path the new overlay also has, so
+    the sweeps reach the same fixed point. The hand-off is dropped once this
+    matrix is computed; until then, an extended overlay keeps its base's
+    matrix alive.
     """
     warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
@@ -237,9 +240,17 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
         base, order, base_links, new = warm
         links = [dict(ls) for ls in base_links]
     # Per node: its neighbours with their link costs, each a 0-d array, which
-    # numpy adds without converting a Python float.
+    # numpy adds without converting a Python float. pending[w]: the neighbours
+    # whose rows improved since w's last visit, with their link costs; w's
+    # row is already no worse than the others'. Only new links start pending.
+    pending: list[dict[int, np.ndarray]] = [{} for _ in o.nodes]
     for (a, b), cost in new.items():
-        links[index[a]][index[b]] = links[index[b]][index[a]] = np.array(cost)
+        i, j = index[a], index[b]
+        links[i][j] = links[j][i] = pending[i][j] = pending[j][i] = np.array(cost)
+    # np.add takes a positional out a little faster than out=, aliased or
+    # not. np.minimum's third positional argument is deprecated (numpy 2.4)
+    # and takes a warning path, over twice the 0.4 us of out= per call on a
+    # 400-long row, so its out stays a keyword.
     if warm is None:
         order, parent = _visit_tree(o, index)
         # dt[w, pos[s]] is the delay from s to w; w's subtree is pos[w]:pos[w] + size[w].
@@ -250,38 +261,32 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
         rows = list(dt)
         for w in order[:0:-1]:
             p, sub = parent[w], slice(pos[w], pos[w] + size[w])
-            np.add(rows[w][sub], links[w][p], out=rows[p][sub])
+            np.add(rows[w][sub], links[w][p], rows[p][sub])
             size[p] += size[w]
         for w in order[1:]:
             p, end = parent[w], pos[w] + size[w]
-            np.add(rows[p][:pos[w]], links[w][p], out=rows[w][:pos[w]])
-            np.add(rows[p][end:], links[w][p], out=rows[w][end:])
+            np.add(rows[p][:pos[w]], links[w][p], rows[w][:pos[w]])
+            np.add(rows[p][end:], links[w][p], rows[w][end:])
+            del pending[w][p], pending[p][w]  # the tree delays are its links' fixed point
         for r in range(0, n, 64):  # dt[w, s] is the delay from s to w
             dt[r:r + 64] = dt[r:r + 64, perm]
-        pending = [{u: c for u, c in ls.items() if u != parent[w] and parent[u] != w}
-                   for w, ls in enumerate(links)]
     else:
         dt = base.T.copy()
         rows = list(dt)
-        ends = {index[v] for e in new for v in e}
-        pending = [dict(ls) if w in ends else {} for w, ls in enumerate(links)]
-    # pending[w]: the neighbours whose rows improved since w's last visit,
-    # with their link costs; w's row is already no worse than the others'.
-    cand, scratch = np.empty(n), np.empty(n)
+    cand = np.empty(n)
     improved = any(pending)
     while improved:
         improved = False
         for w in order[::-1] + order:
-            if pending[w]:
-                (u, c), *others = pending[w].items()
-                pending[w] = {}
-                np.add(rows[u], c, out=cand)
-                for u, c in others:
-                    np.minimum(cand, np.add(rows[u], c, out=scratch), out=cand)
+            relax = pending[w]
+            if relax:
                 row = rows[w]
                 # No delay is -0.0 or nan: the bytes change iff a candidate is less.
                 before = row.tobytes()
-                np.minimum(row, cand, out=row)
+                for u, c in relax.items():
+                    np.add(rows[u], c, cand)
+                    np.minimum(row, cand, out=row)
+                relax.clear()
                 if row.tobytes() != before:
                     improved = True
                     for u, c in links[w].items():
@@ -293,11 +298,10 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     return mat
 
 
-def _visit_tree(o: Overlay, index: dict[DcrId, int]) -> tuple[list[int], list[int]]:
-    """Node indices in depth-first preorder from the root, children in id
-    order, and each node's parent index (-1 for the root), of o's minimum
-    spanning tree: Kruskal's, taking links by cost, ties to the lower (a, b).
-    Raises OverlayError if o is disconnected."""
+def _spanning_tree(o: Overlay, index: dict[DcrId, int]) -> list[list[int]]:
+    """By node index, its neighbour indices in o's minimum spanning tree:
+    Kruskal's, taking links by cost, ties to the lower (a, b). Raises
+    OverlayError if o is disconnected, the one test of that rule."""
     n = len(o.nodes)
     comp = list(range(n))  # union-find: a node's parent, or itself at the top
 
@@ -319,7 +323,15 @@ def _visit_tree(o: Overlay, index: dict[DcrId, int]) -> tuple[list[int], list[in
     if unions < n - 1:
         missing = [v for i, v in enumerate(o.nodes) if find(i) != find(0)]
         raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
-    order, parent, stack = [], [-1] * n, [index[o.root]]
+    return tree
+
+
+def _visit_tree(o: Overlay, index: dict[DcrId, int]) -> tuple[list[int], list[int]]:
+    """Node indices in depth-first preorder from the root, children in id
+    order, and each node's parent index (-1 for the root), of o's minimum
+    spanning tree (see _spanning_tree)."""
+    tree = _spanning_tree(o, index)
+    order, parent, stack = [], [-1] * len(tree), [index[o.root]]
     for adjacent in tree:
         adjacent.sort(reverse=True)
     while stack:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
 from .topology import AnycastAddress, DcrId, Topology, UnicastAddress, by_distance
 
 
@@ -34,7 +33,6 @@ class NotificationKind(enum.Enum):
 
 # Read once per notification or change: a module global is read faster than a member.
 _MIGRATION, _REPLICATION, _DESTRUCTION = NotificationKind  # in definition order
-_ARITY = {_MIGRATION: 1, _REPLICATION: 2, _DESTRUCTION: 1}
 
 
 @dataclass(frozen=True)
@@ -45,20 +43,13 @@ class Notification:
     migration, [source, destination] for a replication, [departed] for a
     destruction. seq is a global strictly increasing stamp assigned when the
     event happens, giving floods a total order even when they interleave.
+    The compiler builds each one and is the one checker of that arity.
     """
 
     kind: NotificationKind
     vm: AnycastAddress
     dcr_addrs: tuple[DcrId, ...]
     seq: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dcr_addrs", tuple(self.dcr_addrs))
-        want = _ARITY[self.kind]
-        if len(self.dcr_addrs) != want:
-            raise ConfigError(
-                f"{self.kind.value} notification needs {want} DCR address(es), "
-                f"got {len(self.dcr_addrs)}")
 
 
 def notification_origin(n: Notification) -> DcrId:

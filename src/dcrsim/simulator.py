@@ -27,7 +27,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ModeConflict, ParseError, ScenarioError
-from .overlay import Overlay, OverlayMetrics, flood_duplicate_count, overlay_metrics
+from .overlay import (Overlay, OverlayMetrics, _spanning_tree, flood_duplicate_count,
+                      overlay_metrics)
 from .protocol import (_DESTRUCTION, _MIGRATION, _REPLICATION, Notification, NotificationKind,
                        VmMode, VmRecord, VmRegister, lookup, notification_origin)
 from .topology import (AnycastAddress, DcrId, Point, Topology, UnicastAddress, box_reach,
@@ -359,6 +360,8 @@ class Simulation:
             if abs(cost - length) > 1e-6:
                 raise ConfigError(f"overlay edge {a} {b} costs {cost!r}, but DCRs "
                                   f"{a} and {b} are {length!r} apart")
+        # Refused here, not part-way through the replay; set-up computes no delays.
+        _spanning_tree(overlay, {v: i for i, v in enumerate(overlay.nodes)})
         self.topology = topology
         self.overlay = overlay
         self.now = 0.0

@@ -331,6 +331,18 @@ def test_outputs_write_through_links_and_refuse_a_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "r.csv"]
 
 
+def test_run_on_a_disconnected_overlay_exits_2_and_writes_nothing(tmp_path, capsys):
+    ovl = tmp_path / "o.ovl"
+    ovl.write_text("root 1\nedge 1 2 10.000000\nedge 3 4 10.000000\n")
+    argv = ["run", example_path("square.top"), example_path("migration.scn"),
+            "--overlay", str(ovl), "--out", str(tmp_path / "r.csv"),
+            "--trace", str(tmp_path / "r.trace")]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: overlay is disconnected: no path from 1 to [3, 4]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.ovl"]
+
+
 def test_outputs_that_are_not_regular_files_are_written_in_place(tmp_path, capsys):
     trace = tmp_path / "r.trace"
     argv = ["run", example_path("square.top"), example_path("migration.scn"),

@@ -567,3 +567,65 @@ def test_visit_order_changes_no_bits(n):
             o = dcrsim.overlay._extend(o, t, list(full.edges))
             assert "_warm" in vars(o)
             assert np.array_equal(all_pairs_delay(o), oracle)
+
+
+def cold_copy(o):
+    """o with no matrix and no hand-off: its delays start cold."""
+    return Overlay(nodes=o.nodes, edges=dict(o.edges), root=o.root)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=40),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_warm_starts_from_any_added_links_equal_cold_starts(seed, n, alg, data):
+    t = generate_random_topology(seed, n)
+    base = build_overlay(t, alg)
+    before = all_pairs_delay(base)  # computed, so each extension starts warm from it
+    node = st.integers(min_value=1, max_value=n)
+    interior = sorted(set(base.nodes) - leaf_set(base) - {base.root})
+    for _ in range(2):  # one base extended twice
+        hub = data.draw(node)  # links sharing an endpoint
+        pairs = [(hub, v) for v in data.draw(st.lists(node, max_size=3))]
+        pairs += data.draw(st.lists(st.tuples(node, node), max_size=3))
+        if len(interior) > 1:
+            pairs.append(tuple(data.draw(st.lists(st.sampled_from(interior), min_size=2,
+                                                  max_size=2, unique=True))))
+        o = dcrsim.overlay._extend(base, t, [(a, b) for a, b in pairs if a != b])
+        if o is base:
+            continue
+        assert "_warm" in vars(o)
+        oracle = np.array(dijkstra_matrix(list(o.nodes), dict(o.edges)))
+        assert np.array_equal(all_pairs_delay(o), oracle)
+        assert np.array_equal(all_pairs_delay(cold_copy(o)), oracle)
+    assert np.array_equal(base._delays, before)
+
+
+class CountedNumpy:
+    """numpy, counting np.minimum calls: the kernel makes one per relaxation."""
+
+    def __init__(self):
+        self.relaxations = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kwargs):
+        self.relaxations += 1
+        return np.minimum(*args, **kwargs)
+
+
+def test_only_new_links_start_pending_and_each_is_relaxed_once(monkeypatch):
+    # Three DCRs on a line: the tree 1-2-3, then the link 1-3, which costs
+    # 2.0 = 1.0 + 1.0 and so improves no delay.
+    t = Topology(((1, Point(0.0, 0.0)), (2, Point(1.0, 0.0)), (3, Point(2.0, 0.0))))
+    counted = CountedNumpy()
+    monkeypatch.setattr(dcrsim.overlay, "np", counted)
+    tree = build_tree(t)
+    assert tree.edges == {(1, 2): 1.0, (2, 3): 1.0}
+    all_pairs_delay(tree)
+    assert counted.relaxations == 0  # the tree delays are its links' fixed point
+    for o in (dcrsim.overlay._extend(tree, t, [(1, 3)]), cold_copy(add_wraparound(tree, t))):
+        counted.relaxations = 0
+        assert np.array_equal(all_pairs_delay(o), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                                   [2.0, 1.0, 0.0]])
+        assert counted.relaxations == 2  # link 1-3, once from each end

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrsim import (AnycastAddress, ConfigError, Delivery, Notification, NotificationKind,
+from dcrsim import (AnycastAddress, Delivery, Notification, NotificationKind,
                     Point, Topology, VmRegister, build_overlay,
                     distance, lookup, notification_origin, parse_scenario, run_scenario)
 
@@ -36,16 +36,21 @@ def apply_all(notifications):
     return register
 
 
-def test_notification_checks_arity():
-    Notification(NotificationKind.MIGRATION, VM, (2,), 0)
-    Notification(NotificationKind.REPLICATION, VM, (2, 3), 1)
-    Notification(NotificationKind.DESTRUCTION, VM, (2,), 2)
-    with pytest.raises(ConfigError):
-        Notification(NotificationKind.MIGRATION, VM, (2, 3), 0)
-    with pytest.raises(ConfigError):
-        Notification(NotificationKind.REPLICATION, VM, (2,), 0)
-    with pytest.raises(ConfigError):
-        Notification(NotificationKind.DESTRUCTION, VM, (), 0)
+def test_the_compiler_gives_each_notification_its_kinds_arity():
+    # The compiler builds every notification: a migration names its
+    # destination, a replication its source and destination, a destruction
+    # its departed DC.
+    report = square_run("0 create m 1 anycast-migrate\n"
+                        "0 create r 2 anycast-replicate\n"
+                        "1 migrate m 3\n"
+                        "2 replicate r 2 4\n"
+                        "3 destroy r 2\n"
+                        "4 destroy m 3\n")
+    flooded = [(n.kind, n.dcr_addrs) for n in report.stream if type(n) is Notification]
+    assert flooded == [(NotificationKind.MIGRATION, (3,)),
+                       (NotificationKind.REPLICATION, (2, 4)),
+                       (NotificationKind.DESTRUCTION, (2,)),
+                       (NotificationKind.DESTRUCTION, (3,))]
 
 
 def test_notification_origin():

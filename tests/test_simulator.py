@@ -12,11 +12,11 @@ import pytest
 import dcrsim.overlay
 import dcrsim.simulator
 from dcrsim import (AnycastAddress, ConfigError, Delivery, EventKind, ModeConflict, Overlay,
-                    ParseError, Point, ScenarioError, ScenarioEvent, Simulation, Topology,
-                    UnicastAddress, VmMode, VmRegister,
+                    OverlayError, ParseError, Point, ScenarioError, ScenarioEvent, Simulation,
+                    Topology, UnicastAddress, VmMode, VmRegister,
                     build_overlay, format_scenario, format_topology, generate_random_topology,
-                    load_topology, overlay_metrics, parse_scenario, parse_topology,
-                    run_scenario)
+                    load_scenario, load_topology, overlay_metrics, parse_overlay,
+                    parse_scenario, parse_topology, run_scenario)
 from dcrsim.overlay import stages
 
 import oracles
@@ -1012,3 +1012,14 @@ def test_miss_count_matches_the_flood_race_predicted_from_geometry(seed, alg):
             t0, dst = latest[-1]
             predicted += arrival < t0 + delays[index[dst]][index[ingress]]
     assert summary(run_scenario(t, overlay, events))["miss"] == predicted > 0
+
+
+def test_a_disconnected_overlay_fails_when_the_simulation_is_built():
+    # No flood from DCR 1 or 2 reaches DCR 3 or 4: refused before any event
+    # runs, with the delay kernel's message, and with no delays computed.
+    o = parse_overlay("root 1\nedge 1 2 10.000000\nedge 3 4 10.000000\n")
+    events = load_scenario(example_path("migration.scn"))
+    with pytest.raises(OverlayError,
+                       match=r"^overlay is disconnected: no path from 1 to \[3, 4\]$"):
+        Simulation(load_topology(example_path("square.top")), o, events)
+    assert "_delays" not in vars(o)

@@ -178,6 +178,34 @@ MUTANTS = (
            "if False:",
            "skips the connectivity test, so a disconnected overlay gets a delay matrix "
            "of unset rows instead of an OverlayError"),
+    Mutant("warm-pends-nothing", "src/dcrsim/overlay.py",
+           "        dt = base.T.copy()\n",
+           "        dt, pending = base.T.copy(), [{} for _ in o.nodes]\n",
+           "starts a warm sweep with no link pending, so an extension keeps its base's "
+           "delays"),
+    Mutant("tree-links-pending", "src/dcrsim/overlay.py",
+           "del pending[w][p], pending[p][w]",
+           "pass",
+           "leaves a cold start's tree links pending, so the sweeps relax links that "
+           "cannot improve a tree delay"),
+    Mutant("pending-kept", "src/dcrsim/overlay.py",
+           "relax.clear()",
+           "pass",
+           "keeps a visited node's links pending, so every later sweep relaxes them "
+           "again"),
+    Mutant("relax-cost", "src/dcrsim/overlay.py",
+           "np.add(rows[u], c, cand)",
+           "np.add(rows[u], 0.0, cand)",
+           "relaxes a row from its neighbour's without the link's cost"),
+    Mutant("relax-dropped", "src/dcrsim/overlay.py",
+           "np.minimum(row, cand, out=row)",
+           "np.minimum(row, cand)",
+           "computes each relaxation into a new array and drops it, so no row improves"),
+    Mutant("change-unseen", "src/dcrsim/overlay.py",
+           "if row.tobytes() != before:",
+           "if False:",
+           "never sees a row improve, so no improvement reaches the node's neighbours "
+           "and the sweeps stop after the first"),
 )
 
 # Equivalent to the original, so not run.
