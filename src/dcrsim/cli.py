@@ -32,7 +32,10 @@ def _stage(path: str) -> tuple[IO[str], str, str | None]:
     new temporary file beside path, with the mode open(path, "w") leaves
     path with. A path that exists but is not a writable regular file, such
     as /dev/null, or whose directory takes no new file, is opened itself,
-    and replaces nothing."""
+    and replaces nothing; so is a path whose last part is empty, . or ..,
+    which realpath would drop."""
+    if os.path.basename(path) in ("", ".", ".."):
+        return open(path, "w", encoding="utf-8"), path, None
     try:
         st = os.stat(path)
     except FileNotFoundError:

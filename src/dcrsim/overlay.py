@@ -79,6 +79,12 @@ class Overlay:
         """Read-only all-pairs delay matrix, see _delay_matrix."""
         return _delay_matrix(self)
 
+    @cached_property
+    def _tree(self) -> tuple[list[int], list[int]]:
+        """Preorder and parents of its minimum spanning tree (see _visit_tree),
+        or of its base's, which also spans it, where _extend hands that on."""
+        return _visit_tree(self)
+
 
 def _midpoint(a: float, b: float) -> float:
     """(a + b) / 2, and finite where only the sum a + b overflows."""
@@ -166,8 +172,8 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
 def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
     """o plus a link for each of the pairs that o does not link yet, costing the
     distance between its two DCRs; o itself if there is none. If o's delay
-    matrix is already computed, the new overlay's matrix starts from it, in its
-    sweep order and from its neighbour lists (see _delay_matrix)."""
+    matrix is already computed, the new overlay's matrix starts from it and
+    from its neighbour lists, and takes o's tree as its own (see _delay_matrix)."""
     added = {_key(a, b): distance(t.position(a), t.position(b))
              for a, b in pairs if _key(a, b) not in o.edges}
     if not added:
@@ -175,7 +181,8 @@ def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
     new = replace(o, edges={**o.edges, **added})
     base = vars(o).get("_delays")
     if base is not None:
-        object.__setattr__(new, "_warm", (base, o._order, o._links, added))
+        object.__setattr__(new, "_warm", (base, o._links, added))
+        object.__setattr__(new, "_tree", o._tree)
     return new
 
 
@@ -221,23 +228,24 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
 
     Warm start: connect_leaves and add_wraparound only add links, and when
     their input's matrix was already computed they hand it on, with its
-    sweep order and neighbour lists, so no tree is built and no link is
-    listed again. The sweeps then start from a copy of the matrix, and of
-    the lists with the added links, with only the added links pending, from
-    both ends. The base matrix is its own overlay's fixed point, so no old
-    link can improve a row until some row changes, and that change pends it.
-    Every old entry is such a sum along a path the new overlay also has, so
-    the sweeps reach the same fixed point. The hand-off is dropped once this
-    matrix is computed; until then, an extended overlay keeps its base's
-    matrix alive.
+    neighbour lists and its tree, so no tree is built, the sweeps keep the
+    base's preorder and no link is listed again. The sweeps then start from a
+    copy of the matrix, and of the lists with the added links, with only the
+    added links pending, from both ends. The base matrix is its own overlay's
+    fixed point, so no old link can improve a row until some row changes, and
+    that change pends it. Every old entry is such a sum along a path the new
+    overlay also has, so the sweeps reach the same fixed point. The hand-off is
+    dropped once this matrix is computed; until then, an extended overlay
+    keeps its base's matrix alive.
     """
     warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
     index = {v: i for i, v in enumerate(o.nodes)}
+    order, parent = o._tree
     if warm is None:
         new, links = o.edges, [{} for _ in o.nodes]
     else:
-        base, order, base_links, new = warm
+        base, base_links, new = warm
         links = [dict(ls) for ls in base_links]
     # Per node: its neighbours with their link costs, each a 0-d array, which
     # numpy adds without converting a Python float. pending[w]: the neighbours
@@ -252,7 +260,6 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     # and takes a warning path, over twice the 0.4 us of out= per call on a
     # 400-long row, so its out stays a keyword.
     if warm is None:
-        order, parent = _visit_tree(o, index)
         # dt[w, pos[s]] is the delay from s to w; w's subtree is pos[w]:pos[w] + size[w].
         perm, size = np.argsort(order), [1] * n
         pos = perm.tolist()
@@ -291,18 +298,19 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
                     improved = True
                     for u, c in links[w].items():
                         pending[u][w] = c
-    object.__setattr__(o, "_order", order)
     object.__setattr__(o, "_links", links)
     mat = dt.T
     mat.flags.writeable = False
     return mat
 
 
-def _spanning_tree(o: Overlay, index: dict[DcrId, int]) -> list[list[int]]:
-    """By node index, its neighbour indices in o's minimum spanning tree:
-    Kruskal's, taking links by cost, ties to the lower (a, b). Raises
-    OverlayError if o is disconnected, the one test of that rule."""
+def _visit_tree(o: Overlay) -> tuple[list[int], list[int]]:
+    """Node indices in depth-first preorder from the root, children in id
+    order, and each node's parent index (-1 for the root), of o's minimum
+    spanning tree: Kruskal's, taking links by cost, ties to the lower (a, b).
+    Raises OverlayError if o is disconnected, the one test of that rule."""
     n = len(o.nodes)
+    index = {v: i for i, v in enumerate(o.nodes)}
     comp = list(range(n))  # union-find: a node's parent, or itself at the top
 
     def find(v: int) -> int:
@@ -323,15 +331,7 @@ def _spanning_tree(o: Overlay, index: dict[DcrId, int]) -> list[list[int]]:
     if unions < n - 1:
         missing = [v for i, v in enumerate(o.nodes) if find(i) != find(0)]
         raise OverlayError(f"overlay is disconnected: no path from {o.nodes[0]} to {missing}")
-    return tree
-
-
-def _visit_tree(o: Overlay, index: dict[DcrId, int]) -> tuple[list[int], list[int]]:
-    """Node indices in depth-first preorder from the root, children in id
-    order, and each node's parent index (-1 for the root), of o's minimum
-    spanning tree (see _spanning_tree)."""
-    tree = _spanning_tree(o, index)
-    order, parent, stack = [], [-1] * len(tree), [index[o.root]]
+    order, parent, stack = [], [-1] * n, [index[o.root]]
     for adjacent in tree:
         adjacent.sort(reverse=True)
     while stack:
@@ -397,10 +397,9 @@ def parse_overlay(text: str) -> Overlay:
     root: DcrId | None = None
     edges: dict[Edge, float] = {}
     for lineno, raw in enumerate(input_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] == "root" and len(parts) == 2:
             if root is not None:
                 raise ParseError(f"line {lineno}: second root line")

@@ -215,10 +215,9 @@ def parse_topology(text: str) -> Topology:
     seen: set[DcrId] = set()
     box = [math.inf, -math.inf, math.inf, -math.inf]  # x0, x1, y0, y1 so far
     for lineno, raw in enumerate(input_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] != "dcr" or len(parts) != 4:
             raise ParseError(f"line {lineno}: expected `dcr <id> <x> <y>`, got {raw!r}")
         try:

@@ -331,6 +331,21 @@ def test_outputs_write_through_links_and_refuse_a_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "r.csv"]
 
 
+@pytest.mark.parametrize("path", ["nd/", "nd/.", "nd//", "./nd/", "", "nd/.."])
+def test_an_output_path_ending_in_no_file_name_fails_as_open_fails(path, tmp_path, monkeypatch,
+                                                                   capsys):
+    # The staged file's name comes from the path's last part, which realpath
+    # drops where it is empty, . or ..: such a path is opened itself.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with pytest.raises(OSError) as e:
+        open(path, "w", encoding="utf-8")
+    assert run_cli(["gen-topology", "--n", "3", "--out", path], capsys) == (2, "",
+                                                                           f"error: {e.value}\n")
+    assert list(cwd.iterdir()) == [] and list(tmp_path.iterdir()) == [cwd]
+
+
 def test_run_on_a_disconnected_overlay_exits_2_and_writes_nothing(tmp_path, capsys):
     ovl = tmp_path / "o.ovl"
     ovl.write_text("root 1\nedge 1 2 10.000000\nedge 3 4 10.000000\n")

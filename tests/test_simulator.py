@@ -1023,3 +1023,39 @@ def test_a_disconnected_overlay_fails_when_the_simulation_is_built():
                        match=r"^overlay is disconnected: no path from 1 to \[3, 4\]$"):
         Simulation(load_topology(example_path("square.top")), o, events)
     assert "_delays" not in vars(o)
+
+
+def counted_trees(monkeypatch):
+    """The overlays whose spanning tree is built from here on."""
+    visit_tree, calls = dcrsim.overlay._visit_tree, []
+    monkeypatch.setattr(dcrsim.overlay, "_visit_tree",
+                        lambda o: calls.append(o) or visit_tree(o))
+    return calls
+
+
+def test_a_simulation_and_its_run_build_one_spanning_tree(monkeypatch):
+    # The connectivity check caches the overlay's tree, and the delays that
+    # the run computes start from that tree.
+    calls = counted_trees(monkeypatch)
+    t = load_topology(example_path("square.top"))
+    o = build_overlay(t, 3)
+    sim = Simulation(t, o, load_scenario(example_path("migration.scn")))
+    assert calls == [o] and "_tree" in vars(o) and "_delays" not in vars(o)
+    sim.run()
+    assert calls == [o] and "_delays" in vars(o)
+
+
+def test_a_simulation_over_a_warm_started_stage_builds_no_tree(monkeypatch):
+    # A stage extended from a computed matrix takes its base's tree along.
+    t = generate_random_topology(3, 40)
+    built = []
+    for o in stages(t):  # as `dcrsim compare` reads them
+        overlay_metrics(o)
+        built.append(o)
+    assert len({len(o.edges) for o in built}) == 3  # stages 2 and 3 started warm
+    calls = counted_trees(monkeypatch)
+    events = parse_scenario("0 user u 1 1\n0 create vm 1 anycast-migrate\n"
+                            "1 migrate vm 2\n2 send u vm\n")
+    for o in built[1:]:
+        Simulation(t, o, events).run()
+    assert calls == []

@@ -173,6 +173,12 @@ MUTANTS = (
            "links = base_links",
            "adds a warm start's new links to its base's neighbour lists, so a second "
            "extension of the same base relaxes over links it does not have"),
+    Mutant("tree-handed-on", "src/dcrsim/overlay.py",
+           "        object.__setattr__(new, \"_tree\", o._tree)\n",
+           "",
+           "drops a warm start's hand-on of its base's tree, so each warm stage builds "
+           "its own tree and sweeps in its preorder: the same delays, with a Kruskal "
+           "more per stage"),
     Mutant("union-count", "src/dcrsim/overlay.py",
            "if unions < n - 1:",
            "if False:",
