@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
@@ -47,7 +47,8 @@ class Overlay:
     """Undirected weighted graph over the DCR ids.
 
     Treat instances as immutable: the delay matrix is computed once per
-    instance, on first use, and cached.
+    instance and cached, on first use or, for an extension of an overlay
+    whose matrix is computed, by _extend.
     """
 
     nodes: tuple[DcrId, ...]
@@ -172,8 +173,8 @@ def add_wraparound(o: Overlay, t: Topology) -> Overlay:
 def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
     """o plus a link for each of the pairs that o does not link yet, costing the
     distance between its two DCRs; o itself if there is none. If o's delay
-    matrix is already computed, the new overlay's matrix starts from it and
-    from its neighbour lists, and takes o's tree as its own (see _delay_matrix)."""
+    matrix is already computed, the new overlay takes o's tree as its own and
+    its matrix is computed here, warm from o's (see _delay_matrix)."""
     added = {_key(a, b): distance(t.position(a), t.position(b))
              for a, b in pairs if _key(a, b) not in o.edges}
     if not added:
@@ -181,8 +182,8 @@ def _extend(o: Overlay, t: Topology, pairs: list[Edge]) -> Overlay:
     new = replace(o, edges={**o.edges, **added})
     base = vars(o).get("_delays")
     if base is not None:
-        object.__setattr__(new, "_warm", (base, o._links, added))
         object.__setattr__(new, "_tree", o._tree)
+        object.__setattr__(new, "_delays", _delay_matrix(new, base, added))
     return new
 
 
@@ -204,7 +205,8 @@ def build_overlay(t: Topology, alg: int) -> Overlay:
     return next(itertools.islice(stages(t), alg - 1, None))
 
 
-def _delay_matrix(o: Overlay) -> np.ndarray:
+def _delay_matrix(o: Overlay, base: np.ndarray | None = None,
+                  added: Collection[Edge] = ()) -> np.ndarray:
     """All-pairs flood delays, read-only: entry [s, w] is the delay from s to w.
 
     Each delay is a sum of link costs added from the source outward, as a
@@ -226,40 +228,35 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
     be. The tree delays are a fixed point over the tree's links, so only the
     other links start pending, and a tree takes no sweep.
 
-    Warm start: connect_leaves and add_wraparound only add links, and when
-    their input's matrix was already computed they hand it on, with its
-    neighbour lists and its tree, so no tree is built, the sweeps keep the
-    base's preorder and no link is listed again. The sweeps then start from a
-    copy of the matrix, and of the lists with the added links, with only the
-    added links pending, from both ends. The base matrix is its own overlay's
-    fixed point, so no old link can improve a row until some row changes, and
-    that change pends it. Every old entry is such a sum along a path the new
-    overlay also has, so the sweeps reach the same fixed point. The hand-off is
-    dropped once this matrix is computed; until then, an extended overlay
-    keeps its base's matrix alive.
+    Warm start: base is the matrix of an overlay that o extends by the links
+    in added, and o has taken that overlay's tree as its own (see _extend), so
+    no tree is built and the sweeps keep the base's preorder. They start from
+    a copy of base, with only the added links pending, from both ends. base
+    is its own overlay's fixed point, so no old link can improve a row until
+    some row changes, and that change pends it. Every old entry is such a sum
+    along a path the new overlay also has, so the sweeps reach the same fixed
+    point.
     """
-    warm = vars(o).pop("_warm", None)
     n = len(o.nodes)
     index = {v: i for i, v in enumerate(o.nodes)}
     order, parent = o._tree
-    if warm is None:
-        new, links = o.edges, [{} for _ in o.nodes]
-    else:
-        base, base_links, new = warm
-        links = [dict(ls) for ls in base_links]
     # Per node: its neighbours with their link costs, each a 0-d array, which
     # numpy adds without converting a Python float. pending[w]: the neighbours
     # whose rows improved since w's last visit, with their link costs; w's
     # row is already no worse than the others'. Only new links start pending.
-    pending: list[dict[int, np.ndarray]] = [{} for _ in o.nodes]
-    for (a, b), cost in new.items():
+    links: list[dict[int, np.ndarray]] = [{} for _ in o.nodes]
+    for (a, b), cost in o.edges.items():
         i, j = index[a], index[b]
-        links[i][j] = links[j][i] = pending[i][j] = pending[j][i] = np.array(cost)
+        links[i][j] = links[j][i] = np.array(cost)
+    pending = [dict(ls) if base is None else {} for ls in links]
+    for a, b in added:
+        i, j = index[a], index[b]
+        pending[i][j], pending[j][i] = links[i][j], links[j][i]
     # np.add takes a positional out a little faster than out=, aliased or
     # not. np.minimum's third positional argument is deprecated (numpy 2.4)
     # and takes a warning path, over twice the 0.4 us of out= per call on a
     # 400-long row, so its out stays a keyword.
-    if warm is None:
+    if base is None:
         # dt[w, pos[s]] is the delay from s to w; w's subtree is pos[w]:pos[w] + size[w].
         perm, size = np.argsort(order), [1] * n
         pos = perm.tolist()
@@ -298,7 +295,6 @@ def _delay_matrix(o: Overlay) -> np.ndarray:
                     improved = True
                     for u, c in links[w].items():
                         pending[u][w] = c
-    object.__setattr__(o, "_links", links)
     mat = dt.T
     mat.flags.writeable = False
     return mat

@@ -182,6 +182,9 @@ def generate_random_topology(seed: int, n: int, extent: float = 100.0) -> Topolo
     if not 0 < extent <= sys.float_info.max:
         must = "positive" if extent <= 0 else "finite"
         raise ConfigError(f"extent must be {must}, got {extent}")
+    if not math.isfinite(box_reach(0.0, extent, 0.0, extent)):
+        raise ConfigError(f"extent {extent} is too large: the diagonal of [0, extent]^2 "
+                          "overflows")
     rng = random.Random(seed)
     taken: set[tuple[float, float]] = set()
     dcrs = []

@@ -3,7 +3,9 @@
 The shortest-path oracles (Floyd-Warshall, and the scalar Dijkstra that the
 library's vectorised delay matrix must match bit for bit) work on plain dicts
 and lists rather than the package's own types, so a bug in the library cannot
-hide inside a shared code path. `scalar_nearest_dcr` and `scalar_build_tree`
+hide inside a shared code path. `hop_flood` sends one notification copy by
+copy under the forwarding rule alone, and counts the duplicate receptions.
+`scalar_nearest_dcr` and `scalar_build_tree`
 are the plain Python scans that the library's vectorised nearest-point rule
 must match exactly. `EagerSimulation` is the event loop that writes every
 DCR's table on every flood, against which the lazy table views are checked.
@@ -14,9 +16,8 @@ starts and formats each flood with its own `notification_origin` and
 included, are checked against an independent formatter. It tracks each
 session with its own `SessionState`, the per-session record the library kept
 before its report counted breaks in the render walk. What it shares with
-the library is the package's value types (`Notification` with its arity
-check, `VmRecord`, the addresses, `Point`), `distance`, and the report
-summary's `overlay_metrics` and `flood_duplicate_count`.
+the library is the package's value types (`Notification`, `VmRecord`, the
+addresses, `Point`), `distance`, and the report summary's `overlay_metrics`.
 `ScenarioEvent` and `parse_scenario` are the frozen dataclass and the parser
 as they stood before events became named tuples and sends took a fast path;
 the parser breaks lines only at \n, \r\n and \r, as the input formats do.
@@ -40,7 +41,7 @@ import dcrsim
 from dcrsim import (AnycastAddress, DcrId, EventKind, Notification,
                     NotificationKind, Overlay, OverlayMetrics,
                     ParseError, Point, UnicastAddress, VmMode,
-                    VmRecord, distance, flood_duplicate_count, overlay_metrics)
+                    VmRecord, distance, overlay_metrics)
 
 INF = float("inf")
 TUNNEL_HEADER_BYTES = 20  # the simulator's default
@@ -97,6 +98,35 @@ def dijkstra(edges, src):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return dist
+
+
+def hop_flood(edges, origin):
+    """One notification flooded copy by copy from origin: each node forwards
+    the first copy it receives on every link but the one it came in on, and
+    the origin sends on all its links. Copies are received in time order; of
+    those that reach a node at the same time, the lowest sender's comes first.
+
+    edges: mapping (a, b) -> cost, undirected; a copy's arrival is its
+    sender's plus the link cost. Returns (arrival, duplicates): each reached
+    node's first-arrival time, and the count of copies that reached a node
+    which already had one.
+    """
+    adj = {}
+    for (a, b), cost in edges.items():
+        adj.setdefault(a, []).append((b, cost))
+        adj.setdefault(b, []).append((a, cost))
+    arrival, duplicates = {}, 0
+    queue = [(0.0, origin, None)]  # (time, receiver, sender)
+    while queue:
+        time, node, sender = heapq.heappop(queue)
+        if node in arrival:
+            duplicates += 1
+            continue
+        arrival[node] = time
+        for peer, cost in adj.get(node, ()):
+            if peer != sender:
+                heapq.heappush(queue, (time + cost, peer, node))
+    return arrival, duplicates
 
 
 def dijkstra_matrix(nodes, edges):
@@ -455,10 +485,10 @@ class EagerSimulation:
     materialised and a packet reads its ingress table as it stands. Events
     are ordered by (time, push counter), as in the library. Unlike the rest
     of this module it uses the package's own types, but it owns its table
-    merge, its flood origins and delays (by `dijkstra`), its event order, its
-    tables, its ground truth, its routing and its report, which are what it
-    cross-checks. Valid scenarios only: it checks no lifecycle
-    legality.
+    merge, its flood origins, arrivals and duplicates (by `hop_flood`), its
+    event order, its tables, its ground truth, its routing and its report,
+    which are what it cross-checks. Valid scenarios only: it checks no
+    lifecycle legality.
     """
 
     def __init__(self, topology, overlay, events):
@@ -549,9 +579,9 @@ class EagerSimulation:
             kind, addrs = NotificationKind.DESTRUCTION, (ev.dc,)
         n = Notification(kind, vm.address, addrs, next(self._seq))
         self._notifications += 1
-        self._duplicates += flood_duplicate_count(self.overlay)
+        delays, duplicates = hop_flood(self.overlay.edges, notification_origin(n))
+        self._duplicates += duplicates
         self.trace_lines.append(format_notification_line(n))
-        delays = dijkstra(self.overlay.edges, notification_origin(n))
         for d in self.topology.ids():
             self._push(self.now + delays[d], "apply", (d, n))
 

@@ -791,6 +791,16 @@ def test_gen_topology_with_too_few_points_in_its_extent_exits_2(capsys):
     assert err.startswith("error: cannot place DCR 5 of 5")
 
 
+def test_gen_topology_with_an_extent_whose_diagonal_overflows_exits_2(tmp_path, capsys):
+    # parse_topology refuses such a topology, so none is written.
+    out_path = tmp_path / "big.top"
+    code, out, err = run_cli(["gen-topology", "--seed", "2", "--n", "50", "--extent",
+                              "1.7e308", "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: extent 1.7e+308 is too large: the diagonal of [0, extent]^2 overflows\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("subcommand", (["gen-topology", "--n", "3"],
                                         ["compare", "--n", "3", "--count", "1"]),
                          ids=("gen-topology", "compare"))

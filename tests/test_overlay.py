@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,8 @@ from dcrsim import (ConfigError, EventKind, Overlay, OverlayError, ParseError,
 from dcrsim.topology import NEAREST_BLOCK
 
 import scenariogen
-from oracles import dijkstra_matrix, floyd_warshall, pair_delays, scalar_build_tree, summary
+from oracles import (dijkstra_matrix, floyd_warshall, hop_flood, pair_delays,
+                     scalar_build_tree, summary)
 
 
 def square() -> Topology:
@@ -456,8 +457,9 @@ def staged(t, root=None):
     yield o
     for extend in (connect_leaves, add_wraparound):
         base, o = o, extend(o, t)
-        # Whenever a stage adds links, its matrix starts from the base's.
-        assert (o is base) or "_warm" in vars(o)
+        # Whenever a stage adds links, its matrix is computed as it is
+        # built, warm from the base's.
+        assert (o is base) or "_delays" in vars(o)
         overlay_metrics(o)
         yield o
 
@@ -496,8 +498,8 @@ def test_warm_start_leaves_the_base_matrix_alone():
     o1 = build_tree(t)
     before = all_pairs_delay(o1)
     o2 = connect_leaves(o1, t)
-    overlay_metrics(o2)
-    assert "_warm" not in vars(o2)  # the hand-off is dropped once used
+    # Besides its fields, o2 holds only its tree and its matrix.
+    assert set(vars(o2)) - {f.name for f in fields(o2)} == {"_tree", "_delays"}
     assert not o2._delays.flags.writeable
     assert np.array_equal(o1._delays, before)
     assert not o1._delays.flags.writeable
@@ -507,18 +509,16 @@ def test_warm_start_leaves_the_base_matrix_alone():
 @pytest.mark.parametrize("seed", range(4))
 def test_one_base_hands_on_its_neighbour_lists_twice_unchanged(seed):
     # Stage 1 is extended twice, by stage 2's links and by stage 3's
-    # wraparound alone; each warm start copies the base's neighbour lists.
+    # wraparound alone; each warm start leaves the base as it was.
     t = generate_random_topology(seed, 60)
     o1, o2, o3 = (build_overlay(t, alg) for alg in (1, 2, 3))
     overlay_metrics(o1)
     before = all_pairs_delay(o1)
-    links = [{u: float(c) for u, c in ls.items()} for ls in o1._links]
     for pairs in (set(o2.edges) - set(o1.edges), set(o3.edges) - set(o2.edges)):
         o = dcrsim.overlay._extend(o1, t, sorted(pairs))
-        assert "_warm" in vars(o) and len(o.edges) == len(o1.edges) + len(pairs)
+        assert "_delays" in vars(o) and len(o.edges) == len(o1.edges) + len(pairs)
         assert_same_as_dijkstra(o)
     assert np.array_equal(o1._delays, before)
-    assert [{u: float(c) for u, c in ls.items()} for ls in o1._links] == links
 
 
 def test_extending_an_uncomputed_overlay_starts_cold():
@@ -526,7 +526,7 @@ def test_extending_an_uncomputed_overlay_starts_cold():
     o2 = connect_leaves(build_tree(t), t)
     o3 = add_wraparound(o2, t)
     assert o3 is not o2
-    assert "_warm" not in vars(o2) and "_warm" not in vars(o3)
+    assert "_delays" not in vars(o2) and "_delays" not in vars(o3)
     assert_same_as_dijkstra(o3)
 
 
@@ -565,12 +565,12 @@ def test_visit_order_changes_no_bits(n):
         o = cold[0]
         for full, oracle in zip(overlays[1:], wanted[1:]):  # warm-started from cold[0]
             o = dcrsim.overlay._extend(o, t, list(full.edges))
-            assert "_warm" in vars(o)
+            assert "_delays" in vars(o)
             assert np.array_equal(all_pairs_delay(o), oracle)
 
 
 def cold_copy(o):
-    """o with no matrix and no hand-off: its delays start cold."""
+    """o with no matrix and no tree: its delays start cold."""
     return Overlay(nodes=o.nodes, edges=dict(o.edges), root=o.root)
 
 
@@ -593,7 +593,7 @@ def test_warm_starts_from_any_added_links_equal_cold_starts(seed, n, alg, data):
         o = dcrsim.overlay._extend(base, t, [(a, b) for a, b in pairs if a != b])
         if o is base:
             continue
-        assert "_warm" in vars(o)
+        assert "_delays" in vars(o)
         oracle = np.array(dijkstra_matrix(list(o.nodes), dict(o.edges)))
         assert np.array_equal(all_pairs_delay(o), oracle)
         assert np.array_equal(all_pairs_delay(cold_copy(o)), oracle)
@@ -624,8 +624,29 @@ def test_only_new_links_start_pending_and_each_is_relaxed_once(monkeypatch):
     assert tree.edges == {(1, 2): 1.0, (2, 3): 1.0}
     all_pairs_delay(tree)
     assert counted.relaxations == 0  # the tree delays are its links' fixed point
-    for o in (dcrsim.overlay._extend(tree, t, [(1, 3)]), cold_copy(add_wraparound(tree, t))):
-        counted.relaxations = 0
-        assert np.array_equal(all_pairs_delay(o), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
-                                                   [2.0, 1.0, 0.0]])
-        assert counted.relaxations == 2  # link 1-3, once from each end
+    warm = dcrsim.overlay._extend(tree, t, [(1, 3)])  # computes its matrix, warm
+    assert counted.relaxations == 2  # link 1-3, once from each end
+    cold = cold_copy(warm)
+    counted.relaxations = 0
+    assert np.array_equal(all_pairs_delay(cold), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                                  [2.0, 1.0, 0.0]])
+    assert counted.relaxations == 2  # link 1-3, once from each end
+    assert np.array_equal(all_pairs_delay(warm), all_pairs_delay(cold))
+
+
+def test_a_flood_forwarded_hop_by_hop_arrives_at_the_matrix_delays():
+    # Every stage, built cold and warm-started through stages, flooded from
+    # every origin: first arrivals are the matrix row bit for bit, and the
+    # duplicates are the count the report prints.
+    generated = [generate_random_topology(seed, 3 + seed * 7 % 58) for seed in range(40)]
+    for t in generated + [square(), plus_topology(), lattice(6, 0), lattice(7, 1)]:
+        overlays = [build_overlay(t, alg) for alg in (1, 2, 3)]
+        for o in dcrsim.overlay.stages(t):
+            overlay_metrics(o)  # so the next stage starts warm from this one
+            overlays.append(o)
+        for o in overlays:
+            delays = all_pairs_delay(o)
+            for row, origin in zip(delays, o.nodes):
+                arrival, duplicates = hop_flood(o.edges, origin)
+                assert np.array([arrival[v] for v in o.nodes]).tobytes() == row.tobytes()
+                assert duplicates == flood_duplicate_count(o)

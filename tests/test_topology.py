@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 import warnings
 
 import pytest
@@ -122,6 +124,30 @@ def test_generate_random_topology_refuses_extent_zero():
     for extent in (math.inf, math.nan):
         with pytest.raises(ConfigError, match=f"^extent must be finite, got {extent}$"):
             generate_random_topology(1, 5, extent)
+
+
+def largest_extent() -> float:
+    """The largest extent whose square's diagonal is finite."""
+    extent = sys.float_info.max / math.sqrt(2.0)
+    while math.isfinite(math.hypot(extent, extent)):
+        extent = math.nextafter(extent, math.inf)
+    while not math.isfinite(math.hypot(extent, extent)):
+        extent = math.nextafter(extent, 0.0)
+    return extent
+
+
+def test_generate_random_topology_refuses_an_extent_whose_diagonal_overflows():
+    too_large = math.nextafter(largest_extent(), math.inf)
+    for extent in (too_large, 1.7e308, sys.float_info.max):
+        message = f"extent {extent} is too large: the diagonal of [0, extent]^2 overflows"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate_random_topology(2, 50, extent)
+
+
+def test_a_topology_at_the_largest_extent_parses_back():
+    for seed in range(5):
+        t = generate_random_topology(seed, 50, largest_extent())
+        assert parse_topology(format_topology(t)) == t
 
 
 def test_topology_round_trips_through_text():

@@ -168,17 +168,18 @@ MUTANTS = (
            "            f.close()\n",
            "replaces each output file as soon as its text is written, so a later "
            "output that fails part-way leaves the earlier ones replaced"),
-    Mutant("links-copy", "src/dcrsim/overlay.py",
-           "links = [dict(ls) for ls in base_links]",
-           "links = base_links",
-           "adds a warm start's new links to its base's neighbour lists, so a second "
-           "extension of the same base relaxes over links it does not have"),
     Mutant("tree-handed-on", "src/dcrsim/overlay.py",
            "        object.__setattr__(new, \"_tree\", o._tree)\n",
            "",
            "drops a warm start's hand-on of its base's tree, so each warm stage builds "
            "its own tree and sweeps in its preorder: the same delays, with a Kruskal "
            "more per stage"),
+    Mutant("warm-start-skipped", "src/dcrsim/overlay.py",
+           "        object.__setattr__(new, \"_delays\", _delay_matrix(new, base, added))\n",
+           "",
+           "leaves an extension of a computed overlay without its matrix, which is then "
+           "computed cold on first use: the same delays, with the tree's passes and "
+           "more sweeps where a warm start relaxes only the added links"),
     Mutant("union-count", "src/dcrsim/overlay.py",
            "if unions < n - 1:",
            "if False:",
